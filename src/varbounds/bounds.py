@@ -5,22 +5,26 @@ spanned by kernel evaluations, kernel differences, or kernel derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomial, \
     multi_indices_leq
-from .errors import ConstraintRankError, DataError, KernelEvaluationError, \
+from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
     NaturalSpaceError
-from .kernel import ExpfamKernelEvaluator, KernelEvaluator, MonteCarloKernelEvaluator, \
-    deriv_inner_products, make_gram_system, projected_sq_norm
+from .kernel import DiffBasis, ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
+    MonteCarloKernelEvaluator, deriv_inner_products, gram_system, make_gram_system, \
+    signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
     log_density_batch, mean_partial, sample
 
 METHODS = ("crb", "constrained_crb", "bhattacharyya", "hcrb", "barankin_approx",
            "expfam_moment", "expfam_crb")
+
+#: Largest total order of a derivative multi-index.
+MAX_INDEX_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -69,19 +73,23 @@ def _x0(model, x0) -> np.ndarray:
     return x0
 
 
-def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> BoundResult:
-    system = make_gram_system(matrix, rhs, pinv_tol)
-    value = projected_sq_norm(system) - offset
+def _projection(system: GramSystem, offset=0.0) -> tuple[float, dict]:
+    """rhs' G^+ rhs - offset, clamped at zero, with the Gram diagnostics every
+    bound reports."""
+    value = signed_sq_norm(system) - offset
     diagnostics = {
         "gram_rank": system.diagnostics["rank"],
         "condition_number": system.diagnostics["condition_number"],
         "min_eigenvalue": system.diagnostics["min_eigenvalue"],
     }
-    if system.diagnostics.get("clamped_negative"):
-        diagnostics["clamped_negative"] = True
     if value < 0.0:
         diagnostics["clamped_negative"] = True
         value = 0.0
+    return value, diagnostics
+
+
+def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> BoundResult:
+    value, diagnostics = _projection(make_gram_system(matrix, rhs, pinv_tol), offset)
     if extra:
         diagnostics.update(extra)
     return BoundResult(value=value, method=method, diagnostics=diagnostics)
@@ -132,13 +140,25 @@ def _mean_gradient(gamma: MeanFunction, x0, cfg: FDConfig | None = None) -> np.n
     return np.array([mean_partial(gamma, x0, MultiIndex.unit(N, k), cfg) for k in range(N)])
 
 
+def _crb(method: str, model: Model, gamma: MeanFunction, x0, F=None, *,
+         n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
+         cfg: FDConfig | None = None) -> BoundResult:
+    """b' J^+ b with b the mean-function gradient, restricted to the null
+    space of the constraint Jacobian F when F has rows."""
+    x0 = _x0(model, x0)
+    b = _mean_gradient(gamma, x0)
+    J = fisher_info(model, x0, n_mc=n_mc, seed=seed, cfg=cfg)
+    if F is None or np.size(F) == 0:
+        return _quadratic_bound(J, b, method, pinv_tol)
+    U = null_space_onb(F)
+    return _quadratic_bound(U.T @ J @ U, U.T @ b, method, pinv_tol,
+                            extra={"null_space_dim": U.shape[1]})
+
+
 def crb(model: Model, gamma: MeanFunction, x0, *, n_mc: int = 100_000, seed: int = 0,
         pinv_tol: float = 1e-10) -> BoundResult:
     """Cramer-Rao bound b' J^+ b with b the mean-function gradient."""
-    x0 = _x0(model, x0)
-    b = _mean_gradient(gamma, x0)
-    J = fisher_info(model, x0, n_mc=n_mc, seed=seed)
-    return _quadratic_bound(J, b, "crb", pinv_tol)
+    return _crb("crb", model, gamma, x0, n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
 
 
 def null_space_onb(F) -> np.ndarray:
@@ -162,18 +182,8 @@ def constrained_crb(model: Model, gamma: MeanFunction, x0, F=None, *,
 
     F=None (or zero rows) means no constraints and reduces to the plain bound.
     """
-    x0 = _x0(model, x0)
-    b = _mean_gradient(gamma, x0)
-    J = fisher_info(model, x0, n_mc=n_mc, seed=seed)
-    if F is None or np.size(F) == 0:
-        return _quadratic_bound(J, b, "constrained_crb", pinv_tol)
-    U = null_space_onb(F)
-    if U.shape[1] == 0:
-        return BoundResult(0.0, "constrained_crb",
-                           {"gram_rank": 0, "condition_number": math.inf,
-                            "min_eigenvalue": 0.0, "null_space_dim": 0})
-    return _quadratic_bound(U.T @ J @ U, U.T @ b, "constrained_crb", pinv_tol,
-                            extra={"null_space_dim": U.shape[1]})
+    return _crb("constrained_crb", model, gamma, x0, F, n_mc=n_mc, seed=seed,
+                pinv_tol=pinv_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +197,8 @@ def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
     for p in idxs:
         if p.order < min_order:
             raise ValueError(f"multi-index {tuple(p)} has order below {min_order}")
-        if p.order > 4:
-            raise ValueError(f"multi-index {tuple(p)} exceeds the order-4 cap")
+        if p.order > MAX_INDEX_ORDER:
+            raise ValueError(f"multi-index {tuple(p)} exceeds the order-{MAX_INDEX_ORDER} cap")
     return idxs
 
 
@@ -265,15 +275,7 @@ def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
 def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
                            points: Sequence[np.ndarray], pinv_tol: float):
     """Projection of the centered mean onto the span of kernel differences."""
-    x0 = evaluator.x0
-    P = np.vstack([x0[None, :]] + [np.atleast_1d(p)[None, :] for p in points])
-    K = evaluator.pairwise(P)
-    V = K[1:, 1:] - K[1:, :1] - K[:1, 1:] + K[0, 0]
-    g0 = float(gamma.value(x0))
-    m = np.array([float(gamma.value(np.atleast_1d(p))) for p in points]) - g0
-    system = make_gram_system(V, m, pinv_tol)
-    value = projected_sq_norm(system)
-    return value, system.diagnostics
+    return _projection(gram_system(evaluator, [DiffBasis(p) for p in points], gamma, pinv_tol))
 
 
 def _mc_projection_se(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
@@ -301,15 +303,11 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     x0 = _x0(model, x0)
     for p in tps.points:
         if np.max(np.abs(np.atleast_1d(p) - x0), initial=0.0) < 1e-12:
-            raise ValueError("test points must exclude the reference parameter x0")
+            raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
+                              f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
-    value, diag = _difference_projection(evaluator, gamma, tps.points, pinv_tol)
-    diagnostics = {"gram_rank": diag["rank"],
-                   "condition_number": diag["condition_number"],
-                   "min_eigenvalue": diag["min_eigenvalue"],
-                   "n_test_points": len(tps)}
-    if diag.get("clamped_negative"):
-        diagnostics["clamped_negative"] = True
+    value, diagnostics = _difference_projection(evaluator, gamma, tps.points, pinv_tol)
+    diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics["mc_samples"] = evaluator.mc_samples
         diagnostics["mc_standard_error"] = _mc_projection_se(
@@ -445,13 +443,9 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
         trace.append({"start": start_idx,
                       "best_value": current if math.isfinite(current) else None})
 
-    diagnostics = {
-        "gram_rank": best_diag.get("rank", 0),
-        "condition_number": best_diag.get("condition_number", math.inf),
-        "min_eigenvalue": best_diag.get("min_eigenvalue", 0.0),
-        "evaluations": evaluations,
-        "search_trace": trace,
-    }
+    # best_diag holds the keys of a positive, hence unclamped, projection
+    diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
+                   **best_diag, "evaluations": evaluations, "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
     if isinstance(evaluator, MonteCarloKernelEvaluator):
@@ -502,10 +496,7 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
     information formed as the covariance of the sufficient statistic."""
     if not isinstance(model, ExponentialFamilyModel):
         raise TypeError("expfam_crb requires an ExponentialFamilyModel")
-    x0 = _x0(model, x0)
-    b = _mean_gradient(gamma, x0)
-    J = fisher_info(model, x0, cfg=cfg)
-    return _quadratic_bound(J, b, "expfam_crb", pinv_tol)
+    return _crb("expfam_crb", model, gamma, x0, pinv_tol=pinv_tol, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +536,13 @@ def evaluate_bound(model: Model, gamma: MeanFunction, x0, spec: MethodSpec, *,
         return hcrb(model, gamma, x0, tps, mc_samples=mc_samples, seed=seed,
                     pinv_tol=pinv_tol)
     if spec.name == "barankin_approx":
-        known = {"initial_points", "max_points", "restarts", "initial_step",
-                 "halvings", "max_sweeps_per_level", "seed", "radius",
-                 "lower", "upper", "min_distance"}
-        unknown = set(opts) - known
+        unknown = set(opts) - {f.name for f in fields(BarankinSearch)}
         if unknown:
             raise ValueError(f"unknown barankin options {sorted(unknown)}")
         if "initial_points" in opts and opts["initial_points"] is not None \
                 and not isinstance(opts["initial_points"], TestPointSet):
             opts["initial_points"] = TestPointSet(opts["initial_points"])
-        search = BarankinSearch(seed=seed, **opts) if "seed" not in opts \
-            else BarankinSearch(**opts)
+        search = BarankinSearch(**{"seed": seed, **opts})
         return barankin_approx(model, gamma, x0, search, mc_samples=mc_samples,
                                pinv_tol=pinv_tol)
     raise AssertionError(spec.name)

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 import yaml
 
-from .bounds import BarankinSearch, MethodSpec, METHODS, TestPointSet, evaluate_bound
-from .errors import ConfigurationError, ConstraintRankError, DataError, \
+from .bounds import BarankinSearch, MAX_INDEX_ORDER, MethodSpec, METHODS, TestPointSet, \
+    evaluate_bound
+from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
 from .harness import format_float, phi_estimator, constant_estimator, \
     reduction_experiment, semicontinuity_scan, validate_bounds, write_csv
@@ -25,7 +26,7 @@ from .models import BUILTIN_FAMILIES, MeanFunction, constant_mean, expfam_mean, 
     identity_mean, make_model, polynomial_mean
 
 _NUMERICAL_ERRORS = (NaturalSpaceError, KernelEvaluationError, StencilError,
-                     ConstraintRankError, DataError, np.linalg.LinAlgError,
+                     ConstraintRankError, DataError, DomainError, np.linalg.LinAlgError,
                      FloatingPointError)
 
 
@@ -158,9 +159,9 @@ _METHOD_OPTIONS: dict[str, set[str]] = {
     "bhattacharyya": {"indices"},
     "expfam_moment": {"indices"},
     "hcrb": {"points"},
-    "barankin_approx": {"max_points", "restarts", "initial_step", "halvings",
-                        "radius", "lower", "upper", "initial_points"},
+    "barankin_approx": {f.name for f in fields(BarankinSearch)},
 }
+_REQUIRED_OPTIONS = {"bhattacharyya": "indices", "expfam_moment": "indices", "hcrb": "points"}
 
 
 def _method_from_dict(d: dict, pos: int) -> MethodSpec:
@@ -175,11 +176,19 @@ def _method_from_dict(d: dict, pos: int) -> MethodSpec:
     bad = set(opts) - _METHOD_OPTIONS[name]
     if bad:
         raise ConfigurationError(f"{path}: options {sorted(bad)} not valid for {name!r}")
+    required = _REQUIRED_OPTIONS.get(name)
+    if required is not None and required not in opts:
+        raise ConfigurationError(f"{path}.{required}: required for {name!r}")
     if "indices" in opts:
         try:
             opts["indices"] = [tuple(int(e) for e in p) for p in opts["indices"]]
         except TypeError as exc:
             raise ConfigurationError(f"{path}.indices: expected a list of index lists") from exc
+        for p in opts["indices"]:
+            if sum(p) > MAX_INDEX_ORDER:
+                raise ConfigurationError(
+                    f"{path}.indices: {list(p)} exceeds the order-{MAX_INDEX_ORDER} cap "
+                    f"of {name!r}")
     if "points" in opts:
         try:
             opts["points"] = [[float(v) for v in p] for p in opts["points"]]

@@ -50,3 +50,8 @@ class ConfigurationError(VarBoundsError):
 
 class DataError(VarBoundsError):
     """Monte Carlo data contains non-finite values; the message lists offenders."""
+
+
+class DomainError(VarBoundsError, ValueError):
+    """An input lies outside the domain of a bound method, such as a test point
+    at the reference parameter; the message names the method and x0."""

@@ -258,10 +258,13 @@ class DerivBasis:
 @dataclass(frozen=True)
 class GramSystem:
     """Gram matrix, right-hand side of inner products with the mean function,
+    its eigenpairs (eigenvectors as rows) in descending order of |eigenvalue|,
     pseudoinverse truncation tolerance, and conditioning diagnostics."""
 
     matrix: np.ndarray
     rhs: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     pinv_tol: float = 1e-10
     diagnostics: dict = field(default_factory=dict)
 
@@ -275,92 +278,72 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
     if G.size and float(np.abs(G - G.T).max()) > 1e-12 * max(1.0, scale):
         raise ValueError("Gram matrix is not symmetric")
     if G.size:
-        s = np.linalg.svd(G, compute_uv=False, hermitian=True)
+        w, v = np.linalg.eigh(G)
+        # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
+        order = np.argsort(np.abs(w))[::-1]
+        eigenvalues, eigenvectors = w[order], v.T[order]
+        s = np.abs(eigenvalues)
         smax = float(s[0])
-        rank = int(np.sum(s > pinv_tol * smax)) if smax > 0 else 0
+        rank = int(np.count_nonzero(s > pinv_tol * smax)) if smax > 0 else 0
         cond = float(smax / s[-1]) if s[-1] > 0 else math.inf
-        min_eig = float(np.linalg.eigvalsh(G)[0])
+        min_eig = float(w[0])
     else:
-        smax, rank, cond, min_eig = 0.0, 0, math.inf, 0.0
-    return GramSystem(matrix=G, rhs=rhs, pinv_tol=float(pinv_tol),
+        eigenvalues, eigenvectors = np.empty(0), np.empty((0, 0))
+        rank, cond, min_eig = 0, math.inf, 0.0
+    return GramSystem(matrix=G, rhs=rhs, eigenvalues=eigenvalues, eigenvectors=eigenvectors,
+                      pinv_tol=float(pinv_tol),
                       diagnostics={"rank": rank, "min_eigenvalue": min_eig,
                                    "condition_number": cond})
 
 
+def signed_sq_norm(system: GramSystem) -> float:
+    """rhs' G^+ rhs over the leading `rank` eigenpairs, those with |eigenvalue|
+    above pinv_tol times the largest.  Not clamped: an indefinite matrix can
+    give a negative value."""
+    rank = system.diagnostics["rank"]
+    coeff = system.eigenvectors[:rank] @ system.rhs
+    return float((coeff * coeff / system.eigenvalues[:rank]).sum())
+
+
 def projected_sq_norm(system: GramSystem) -> float:
-    """rhs' G^+ rhs with relative singular-value truncation, clamped at zero."""
-    G, rhs = system.matrix, system.rhs
-    if G.size == 0:
-        return 0.0
-    u, s, vt = np.linalg.svd(G, hermitian=True)
-    smax = s[0]
-    if smax <= 0:
-        return 0.0
-    keep = s > system.pinv_tol * smax
-    coeff = (u.T[keep] @ rhs) * (vt[keep] @ rhs) / s[keep]
-    value = float(coeff.sum())
-    if value < 0.0:
-        system.diagnostics["clamped_negative"] = True
-        return 0.0
-    return value
+    """rhs' G^+ rhs with relative eigenvalue truncation, clamped at zero."""
+    return max(signed_sq_norm(system), 0.0)
 
 
 def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
     """Gram matrix of inner products among basis functions, assembled from
-    kernel values and kernel derivatives via the reproducing property."""
+    kernel values and kernel derivatives via the reproducing property.
+
+    Point and difference entries come from one pairwise kernel matrix K over
+    [x0, x_1, ..., x_m] as ((K_ij - d_j K_i0) - d_i K_0j) + d_i d_j K_00,
+    with d_i = 1 for a difference basis and 0 for a point basis.
+    """
     x0 = evaluator.x0
-    L = len(basis)
-    G = np.empty((L, L))
-    k00 = evaluator.evaluate(x0, x0)
-    deriv_cache: dict[tuple, Callable] = {}
+    deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
+    points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
+    P = np.array([x0] + [basis[i].x for i in points], dtype=float)
+    K = evaluator.pairwise(P)
+    d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
+    dcol = d[:, None]
+    block = ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
+    if not deriv:
+        return block
 
-    if any(isinstance(b, DerivBasis) for b in basis):
-        if evaluator.mode != "expfam_closed_form":
-            raise ValueError("derivative basis functions require the closed-form evaluator")
-        model = evaluator.model
-        exact = _has_closed_moments(model)
-        idxs = [as_index(b.p, dim=model.param_dim) for b in basis if isinstance(b, DerivBasis)]
-        if exact:
-            mu, nu = _exact_tables(model, x0, idxs)
-
-        def deriv_value(p, a):
-            if exact:
-                return _exact_point_deriv(model, nu, p, a)
-            return derivative_kernel_function(evaluator, p, a)
-
-        def deriv_pair(p, q):
-            if exact:
-                return _exact_deriv_inner(mu, nu, p, q)
-            return _fd_deriv_inner(model, x0, p, q)
+    if evaluator.mode != "expfam_closed_form":
+        raise ValueError("derivative basis functions require the closed-form evaluator")
+    model = evaluator.model
+    idxs = [as_index(basis[i].p, dim=model.param_dim) for i in deriv]
+    if _has_closed_moments(model):
+        _, nu = _exact_tables(model, x0, idxs)
+        D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
     else:
-        def deriv_value(p, a):  # pragma: no cover - unreachable without DerivBasis
-            raise AssertionError
-        deriv_pair = deriv_value
-
-    def inner(bi, bj) -> float:
-        if isinstance(bi, PointBasis):
-            if isinstance(bj, PointBasis):
-                return evaluator.evaluate(bi.x, bj.x)
-            if isinstance(bj, DiffBasis):
-                return evaluator.evaluate(bi.x, bj.x) - evaluator.evaluate(bi.x, x0)
-            return deriv_value(as_index(bj.p, dim=len(x0)), np.asarray(bi.x, dtype=float))
-        if isinstance(bi, DiffBasis):
-            if isinstance(bj, PointBasis):
-                return inner(bj, bi)
-            if isinstance(bj, DiffBasis):
-                return (evaluator.evaluate(bi.x, bj.x) - evaluator.evaluate(bi.x, x0)
-                        - evaluator.evaluate(x0, bj.x) + k00)
-            p = as_index(bj.p, dim=len(x0))
-            return (deriv_value(p, np.asarray(bi.x, dtype=float))
-                    - deriv_value(p, x0))
-        # bi is DerivBasis
-        if isinstance(bj, DerivBasis):
-            return deriv_pair(as_index(bi.p, dim=len(x0)), as_index(bj.p, dim=len(x0)))
-        return inner(bj, bi)
-
-    for i in range(L):
-        for j in range(i, L):
-            G[i, j] = G[j, i] = inner(basis[i], basis[j])
+        D = np.array([[derivative_kernel_function(evaluator, p, a) for p in idxs] for a in P])
+    cross = D[1:] - dcol * D[:1]
+    G = np.empty((len(basis), len(basis)))
+    G[np.ix_(points, points)] = block
+    G[np.ix_(points, deriv)] = cross
+    G[np.ix_(deriv, points)] = cross.T
+    G[np.ix_(deriv, deriv)] = deriv_inner_products(model, x0, idxs)
     return G
 
 

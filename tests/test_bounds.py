@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import varbounds as vb
-from varbounds.bounds import BarankinSearch, MethodSpec, TestPointSet, evaluate_bound
-from varbounds.errors import ConstraintRankError
+from varbounds.bounds import BarankinSearch, MethodSpec, TestPointSet, _quadratic_bound, \
+    evaluate_bound
+from varbounds.errors import ConstraintRankError, DomainError
 from varbounds.kernel import deriv_inner_products
 
 
@@ -182,6 +183,8 @@ class TestHCRB:
     def test_rejects_test_point_at_x0(self):
         with pytest.raises(ValueError):
             vb.hcrb(vb.gaussian_mean(), vb.identity_mean(), [0.0], TestPointSet([[0.0]]))
+        with pytest.raises(DomainError, match=r"hcrb.*x0=\[0\.0\]"):
+            vb.hcrb(vb.gaussian_mean(), vb.identity_mean(), [0.0], TestPointSet([[0.0]]))
 
     def test_test_point_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -345,3 +348,18 @@ class TestEvaluateBound:
         g, gamma, x0 = vb.gaussian_mean(), vb.identity_mean(), np.array([0.0])
         assert evaluate_bound(g, gamma, x0, MethodSpec("expfam_moment",
                               {"indices": [(1,)]})).method == "expfam_moment"
+
+
+def test_one_decomposition_per_quadratic_bound(monkeypatch):
+    decompositions = []
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            decompositions.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    G = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1e-14]])
+    res = _quadratic_bound(G, np.array([1.0, 0.5, 0.0]), "crb", 1e-10)
+    assert decompositions == ["eigh"]
+    assert res.diagnostics["gram_rank"] == 2

@@ -98,6 +98,37 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "crb" in err and "natural" in err
 
+    @pytest.mark.parametrize("methods, x0, code", [
+        ([{"name": "bhattacharyya"}], [0.0], 2),
+        ([{"name": "expfam_moment"}], [0.0], 2),
+        ([{"name": "hcrb"}], [0.0], 2),
+        ([{"name": "bhattacharyya", "indices": [[5]]}], [0.0], 2),
+        ([{"name": "hcrb", "points": [[0.5]]}], {"grid": {"start": 0.0, "stop": 0.5,
+                                                          "count": 2}}, 3),
+    ], ids=["bhattacharyya-no-indices", "expfam_moment-no-indices", "hcrb-no-points",
+            "order-5-index", "hcrb-point-at-grid-x0"])
+    def test_bad_method_configs_exit_cleanly(self, tmp_path, capsys, methods, x0, code):
+        cfg = write_config(tmp_path, {**GAUSSIAN_RUN, "methods": methods, "x0": x0})
+        assert main(["run", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        name = methods[0]["name"]
+        assert name in captured.err
+        if code == 3:
+            assert "x0=[0.5]" in captured.err
+
+    def test_all_barankin_search_options_accepted(self, tmp_path):
+        search = {"seed": 5, "max_sweeps_per_level": 2, "min_distance": 1e-3,
+                  "restarts": 1, "halvings": 2, "max_points": 2}
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", **search}]}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        import varbounds as vb
+        exact = vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0],
+                                   vb.BarankinSearch(**search)).value
+        assert float(read_rows(out)[0]["value"]) == exact
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"familly": "gaussian-mean"}})
         assert main(["run", "--config", cfg]) == 2

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 import varbounds as vb
 from varbounds.errors import NaturalSpaceError
 from varbounds.kernel import (
+    _exact_deriv_inner,
+    _exact_point_deriv,
+    _exact_tables,
+    _fd_deriv_inner,
     DerivBasis,
     DiffBasis,
     ExpfamKernelEvaluator,
@@ -193,6 +197,82 @@ class TestGram:
         assert G[1, 1] == pytest.approx(1.0, abs=1e-9)
 
 
+def scalar_inner_gram(ev, basis):
+    """The entry-by-entry inner-product dispatch gram() was built on, kept as
+    the reference: scalar kernel values for point and difference bases,
+    point values of the derivative functions, derivative inner products."""
+    x0 = ev.x0
+    model = ev.model
+
+    def as_idx(b):
+        return vb.MultiIndex(tuple(b.p))
+
+    idxs = [as_idx(b) for b in basis if isinstance(b, DerivBasis)]
+    exact = model.closed_moments is not None
+    if exact and idxs:
+        mu, nu = _exact_tables(model, x0, idxs)
+
+    def deriv_value(p, a):
+        if exact:
+            return _exact_point_deriv(model, nu, p, a)
+        return derivative_kernel_function(ev, p, a)
+
+    def inner(bi, bj):
+        if isinstance(bi, DerivBasis) and isinstance(bj, DerivBasis):
+            if exact:
+                return _exact_deriv_inner(mu, nu, as_idx(bi), as_idx(bj))
+            return _fd_deriv_inner(model, x0, as_idx(bi), as_idx(bj))
+        if isinstance(bi, DerivBasis):
+            return inner(bj, bi)
+        if isinstance(bj, DerivBasis):
+            value = deriv_value(as_idx(bj), bi.x)
+            return value - deriv_value(as_idx(bj), x0) if isinstance(bi, DiffBasis) else value
+        value = ev.evaluate(bi.x, bj.x)
+        if isinstance(bj, DiffBasis):
+            value -= ev.evaluate(bi.x, x0)
+        if isinstance(bi, DiffBasis):
+            value -= ev.evaluate(x0, bj.x)
+        if isinstance(bi, DiffBasis) and isinstance(bj, DiffBasis):
+            value += ev.evaluate(x0, x0)
+        return value
+
+    L = len(basis)
+    G = np.empty((L, L))
+    for i in range(L):
+        for j in range(i, L):
+            G[i, j] = G[j, i] = inner(basis[i], basis[j])
+    return G
+
+
+class TestGramAgainstScalarReference:
+    @pytest.mark.parametrize("closed_moments", [True, False])
+    def test_mixed_point_difference_derivative_bases(self, closed_moments):
+        import dataclasses
+        rng = np.random.default_rng(12)
+        for base in (vb.gaussian_mean(), vb.poisson(), vb.bernoulli()):
+            model = base if closed_moments else dataclasses.replace(base, closed_moments=None)
+            x0 = rng.uniform(-0.5, 0.5, size=1)
+            ev = ExpfamKernelEvaluator(model, x0)
+            basis = [DiffBasis(x0 + np.array([0.7])), DerivBasis((2,)),
+                     PointBasis(x0 + np.array([-0.4])), DerivBasis((1,)),
+                     DiffBasis(x0 + np.array([-0.9])), PointBasis(x0.copy())]
+            rng.shuffle(basis)
+            G, ref = gram(ev, basis), scalar_inner_gram(ev, basis)
+            assert np.array_equal(G, G.T)
+            np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-14)
+
+    def test_point_and_difference_only(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            x0 = rng.uniform(-0.5, 0.5, size=1)
+            ev = ExpfamKernelEvaluator(vb.poisson(), x0)
+            basis = [(PointBasis if rng.random() < 0.5 else DiffBasis)(
+                x0 + rng.uniform(0.05, 1.0, size=1) * rng.choice([-1.0, 1.0]))
+                for _ in range(int(rng.integers(1, 6)))]
+            np.testing.assert_allclose(gram(ev, basis), scalar_inner_gram(ev, basis),
+                                       rtol=1e-12, atol=1e-14)
+
+
 class TestGramSystemDiagnostics:
     def test_psd_for_random_point_sets(self):
         rng = np.random.default_rng(6)
@@ -229,6 +309,31 @@ class TestProjectedSqNorm:
     def test_rank_one_pseudoinverse(self):
         sys = make_gram_system(np.ones((2, 2)), np.array([1.0, 1.0]), 1e-10)
         assert projected_sq_norm(sys) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["psd", "rank_deficient", "slightly_indefinite"])
+    def test_matches_hermitian_pinv(self, kind):
+        # reference g' pinv(G) g at the same relative truncation; the
+        # tolerance (1e-9 relative, 1e-10 absolute) was fixed before any run.
+        # The indefinite case has one negative eigenvalue below the
+        # truncation and one kept, so the value can be clamped.
+        rng = np.random.default_rng({"psd": 1, "rank_deficient": 2,
+                                     "slightly_indefinite": 3}[kind])
+        tol = 1e-10
+        for _ in range(25):
+            n = int(rng.integers(1, 8))
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam = rng.uniform(0.1, 10.0, size=n)
+            if kind == "rank_deficient":
+                lam[rng.random(n) < 0.5] = 0.0
+            elif kind == "slightly_indefinite":
+                lam[rng.integers(n)] = -1e-13 * lam.max()
+                lam[rng.integers(n)] = -0.05
+            G = (Q * lam) @ Q.T
+            G = (G + G.T) / 2
+            g = rng.normal(size=n)
+            ref = float(g @ np.linalg.pinv(G, rcond=tol, hermitian=True) @ g)
+            value = projected_sq_norm(make_gram_system(G, g, tol))
+            assert value == pytest.approx(max(ref, 0.0), rel=1e-9, abs=1e-10)
 
     def test_negative_noise_clamped_to_zero(self):
         sys = make_gram_system(np.array([[1.0]]), np.array([1.0]))

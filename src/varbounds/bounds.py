@@ -282,11 +282,8 @@ def _mc_projection_se(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
                       points: Sequence[np.ndarray], pinv_tol: float) -> float:
     """Two-fold sample-split estimate of the Monte Carlo error of the
     difference projection."""
-    half = len(evaluator.samples) // 2
     values = []
-    for chunk in (evaluator.samples[:half], evaluator.samples[half:]):
-        sub = MonteCarloKernelEvaluator(evaluator.model, evaluator.x0,
-                                        seed=evaluator.seed, samples=chunk)
+    for sub in evaluator._halves():
         try:
             v, _ = _difference_projection(sub, gamma, points, pinv_tol)
         except (NaturalSpaceError, KernelEvaluationError):
@@ -310,6 +307,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics["mc_samples"] = evaluator.mc_samples
+        diagnostics["mc_effective_sample_size"] = [
+            evaluator.effective_sample_size(p) for p in tps.points]
         diagnostics["mc_standard_error"] = _mc_projection_se(
             evaluator, gamma, tps.points, pinv_tol)
     return BoundResult(value=value, method="hcrb", diagnostics=diagnostics)
@@ -451,6 +450,10 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics["mc_samples"] = evaluator.mc_samples
         if best_points is not None:
+            # ahead of the split: a best point the cache evicted since is
+            # recomputed once here, and the halves then slice it
+            diagnostics["mc_effective_sample_size"] = [
+                evaluator.effective_sample_size(p) for p in best_points]
             diagnostics["mc_standard_error"] = _mc_projection_se(
                 evaluator, gamma, list(best_points), pinv_tol)
     return BoundResult(value=max(best_value, 0.0), method="barankin_approx",

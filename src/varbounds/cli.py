@@ -184,16 +184,27 @@ def _method_from_dict(d: dict, pos: int) -> MethodSpec:
             opts["indices"] = [tuple(int(e) for e in p) for p in opts["indices"]]
         except TypeError as exc:
             raise ConfigurationError(f"{path}.indices: expected a list of index lists") from exc
+        if len(set(opts["indices"])) != len(opts["indices"]):
+            raise ConfigurationError(f"{path}.indices: duplicate multi-indices for {name!r}")
+        min_order = 1 if name == "bhattacharyya" else 0
         for p in opts["indices"]:
             if sum(p) > MAX_INDEX_ORDER:
                 raise ConfigurationError(
                     f"{path}.indices: {list(p)} exceeds the order-{MAX_INDEX_ORDER} cap "
                     f"of {name!r}")
+            if sum(p) < min_order:
+                raise ConfigurationError(
+                    f"{path}.indices: {list(p)} is below order {min_order}, the lowest "
+                    f"order of {name!r}")
     if "points" in opts:
         try:
             opts["points"] = [[float(v) for v in p] for p in opts["points"]]
         except TypeError as exc:
             raise ConfigurationError(f"{path}.points: expected a list of parameter vectors") from exc
+        try:
+            TestPointSet(opts["points"])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}.points: {exc} for {name!r}") from exc
     if "initial_points" in opts:
         opts["initial_points"] = [[float(v) for v in p] for p in opts["initial_points"]]
     return MethodSpec(name=name, options=opts)

@@ -12,6 +12,7 @@ likelihood ratios over draws from the reference parameter x0.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -91,6 +92,13 @@ class MonteCarloKernelEvaluator:
     Reusing the same draws for all point pairs makes every empirical Gram
     matrix positive semidefinite by construction and keeps results
     reproducible.
+
+    Each likelihood-ratio vector over the draws is computed once and kept,
+    read-only, in a least-recently-used cache that starts with x0's vector.
+    The cache holds at most 2 * (most rows of any pairwise call) + 1 vectors,
+    and never fewer than 5, so a search that moves one test point computes
+    one new vector per step while memory stays near twice the ratio matrix
+    pairwise builds anyway.
     """
 
     mode = "monte_carlo"
@@ -108,10 +116,48 @@ class MonteCarloKernelEvaluator:
         if self.mc_samples < 2:
             raise ValueError("need at least 2 samples")
         self._ld0 = log_density_batch(model, self.samples, self.x0)
+        ones = np.exp(self._ld0 - self._ld0)
+        ones.flags.writeable = False
+        self._cache = {self.x0.tobytes(): ones}
+        self._cache_cap = 5
 
     def _ratios(self, x) -> np.ndarray:
-        ld = log_density_batch(self.model, self.samples, x)
-        return np.exp(ld - self._ld0)
+        key = np.asarray(x, dtype=float).tobytes()
+        r = self._cache.pop(key, None)
+        if r is None:
+            # raises before anything is stored, so a failing point fails again
+            r = np.exp(log_density_batch(self.model, self.samples, x) - self._ld0)
+            r.flags.writeable = False
+        self._cache[key] = r  # most recently used last
+        while len(self._cache) > self._cache_cap:
+            del self._cache[next(iter(self._cache))]
+        return r
+
+    def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
+        """Evaluators over the first and the second half of the draws, for
+        sample-split error estimates.  They slice this evaluator's draws,
+        reference log densities and cached ratio vectors; log densities are
+        per observation, so a slice equals a recomputation on the half."""
+        def view(rows: slice) -> MonteCarloKernelEvaluator:
+            sub = copy.copy(self)
+            sub.samples, sub._ld0 = self.samples[rows], self._ld0[rows]
+            sub.mc_samples = len(sub.samples)
+            sub._cache = {key: r[rows] for key, r in self._cache.items()}
+            return sub
+
+        half = self.mc_samples // 2
+        return view(slice(None, half)), view(slice(half, None))
+
+    def effective_sample_size(self, x) -> float:
+        """Kish effective sample size (sum rho)^2 / sum rho^2 of the
+        likelihood-ratio vector at x over the draws; 0 when no draw carries
+        a finite positive weight."""
+        r = self._ratios(x)
+        top = float(r.max())
+        if not 0.0 < top < math.inf:
+            return 0.0
+        w = r / top
+        return float(w.sum() ** 2 / (w @ w))
 
     def evaluate(self, x1, x2) -> float:
         return self.evaluate_with_se(x1, x2).value
@@ -130,6 +176,7 @@ class MonteCarloKernelEvaluator:
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
+        self._cache_cap = max(self._cache_cap, 2 * len(P) + 1)
         R = np.stack([self._ratios(p) for p in P])
         K = (R @ R.T) / R.shape[1]
         if not np.all(np.isfinite(K)):

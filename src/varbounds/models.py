@@ -268,6 +268,13 @@ def gaussian_sum(n_obs: int = 3) -> ExponentialFamilyModel:
 _gammaln_vec = np.vectorize(math.lgamma, otypes=[float])
 
 
+def _neg_log_factorial(y) -> np.ndarray:
+    """-log(y!) as -lgamma(y + 1), with lgamma evaluated once per distinct value."""
+    v = np.asarray(y, dtype=float)[..., 0] + 1.0
+    distinct, inverse = np.unique(v, return_inverse=True)
+    return -_gammaln_vec(distinct)[inverse].reshape(v.shape)
+
+
 def poisson() -> ExponentialFamilyModel:
     """Poisson counts; natural parameter is the log rate.
 
@@ -278,7 +285,7 @@ def poisson() -> ExponentialFamilyModel:
         param_dim=1,
         obs_dim=1,
         phi=lambda y: np.asarray(y, dtype=float),
-        log_h=lambda y: -_gammaln_vec(np.asarray(y, dtype=float)[..., 0] + 1.0),
+        log_h=_neg_log_factorial,
         log_lambda=lambda x: np.exp(np.asarray(x, dtype=float)[..., 0]),
         sampler=lambda x, seed, count: np.random.default_rng(seed).poisson(
             lam=math.exp(float(x[0])), size=(count, 1)).astype(float),

@@ -180,6 +180,16 @@ class TestHCRB:
         assert se > 0
         assert abs(res.value - hcrb_single_point_oracle(0.5)) <= 6 * se
 
+    def test_mc_effective_sample_size_per_test_point(self):
+        p = vb.poisson()
+        n = 20_000
+        res = vb.hcrb(vb.as_generic(p), vb.expfam_mean(p), [0.0], TestPointSet([[3.0], [0.05]]),
+                      mc_samples=n, seed=1)
+        far, near = res.diagnostics["mc_effective_sample_size"]
+        # Kish ESS / n estimates 1 / E[rho^2] = exp(-(e^delta - 1)^2) here
+        assert far < 1e-3 * n
+        assert near > 0.99 * n
+
     def test_rejects_test_point_at_x0(self):
         with pytest.raises(ValueError):
             vb.hcrb(vb.gaussian_mean(), vb.identity_mean(), [0.0], TestPointSet([[0.0]]))
@@ -231,6 +241,15 @@ class TestBarankin:
         for pt in res.diagnostics["best_points"]:
             assert pt[0] < 0.0
             assert abs(pt[0] + 2.0) <= 1.5 + 1e-12
+
+    def test_monte_carlo_search_reports_effective_sample_sizes(self):
+        p = vb.poisson()
+        res = vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+                                 BarankinSearch(restarts=1, halvings=2, max_points=2, seed=1),
+                                 mc_samples=5_000)
+        ess = res.diagnostics["mc_effective_sample_size"]
+        assert len(ess) == len(res.diagnostics["best_points"]) == 2
+        assert all(0.0 < e <= 5_000 for e in ess)
 
 
 class TestExpfamBound:

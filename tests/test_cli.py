@@ -105,8 +105,14 @@ class TestRunCommand:
         ([{"name": "bhattacharyya", "indices": [[5]]}], [0.0], 2),
         ([{"name": "hcrb", "points": [[0.5]]}], {"grid": {"start": 0.0, "stop": 0.5,
                                                           "count": 2}}, 3),
+        ([{"name": "bhattacharyya", "indices": [[1], [1]]}], [0.0], 2),
+        ([{"name": "expfam_moment", "indices": [[1], [1]]}], [0.0], 2),
+        ([{"name": "bhattacharyya", "indices": [[0]]}], [0.0], 2),
+        ([{"name": "hcrb", "points": [[1.0], [1.0]]}], [0.0], 2),
     ], ids=["bhattacharyya-no-indices", "expfam_moment-no-indices", "hcrb-no-points",
-            "order-5-index", "hcrb-point-at-grid-x0"])
+            "order-5-index", "hcrb-point-at-grid-x0", "bhattacharyya-duplicate-indices",
+            "expfam_moment-duplicate-indices", "bhattacharyya-order-0-index",
+            "hcrb-duplicate-points"])
     def test_bad_method_configs_exit_cleanly(self, tmp_path, capsys, methods, x0, code):
         cfg = write_config(tmp_path, {**GAUSSIAN_RUN, "methods": methods, "x0": x0})
         assert main(["run", "--config", cfg]) == code

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varbounds as vb
+from varbounds import kernel as kernel_module
 from varbounds.errors import NaturalSpaceError
 from varbounds.kernel import (
     _exact_deriv_inner,
@@ -29,6 +30,7 @@ from varbounds.kernel import (
     projected_sq_norm,
     suffstat_kernel_check,
 )
+from varbounds.models import log_density_batch
 
 params = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -121,6 +123,125 @@ class TestKernelMC:
             assert bad.heavy_tail_warning
             fine = kernel_mc(er, [-1.0], [-0.85], [-0.85], n=20_000, seed=seed)
             assert not fine.heavy_tail_warning
+
+
+def count_log_density_rows(monkeypatch) -> list:
+    """Rows of every log-density batch the Monte Carlo evaluator requests."""
+    rows = []
+    original = kernel_module.log_density_batch
+
+    def counting(model, Y, x):
+        rows.append(len(Y))
+        return original(model, Y, x)
+
+    monkeypatch.setattr(kernel_module, "log_density_batch", counting)
+    return rows
+
+
+class TestMonteCarloRatioCache:
+    def test_hcrb_computes_one_vector_per_point_and_none_on_the_halves(self, monkeypatch):
+        rows = count_log_density_rows(monkeypatch)
+        res = vb.hcrb(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(), [0.0],
+                      vb.TestPointSet([[0.5]]), mc_samples=20_000, seed=3)
+        # x0 at construction, then the test point; the split halves slice both
+        assert rows == [20_000, 20_000]
+        assert res.diagnostics["mc_standard_error"] > 0
+
+    def test_repeated_pairwise_makes_no_new_log_density_call(self, monkeypatch):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
+                                       mc_samples=5_000, seed=2)
+        rows = count_log_density_rows(monkeypatch)
+        pts = np.array([[0.0], [0.4], [-0.3]])
+        first = ev.pairwise(pts)
+        assert len(rows) == 2
+        again = ev.pairwise(pts)
+        assert len(rows) == 2
+        assert np.array_equal(first, again)
+
+    def test_pairwise_equals_uncached_ratio_products(self):
+        gm = vb.as_generic(vb.poisson())
+        ev = MonteCarloKernelEvaluator(gm, [0.0], mc_samples=5_000, seed=2)
+        pts = np.array([[0.0], [0.4], [-0.3]])
+        ld0 = log_density_batch(gm, ev.samples, [0.0])
+        R = np.stack([np.exp(log_density_batch(gm, ev.samples, p) - ld0) for p in pts])
+        ev.pairwise(pts[:2])
+        assert np.array_equal(ev.pairwise(pts), (R @ R.T) / R.shape[1])
+
+    @pytest.mark.parametrize("family", ["poisson", "gaussian-mean", "exponential-rate"])
+    @pytest.mark.parametrize("n", [4_000, 4_001])
+    def test_halves_equal_fresh_evaluators_on_the_chunks(self, family, n):
+        gm = vb.as_generic(vb.make_model(family))
+        x0 = [-1.0] if family == "exponential-rate" else [0.0]
+        ev = MonteCarloKernelEvaluator(gm, x0, mc_samples=n, seed=5)
+        cached, uncached = [x0[0] + 0.4], [x0[0] - 0.3]
+        ev.pairwise(np.array([x0, cached]))
+        basis = [DiffBasis(np.array(cached)), DiffBasis(np.array(uncached))]
+        gamma = vb.identity_mean()
+        half = n // 2
+        for sub, chunk in zip(ev._halves(), (ev.samples[:half], ev.samples[half:])):
+            fresh = MonteCarloKernelEvaluator(gm, x0, seed=5, samples=chunk)
+            assert sub.mc_samples == len(chunk)
+            assert np.array_equal(gram(sub, basis), gram(fresh, basis))
+            a = projected_sq_norm(gram_system(sub, basis, gamma))
+            b = projected_sq_norm(gram_system(fresh, basis, gamma))
+            assert a == b
+
+    def test_cache_stays_within_its_cap_during_a_search(self, monkeypatch):
+        sizes, rows = [], [0]
+        ratios, pairwise = MonteCarloKernelEvaluator._ratios, MonteCarloKernelEvaluator.pairwise
+
+        def tracked_ratios(self, x):
+            out = ratios(self, x)
+            sizes.append(len(self._cache))
+            assert len(self._cache) <= self._cache_cap
+            return out
+
+        def tracked_pairwise(self, points):
+            rows[0] = max(rows[0], len(points))
+            return pairwise(self, points)
+
+        monkeypatch.setattr(MonteCarloKernelEvaluator, "_ratios", tracked_ratios)
+        monkeypatch.setattr(MonteCarloKernelEvaluator, "pairwise", tracked_pairwise)
+        p = vb.poisson()
+        vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+                           vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
+                           mc_samples=5_000)
+        assert rows[0] == 3
+        # the search evaluates far more points than the cache keeps
+        assert max(sizes) == 2 * rows[0] + 1
+
+    def test_cached_vectors_are_read_only(self):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       mc_samples=1_000, seed=1)
+        ev.pairwise(np.array([[0.0], [0.5]]))
+        vectors = [ev._ratios([0.0]), ev._ratios([0.5])]
+        vectors += [sub._ratios([0.5]) for sub in ev._halves()]
+        for r in vectors:
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0] = 2.0
+
+    def test_reference_vector_costs_no_log_density_call(self, monkeypatch):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       mc_samples=1_000, seed=1)
+        rows = count_log_density_rows(monkeypatch)
+        assert np.array_equal(ev._ratios([0.0]), np.ones(1_000))
+        assert rows == []
+
+    def test_failing_point_is_not_cached(self):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.exponential_rate()), [-1.0],
+                                       mc_samples=1_000, seed=1)
+        for _ in range(2):
+            with pytest.raises(NaturalSpaceError):
+                ev.pairwise(np.array([[-1.0], [0.5]]))
+        assert np.array([0.5]).tobytes() not in ev._cache
+
+    def test_effective_sample_size(self):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       mc_samples=1_000, seed=1)
+        assert ev.effective_sample_size([0.0]) == pytest.approx(1_000, rel=1e-12)
+        # Kish ESS / n estimates 1 / E[rho^2] = exp(-delta^2) for a unit Gaussian
+        assert ev.effective_sample_size([0.3]) / 1_000 == pytest.approx(math.exp(-0.09), rel=0.05)
 
 
 class TestDerivativeKernelFunction:

@@ -11,7 +11,7 @@ from scipy import integrate
 import varbounds as vb
 from varbounds.calculus import MultiIndex, partial_derivative
 from varbounds.errors import NaturalSpaceError, ReferenceSupportError
-from varbounds.models import log_density_batch, mean_partial
+from varbounds.models import _gammaln_vec, log_density_batch, mean_partial
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -38,6 +38,14 @@ class TestLogDensity:
     def test_poisson_unit_rate_at_zero(self):
         # Poisson(1) pmf at 0 is exp(-1)
         assert vb.log_density(vb.poisson(), [0.0], [0.0]) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_poisson_log_h_equals_lgamma_per_element(self):
+        p = vb.poisson()
+        draws = [vb.sample(p, [x], 1, 20_000) for x in (0.0, 3.0)]
+        odd = np.array([[0.5], [2.25], [0.5], [1e6], [1e300], [170.0], [2.25]])
+        for y in draws + [odd]:
+            expect = -_gammaln_vec(y[..., 0] + 1.0)
+            assert np.array_equal(p.log_h(y), expect)
 
     def test_rejects_parameter_outside_natural_space(self):
         er = vb.exponential_rate()

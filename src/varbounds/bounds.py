@@ -5,23 +5,21 @@ spanned by kernel evaluations, kernel differences, or kernel derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomial, \
-    multi_indices_leq
+    multi_indices_leq, partial_derivative
 from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
     NaturalSpaceError
 from .kernel import DiffBasis, ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
     MonteCarloKernelEvaluator, deriv_inner_products, gram_system, make_gram_system, \
     signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
-    log_density_batch, mean_partial, sample
-
-METHODS = ("crb", "constrained_crb", "bhattacharyya", "hcrb", "barankin_approx",
-           "expfam_moment", "expfam_crb")
+    as_param, log_density_batch, mean_partial, sample
 
 #: Largest total order of a derivative multi-index.
 MAX_INDEX_ORDER = 4
@@ -66,13 +64,6 @@ class TestPointSet:
         return len(self.points)
 
 
-def _x0(model, x0) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.param_dim,):
-        raise ValueError(f"x0 shape {x0.shape} does not match param_dim={model.param_dim}")
-    return x0
-
-
 def _projection(system: GramSystem, offset=0.0) -> tuple[float, dict]:
     """rhs' G^+ rhs - offset, clamped at zero, with the Gram diagnostics every
     bound reports."""
@@ -108,7 +99,7 @@ def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
     is formed by central differences of the log density and the matrix is the
     Monte Carlo mean of its outer products.
     """
-    x0 = _x0(model, x0)
+    x0 = as_param(model, x0)
     N = model.param_dim
     if isinstance(model, ExponentialFamilyModel):
         cap = MultiIndex((2,) * N)
@@ -135,18 +126,13 @@ def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
     return (scores.T @ scores) / len(Y)
 
 
-def _mean_gradient(gamma: MeanFunction, x0, cfg: FDConfig | None = None) -> np.ndarray:
-    N = len(x0)
-    return np.array([mean_partial(gamma, x0, MultiIndex.unit(N, k), cfg) for k in range(N)])
-
-
 def _crb(method: str, model: Model, gamma: MeanFunction, x0, F=None, *,
          n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
          cfg: FDConfig | None = None) -> BoundResult:
     """b' J^+ b with b the mean-function gradient, restricted to the null
     space of the constraint Jacobian F when F has rows."""
-    x0 = _x0(model, x0)
-    b = _mean_gradient(gamma, x0)
+    x0 = as_param(model, x0)
+    b = np.array([mean_partial(gamma, x0, MultiIndex.unit(len(x0), k)) for k in range(len(x0))])
     J = fisher_info(model, x0, n_mc=n_mc, seed=seed, cfg=cfg)
     if F is None or np.size(F) == 0:
         return _quadratic_bound(J, b, method, pinv_tol)
@@ -192,6 +178,8 @@ def constrained_crb(model: Model, gamma: MeanFunction, x0, F=None, *,
 
 def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
     idxs = [as_index(p, dim=N) for p in indices]
+    if not idxs:
+        raise ValueError("at least one multi-index is required")
     if len(set(idxs)) != len(idxs):
         raise ValueError("multi-indices must be distinct")
     for p in idxs:
@@ -204,37 +192,11 @@ def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
 
 def _mc_deriv_ratio_matrix(model, x0, idxs, n_mc, seed):
     """Monte Carlo matrix of E{ D^p rho * D^q rho } with the likelihood-ratio
-    derivatives formed per draw by shared central-difference stencils."""
-    from .calculus import _STENCILS, default_steps  # stencil tables
-
-    Y = sample(model, x0, seed, n_mc)
-    ld0 = log_density_batch(model, Y, x0)
-    N = len(x0)
-    cache: dict[tuple, np.ndarray] = {}
-
-    def ratios_at(offset_key, point):
-        if offset_key not in cache:
-            cache[offset_key] = np.exp(log_density_batch(model, Y, point) - ld0)
-        return cache[offset_key]
-
-    D = np.empty((len(idxs), len(Y)))
-    for i, p in enumerate(idxs):
-        steps = default_steps(x0, p)
-        axis = [(_STENCILS[o][0], tuple(c / steps[k] ** o for c in _STENCILS[o][1]))
-                for k, o in enumerate(p)]
-        acc = np.zeros(len(Y))
-        from itertools import product as _cartesian
-        for combo in _cartesian(*(range(len(a[0])) for a in axis)):
-            point = x0.copy()
-            weight = 1.0
-            key = []
-            for k, j in enumerate(combo):
-                point[k] += axis[k][0][j] * steps[k]
-                weight *= axis[k][1][j]
-                key.append(axis[k][0][j])
-            acc += weight * ratios_at(tuple(key), point)
-        D[i] = acc
-    return (D @ D.T) / len(Y)
+    derivatives formed per draw by the central-difference stencils of
+    partial_derivative over one evaluator's cached ratio vectors."""
+    evaluator = MonteCarloKernelEvaluator(model, x0, n_mc, seed)
+    D = np.array([partial_derivative(evaluator._ratios, x0, p) for p in idxs])
+    return (D @ D.T) / evaluator.mc_samples
 
 
 def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
@@ -248,7 +210,7 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
     estimated by Monte Carlo from finite-difference likelihood-ratio
     derivatives, which caps usable orders at 2 per index.
     """
-    x0 = _x0(model, x0)
+    x0 = as_param(model, x0)
     idxs = _validate_indices(indices, model.param_dim)
     a = np.array([mean_partial(gamma, x0, p) for p in idxs])
     extra = {}
@@ -297,7 +259,7 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
          pinv_tol: float = 1e-10) -> BoundResult:
     """Test-point bound m' V^+ m built from the difference basis at the
     supplied test points."""
-    x0 = _x0(model, x0)
+    x0 = as_param(model, x0)
     for p in tps.points:
         if np.max(np.abs(np.atleast_1d(p) - x0), initial=0.0) < 1e-12:
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
@@ -352,7 +314,7 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     The reported value is the running maximum over every configuration the
     search evaluated, so it never decreases as the search proceeds.
     """
-    x0 = _x0(model, x0)
+    x0 = as_param(model, x0)
     cfg = search if search is not None else BarankinSearch()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -383,9 +345,13 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
             return None, None
         return value, diag
 
+    lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
+    hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
+    if np.any(lo > hi):
+        raise DomainError(f"barankin_approx: empty sampling box from {lo.tolist()} to "
+                          f"{hi.tolist()} at x0={x0.tolist()}")
+
     def random_points(rng) -> np.ndarray | None:
-        lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
-        hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
         pts = np.empty((cfg.max_points, len(x0)))
         for l in range(cfg.max_points):
             for _ in range(100):
@@ -474,7 +440,7 @@ def expfam_bound(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indices
     """
     if not isinstance(model, ExponentialFamilyModel):
         raise TypeError("expfam_bound requires an ExponentialFamilyModel")
-    x0 = _x0(model, x0)
+    x0 = as_param(model, x0)
     idxs = _validate_indices(indices, model.param_dim, min_order=0)
     cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
     mu = moment_table(model, x0, cap.plus(cap), cfg)
@@ -503,8 +469,115 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
 
 
 # ---------------------------------------------------------------------------
-# Method dispatch shared by the harness and the CLI
+# Method table shared by the harness and the CLI
 # ---------------------------------------------------------------------------
+
+# Option checks: check(value, dim) returns the value normalised for a family
+# with dim parameters, or raises TypeError or ValueError.
+
+def _number(kind: type, low: float, strict: bool = False):
+    def check(value, dim):
+        x = operator.index(value) if kind is int else float(value)
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            raise ValueError(f"expected a finite {kind.__name__} {'>' if strict else '>='} "
+                             f"{low}, got {value!r}")
+        return x
+    return check
+
+
+def _vector(value, dim) -> tuple:
+    x = np.atleast_1d(np.asarray(value, dtype=float))
+    if x.shape != (dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"expected a vector of {dim} finite numbers, got {value!r}")
+    return tuple(x.tolist())
+
+
+def _points(value, dim) -> tuple:
+    points = tuple(_vector(p, dim) for p in getattr(value, "points", value))
+    if not points:
+        raise ValueError("at least one test point is required")
+    TestPointSet(points)  # rejects duplicates
+    return points
+
+
+def _constraint(value, dim) -> tuple:
+    F = np.atleast_2d(np.asarray(value, dtype=float))
+    return tuple(_vector(row, dim) for row in F.tolist()) if F.size else ()
+
+
+def _indices(min_order: int):
+    return lambda value, dim: tuple(map(tuple, _validate_indices(value, dim, min_order)))
+
+
+def _optional(check):
+    return lambda value, dim: None if value is None else check(value, dim)
+
+
+_SEARCH_OPTIONS = {
+    "initial_points": _optional(_points), "max_points": _number(int, 1),
+    "restarts": _number(int, 0), "initial_step": _number(float, 0, strict=True),
+    "halvings": _number(int, 0), "max_sweeps_per_level": _number(int, 0),
+    "seed": _number(int, 0), "radius": _optional(_number(float, 0, strict=True)),
+    "lower": _optional(_vector), "upper": _optional(_vector),
+    "min_distance": _number(float, 0),
+}
+
+
+def barankin_search(options: dict, seed: int = 0) -> BarankinSearch:
+    """The search that checked `barankin_approx` options describe; `seed`
+    applies unless the options set one."""
+    points = options.get("initial_points")
+    return BarankinSearch(**{"seed": seed, **options, "initial_points":
+                             None if points is None else TestPointSet(points)})
+
+
+class _Method(NamedTuple):
+    """call(model, gamma, x0, options, mc_samples, seed, pinv_tol) evaluates
+    the bound; required and optional map option names to their checks."""
+
+    call: Callable[..., BoundResult]
+    required: dict = {}
+    optional: dict = {}
+
+
+#: The one table of bound methods.  Each call looks its bound up by module
+#: name when it runs, so a rebound name (a tracing wrapper) is what runs.
+METHODS: dict[str, _Method] = {
+    "crb": _Method(lambda m, g, x, o, n, s, t: crb(m, g, x, n_mc=n, seed=s, pinv_tol=t)),
+    "constrained_crb": _Method(lambda m, g, x, o, n, s, t: constrained_crb(
+        m, g, x, o.get("constraint"), n_mc=n, seed=s, pinv_tol=t),
+        optional={"constraint": _constraint}),
+    "bhattacharyya": _Method(lambda m, g, x, o, n, s, t: bhattacharyya(
+        m, g, x, o["indices"], n_mc=n, seed=s, pinv_tol=t), {"indices": _indices(1)}),
+    "hcrb": _Method(lambda m, g, x, o, n, s, t: hcrb(
+        m, g, x, TestPointSet(o["points"]), mc_samples=n, seed=s, pinv_tol=t),
+        {"points": _points}),
+    "barankin_approx": _Method(lambda m, g, x, o, n, s, t: barankin_approx(
+        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS),
+    "expfam_moment": _Method(lambda m, g, x, o, n, s, t: expfam_bound(
+        m, g, x, o["indices"], pinv_tol=t), {"indices": _indices(0)}),
+    "expfam_crb": _Method(lambda m, g, x, o, n, s, t: expfam_crb(m, g, x, pinv_tol=t)),
+}
+
+
+def method_options(name: str, options: dict, dim: int) -> dict:
+    """The options of the named method, checked against a family with `dim`
+    parameters and normalised.  A ValueError names the method."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; known: {tuple(METHODS)}")
+    checks = {**METHODS[name].required, **METHODS[name].optional}
+    for problem, keys in (("not valid", set(options) - set(checks)),
+                          ("required", set(METHODS[name].required) - set(options))):
+        if keys:
+            raise ValueError(f"options {sorted(keys, key=str)} {problem} for {name!r}")
+    out = {}
+    for key, value in options.items():
+        try:
+            out[key] = checks[key](value, dim)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{key}: {exc} for {name!r}") from exc
+    return out
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -515,37 +588,11 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}; known: {METHODS}")
+            raise ValueError(f"unknown method {self.name!r}; known: {tuple(METHODS)}")
 
 
 def evaluate_bound(model: Model, gamma: MeanFunction, x0, spec: MethodSpec, *,
                    mc_samples: int = 100_000, seed: int = 0,
                    pinv_tol: float = 1e-10) -> BoundResult:
-    opts = dict(spec.options)
-    if spec.name == "crb":
-        return crb(model, gamma, x0, n_mc=mc_samples, seed=seed, pinv_tol=pinv_tol)
-    if spec.name == "expfam_crb":
-        return expfam_crb(model, gamma, x0, pinv_tol=pinv_tol)
-    if spec.name == "constrained_crb":
-        return constrained_crb(model, gamma, x0, opts.get("constraint"),
-                               n_mc=mc_samples, seed=seed, pinv_tol=pinv_tol)
-    if spec.name == "bhattacharyya":
-        return bhattacharyya(model, gamma, x0, opts["indices"],
-                             n_mc=mc_samples, seed=seed, pinv_tol=pinv_tol)
-    if spec.name == "expfam_moment":
-        return expfam_bound(model, gamma, x0, opts["indices"], pinv_tol=pinv_tol)
-    if spec.name == "hcrb":
-        tps = TestPointSet(opts["points"])
-        return hcrb(model, gamma, x0, tps, mc_samples=mc_samples, seed=seed,
-                    pinv_tol=pinv_tol)
-    if spec.name == "barankin_approx":
-        unknown = set(opts) - {f.name for f in fields(BarankinSearch)}
-        if unknown:
-            raise ValueError(f"unknown barankin options {sorted(unknown)}")
-        if "initial_points" in opts and opts["initial_points"] is not None \
-                and not isinstance(opts["initial_points"], TestPointSet):
-            opts["initial_points"] = TestPointSet(opts["initial_points"])
-        search = BarankinSearch(**{"seed": seed, **opts})
-        return barankin_approx(model, gamma, x0, search, mc_samples=mc_samples,
-                               pinv_tol=pinv_tol)
-    raise AssertionError(spec.name)
+    options = method_options(spec.name, spec.options, model.param_dim)
+    return METHODS[spec.name].call(model, gamma, x0, options, mc_samples, seed, pinv_tol)

@@ -125,13 +125,26 @@ def default_steps(x0: np.ndarray, p: MultiIndex) -> np.ndarray:
     return base * scale
 
 
-def partial_derivative(f: Callable[[np.ndarray], float], x0, p,
-                       cfg: FDConfig | None = None) -> float:
+def _finite(val, point):
+    """f's value at a stencil point: a float, or a float array for
+    array-valued f.  StencilError names the point of a non-finite entry."""
+    if isinstance(val, np.ndarray):
+        if not np.isfinite(val).all():
+            raise StencilError(point, val[~np.isfinite(val)][0])
+        return val
+    if not math.isfinite(val := float(val)):
+        raise StencilError(point, val)
+    return val
+
+
+def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x0, p,
+                       cfg: FDConfig | None = None) -> float | np.ndarray:
     """Mixed partial derivative of order p at x0 by tensor-product central
     differences, accurate to O(step^2) per differentiated axis.
 
-    Total order is capped at MAX_FD_ORDER.  Non-finite values of f on the
-    stencil raise StencilError naming the failing point.
+    f may return a float or a float array (differentiated entrywise).  Total
+    order is capped at MAX_FD_ORDER.  Non-finite values of f on the stencil
+    raise StencilError naming the failing point.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     p = as_index(p, dim=x0.size)
@@ -139,10 +152,7 @@ def partial_derivative(f: Callable[[np.ndarray], float], x0, p,
         raise ValueError(f"derivative order {p.order} exceeds cap {MAX_FD_ORDER}")
 
     if p.order == 0:
-        val = float(f(x0))
-        if not math.isfinite(val):
-            raise StencilError(x0, val)
-        return val
+        return _finite(f(x0), x0)
 
     steps = np.full(x0.size, cfg.step) if cfg is not None else default_steps(x0, p)
 
@@ -161,10 +171,7 @@ def partial_derivative(f: Callable[[np.ndarray], float], x0, p,
         for k, j in enumerate(combo):
             point[k] += axis_offsets[k][j] * steps[k]
             weight *= axis_coeffs[k][j]
-        val = float(f(point))
-        if not math.isfinite(val):
-            raise StencilError(point, val)
-        total += weight * val
+        total += weight * _finite(f(point), point)
     return total
 
 

@@ -9,18 +9,19 @@ message names the failing method and parameter point).
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import yaml
 
-from .bounds import BarankinSearch, MAX_INDEX_ORDER, MethodSpec, METHODS, TestPointSet, \
-    evaluate_bound
+from .bounds import MethodSpec, barankin_search, evaluate_bound, method_options
 from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
-from .harness import format_float, phi_estimator, constant_estimator, \
+from .harness import MIN_DRAWS, format_float, phi_estimator, constant_estimator, \
     reduction_experiment, semicontinuity_scan, validate_bounds, write_csv
 from .models import BUILTIN_FAMILIES, MeanFunction, constant_mean, expfam_mean, \
     identity_mean, make_model, polynomial_mean
@@ -30,12 +31,45 @@ _NUMERICAL_ERRORS = (NaturalSpaceError, KernelEvaluationError, StencilError,
                      FloatingPointError)
 
 
+def _numerically(where: str, call, *args, **kwargs):
+    """call(*args, **kwargs), reporting a numerical failure as an error at `where`."""
+    try:
+        return call(*args, **kwargs)
+    except _NUMERICAL_ERRORS as exc:
+        raise VarBoundsError(f"numerical failure {where}: {exc}") from exc
+
+
+def _section(name: str, parse, *args):
+    """parse(*args); a TypeError or ValueError is a configuration error in `name`."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
+
+def _finite(values, above: float = -math.inf) -> tuple:
+    """A nonempty list of finite numbers above a bound, as floats."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"expected a nonempty list of numbers, got {values!r}")
+    out = tuple(float(v) for v in values)
+    if not all(above < v < math.inf for v in out):
+        raise ValueError(f"expected finite numbers above {above}, got {values!r}")
+    return out
+
+
+def _component(value, dim: int) -> int:
+    k = operator.index(value)
+    if not 0 <= k < dim:
+        raise ValueError(f"component {k} is outside 0..{dim - 1}")
+    return k
+
+
 def _require_keys(section: dict, allowed: set[str], path: str) -> None:
     if not isinstance(section, dict):
         raise ConfigurationError(f"{path}: expected a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown, key=str)}")
 
 
 @dataclass(frozen=True)
@@ -49,19 +83,14 @@ class ModelConfig:
                       "model")
         if "family" not in d:
             raise ConfigurationError("model.family: required")
-        family = d["family"]
-        if family not in BUILTIN_FAMILIES:
-            raise ConfigurationError(
-                f"model.family: unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)}")
-        params = {k: v for k, v in d.items() if k != "family"}
-        allowed = set(BUILTIN_FAMILIES[family][1])
-        bad = set(params) - allowed
-        if bad:
-            raise ConfigurationError(f"model: keys {sorted(bad)} not valid for {family!r}")
-        return cls(family=family, params=params)
+        return cls(family=d["family"], params={k: v for k, v in d.items() if k != "family"})
 
     def to_dict(self) -> dict:
         return {"family": self.family, **self.params}
+
+    def build(self):
+        """The model; make_model checks the family and its parameters."""
+        return make_model(self.family, **self.params)
 
 
 _MEAN_BUILTINS = ("identity", "constant", "expfam-mean")
@@ -75,7 +104,7 @@ class MeanConfig:
     polynomial: tuple | None = None
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MeanConfig":
+    def from_dict(cls, d: dict, dim: int) -> "MeanConfig":
         _require_keys(d, {"builtin", "component", "constant", "polynomial"}, "mean_function")
         poly = d.get("polynomial")
         builtin = d.get("builtin")
@@ -87,11 +116,12 @@ class MeanConfig:
         if builtin is not None and builtin not in _MEAN_BUILTINS:
             raise ConfigurationError(
                 f"mean_function.builtin: unknown {builtin!r}; known: {_MEAN_BUILTINS}")
-        if poly is not None and (not isinstance(poly, list) or not poly):
-            raise ConfigurationError("mean_function.polynomial: expected a nonempty list")
-        return cls(builtin=builtin, component=int(d.get("component", 0)),
+        if poly is not None and dim != 1:
+            raise ConfigurationError(
+                "mean_function.polynomial: only available for scalar parameters")
+        return cls(builtin=builtin, component=_component(d.get("component", 0), dim),
                    constant=float(d.get("constant", 0.0)),
-                   polynomial=tuple(float(c) for c in poly) if poly is not None else None)
+                   polynomial=_finite(poly) if poly is not None else None)
 
     def to_dict(self) -> dict:
         if self.polynomial is not None:
@@ -115,18 +145,42 @@ class GridSpec:
         return [(float(v),) for v in np.linspace(self.start, self.stop, self.count)]
 
 
+def _x0_from_raw(raw, dim: int) -> tuple | GridSpec:
+    if isinstance(raw, dict):
+        if dim != 1:
+            raise ConfigurationError("x0.grid: only available for scalar parameters")
+        _require_keys(raw, {"grid"}, "x0")
+        grid = raw.get("grid")
+        _require_keys(grid, {"start", "stop", "count"}, "x0.grid")
+        for key in ("start", "stop", "count"):
+            if key not in grid:
+                raise ConfigurationError(f"x0.grid.{key}: required")
+        count = operator.index(grid["count"])
+        if count < 2:
+            raise ConfigurationError("x0.grid.count: must be >= 2")
+        return GridSpec(*_finite((grid["start"], grid["stop"])), count)
+    x0 = _finite(raw)
+    if len(x0) != dim:
+        raise ConfigurationError(f"x0: length {len(x0)} does not match the family dimension {dim}")
+    return x0
+
+
 @dataclass(frozen=True)
 class MCConfig:
     samples: int = 100_000
     seed: int = 1234
 
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ConfigurationError("mc.samples: must be >= 2")
+        if self.seed < 0:
+            raise ConfigurationError("mc.seed: must be >= 0")
+
     @classmethod
     def from_dict(cls, d: dict) -> "MCConfig":
         _require_keys(d, {"samples", "seed"}, "mc")
-        samples = int(d.get("samples", 100_000))
-        if samples < 2:
-            raise ConfigurationError("mc.samples: must be >= 2")
-        return cls(samples=samples, seed=int(d.get("seed", 1234)))
+        return cls(samples=operator.index(d.get("samples", 100_000)),
+                   seed=operator.index(d.get("seed", 1234)))
 
     def to_dict(self) -> dict:
         return {"samples": self.samples, "seed": self.seed}
@@ -143,6 +197,8 @@ class OutputConfig:
         fmt = d.get("format", "pretty")
         if fmt not in ("pretty", "csv"):
             raise ConfigurationError(f"output.format: must be csv or pretty, got {fmt!r}")
+        if not isinstance(d.get("path", ""), (str, type(None))):
+            raise ConfigurationError("output.path: expected a file name")
         return cls(path=d.get("path"), format=fmt)
 
     def to_dict(self) -> dict:
@@ -152,72 +208,20 @@ class OutputConfig:
         return d
 
 
-_METHOD_OPTIONS: dict[str, set[str]] = {
-    "crb": set(),
-    "expfam_crb": set(),
-    "constrained_crb": {"constraint"},
-    "bhattacharyya": {"indices"},
-    "expfam_moment": {"indices"},
-    "hcrb": {"points"},
-    "barankin_approx": {f.name for f in fields(BarankinSearch)},
-}
-_REQUIRED_OPTIONS = {"bhattacharyya": "indices", "expfam_moment": "indices", "hcrb": "points"}
-
-
-def _method_from_dict(d: dict, pos: int) -> MethodSpec:
+def _method_from_dict(d: dict, pos: int, dim: int) -> MethodSpec:
     path = f"methods[{pos}]"
-    _require_keys(d, {"name"} | set().union(*_METHOD_OPTIONS.values()), path)
-    if "name" not in d:
-        raise ConfigurationError(f"{path}.name: required")
-    name = d["name"]
-    if name not in METHODS:
-        raise ConfigurationError(f"{path}.name: unknown method {name!r}; known: {METHODS}")
-    opts = {k: v for k, v in d.items() if k != "name"}
-    bad = set(opts) - _METHOD_OPTIONS[name]
-    if bad:
-        raise ConfigurationError(f"{path}: options {sorted(bad)} not valid for {name!r}")
-    required = _REQUIRED_OPTIONS.get(name)
-    if required is not None and required not in opts:
-        raise ConfigurationError(f"{path}.{required}: required for {name!r}")
-    if "indices" in opts:
-        try:
-            opts["indices"] = [tuple(int(e) for e in p) for p in opts["indices"]]
-        except TypeError as exc:
-            raise ConfigurationError(f"{path}.indices: expected a list of index lists") from exc
-        if len(set(opts["indices"])) != len(opts["indices"]):
-            raise ConfigurationError(f"{path}.indices: duplicate multi-indices for {name!r}")
-        min_order = 1 if name == "bhattacharyya" else 0
-        for p in opts["indices"]:
-            if sum(p) > MAX_INDEX_ORDER:
-                raise ConfigurationError(
-                    f"{path}.indices: {list(p)} exceeds the order-{MAX_INDEX_ORDER} cap "
-                    f"of {name!r}")
-            if sum(p) < min_order:
-                raise ConfigurationError(
-                    f"{path}.indices: {list(p)} is below order {min_order}, the lowest "
-                    f"order of {name!r}")
-    if "points" in opts:
-        try:
-            opts["points"] = [[float(v) for v in p] for p in opts["points"]]
-        except TypeError as exc:
-            raise ConfigurationError(f"{path}.points: expected a list of parameter vectors") from exc
-        try:
-            TestPointSet(opts["points"])
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}.points: {exc} for {name!r}") from exc
-    if "initial_points" in opts:
-        opts["initial_points"] = [[float(v) for v in p] for p in opts["initial_points"]]
-    return MethodSpec(name=name, options=opts)
+    if not isinstance(d, dict) or "name" not in d:
+        raise ConfigurationError(f"{path}: expected a mapping with a name")
+    options = {k: v for k, v in d.items() if k != "name"}
+    return _section(path, lambda: MethodSpec(d["name"], method_options(d["name"], options, dim)))
 
 
-def _method_to_dict(spec: MethodSpec) -> dict:
-    d: dict = {"name": spec.name}
-    for k, v in spec.options.items():
-        if k == "indices":
-            d[k] = [list(p) for p in v]
-        else:
-            d[k] = v
-    return d
+def _estimator_from_dict(d: dict, dim: int) -> dict:
+    _require_keys(d, {"builtin", "component", "value"}, "estimator")
+    if d.get("builtin") not in ("suffstat", "constant"):
+        raise ConfigurationError("estimator.builtin: must be 'suffstat' or 'constant'")
+    return {"builtin": d["builtin"], "component": _component(d.get("component", 0), dim),
+            "value": float(d.get("value", 0.0))}
 
 
 @dataclass(frozen=True)
@@ -240,50 +244,20 @@ class RunConfig:
                           "radii", "estimator"}, "config")
         if "model" not in d:
             raise ConfigurationError("model: required section")
-        model = ModelConfig.from_dict(d["model"])
-        mean = MeanConfig.from_dict(d.get("mean_function", {"builtin": "identity"}))
-
-        raw_x0 = d.get("x0", [0.0])
-        if isinstance(raw_x0, dict):
-            _require_keys(raw_x0, {"grid"}, "x0")
-            grid = raw_x0.get("grid")
-            _require_keys(grid, {"start", "stop", "count"}, "x0.grid")
-            for key in ("start", "stop", "count"):
-                if key not in grid:
-                    raise ConfigurationError(f"x0.grid.{key}: required")
-            count = int(grid["count"])
-            if count < 2:
-                raise ConfigurationError("x0.grid.count: must be >= 2")
-            x0: tuple | GridSpec = GridSpec(float(grid["start"]), float(grid["stop"]), count)
-        elif isinstance(raw_x0, (list, tuple)):
-            if not raw_x0:
-                raise ConfigurationError("x0: must not be empty")
-            x0 = tuple(float(v) for v in raw_x0)
-        else:
-            raise ConfigurationError("x0: expected a vector or a grid spec")
-
+        model = _section("model", ModelConfig.from_dict, d["model"])
+        dim = _section("model", model.build).param_dim
+        mean = _section("mean_function", MeanConfig.from_dict,
+                        d.get("mean_function", {"builtin": "identity"}), dim)
+        x0 = _section("x0", _x0_from_raw, d.get("x0", [0.0]), dim)
         raw_methods = d.get("methods", [])
         if not isinstance(raw_methods, list):
             raise ConfigurationError("methods: expected a list")
-        methods = tuple(_method_from_dict(m, i) for i, m in enumerate(raw_methods))
-
-        mc = MCConfig.from_dict(d.get("mc", {}))
-        output = OutputConfig.from_dict(d.get("output", {}))
-
-        radii = d.get("radii")
-        if radii is not None:
-            if not isinstance(radii, list) or not radii:
-                raise ConfigurationError("radii: expected a nonempty list of positive reals")
-            radii = tuple(float(r) for r in radii)
-            if any(r <= 0 for r in radii):
-                raise ConfigurationError("radii: all radii must be positive")
-
-        estimator = d.get("estimator")
-        if estimator is not None:
-            _require_keys(estimator, {"builtin", "component", "value"}, "estimator")
-            if estimator.get("builtin") not in ("suffstat", "constant"):
-                raise ConfigurationError(
-                    "estimator.builtin: must be 'suffstat' or 'constant'")
+        methods = tuple(_method_from_dict(m, i, dim) for i, m in enumerate(raw_methods))
+        mc = _section("mc", MCConfig.from_dict, d.get("mc", {}))
+        output = _section("output", OutputConfig.from_dict, d.get("output", {}))
+        radii = None if d.get("radii") is None else _section("radii", _finite, d["radii"], 0.0)
+        estimator = None if d.get("estimator") is None else \
+            _section("estimator", _estimator_from_dict, d["estimator"], dim)
         return cls(model=model, mean_function=mean, x0=x0, methods=methods, mc=mc,
                    output=output, radii=radii, estimator=estimator)
 
@@ -295,7 +269,7 @@ class RunConfig:
                                 "count": self.x0.count}}
         else:
             d["x0"] = list(self.x0)
-        d["methods"] = [_method_to_dict(m) for m in self.methods]
+        d["methods"] = [{"name": m.name, **m.options} for m in self.methods]
         d["mc"] = self.mc.to_dict()
         d["output"] = self.output.to_dict()
         if self.radii is not None:
@@ -323,26 +297,12 @@ def load_config(path: str) -> RunConfig:
 def build_mean(cfg: RunConfig, model) -> MeanFunction:
     mc = cfg.mean_function
     if mc.polynomial is not None:
-        if model.param_dim != 1:
-            raise ConfigurationError(
-                "mean_function.polynomial: only available for scalar parameters")
         return polynomial_mean(mc.polynomial)
     if mc.builtin == "identity":
         return identity_mean(mc.component)
     if mc.builtin == "constant":
         return constant_mean(mc.constant)
     return expfam_mean(model, mc.component)
-
-
-def _expand_x0(cfg: RunConfig, model) -> list[tuple]:
-    if isinstance(cfg.x0, GridSpec):
-        if model.param_dim != 1:
-            raise ConfigurationError("x0.grid: only available for scalar parameters")
-        return cfg.x0.expand()
-    if len(cfg.x0) != model.param_dim:
-        raise ConfigurationError(
-            f"x0: length {len(cfg.x0)} does not match the family dimension {model.param_dim}")
-    return [cfg.x0]
 
 
 def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -355,7 +315,7 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _emit(cfg: RunConfig, header, rows, summary: str | None = None) -> None:
+def _emit(cfg: RunConfig, header, rows) -> None:
     if cfg.output.path:
         write_csv(cfg.output.path, header, rows)
     if cfg.output.format == "pretty":
@@ -366,8 +326,6 @@ def _emit(cfg: RunConfig, header, rows, summary: str | None = None) -> None:
         for row in rows:
             print(",".join(format_float(v) if isinstance(v, (int, float))
                            and not isinstance(v, bool) else str(v) for v in row))
-    if summary:
-        print(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +333,20 @@ def _emit(cfg: RunConfig, header, rows, summary: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(cfg: RunConfig) -> int:
-    model = make_model(cfg.model.family, **cfg.model.params)
+    model = cfg.model.build()
     gamma = build_mean(cfg, model)
     if not cfg.methods:
         raise ConfigurationError("methods: at least one method is required for run")
-    points = _expand_x0(cfg, model)
+    points = cfg.x0.expand() if isinstance(cfg.x0, GridSpec) else [cfg.x0]
     dim = model.param_dim
     header = [f"x{k}" for k in range(dim)] + ["method", "value", "gram_rank",
                                               "condition_number", "mc_standard_error"]
     rows = []
     for x0 in points:
         for spec in cfg.methods:
-            try:
-                res = evaluate_bound(model, gamma, np.asarray(x0), spec,
-                                     mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
-            except _NUMERICAL_ERRORS as exc:
-                print(f"numerical failure in method {spec.name!r} at x0={list(x0)}: {exc}",
-                      file=sys.stderr)
-                return 3
+            res = _numerically(f"in method {spec.name!r} at x0={list(x0)}", evaluate_bound,
+                               model, gamma, np.asarray(x0), spec,
+                               mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
             rows.append(list(x0) + [spec.name, res.value,
                                     res.diagnostics.get("gram_rank", ""),
                                     res.diagnostics.get("condition_number", ""),
@@ -402,19 +356,15 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 
 def _cmd_scan(cfg: RunConfig) -> int:
-    model = make_model(cfg.model.family, **cfg.model.params)
+    model = cfg.model.build()
     gamma = build_mean(cfg, model)
     if not isinstance(cfg.x0, GridSpec):
         raise ConfigurationError("x0: scan requires a grid spec")
     spec = cfg.methods[0] if cfg.methods else MethodSpec("barankin_approx", {})
     grid = [np.asarray(x) for x in cfg.x0.expand()]
-    try:
-        report = semicontinuity_scan(model, gamma, grid, spec.name, spec.options,
-                                     mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in method {spec.name!r} during scan: {exc}",
-              file=sys.stderr)
-        return 3
+    report = _numerically(f"in method {spec.name!r} during scan", semicontinuity_scan,
+                          model, gamma, grid, spec.name, spec.options,
+                          mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
     if cfg.output.path:
         report.write_csv(cfg.output.path)
     header = ["x0", "value"]
@@ -426,27 +376,18 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_reduce(cfg: RunConfig) -> int:
-    model = make_model(cfg.model.family, **cfg.model.params)
+    model = cfg.model.build()
     gamma = build_mean(cfg, model)
     if cfg.radii is None:
         raise ConfigurationError("radii: required for reduce")
     if isinstance(cfg.x0, GridSpec):
         raise ConfigurationError("x0: reduce requires a single parameter vector")
-    search_opts = {}
-    for spec in cfg.methods:
-        if spec.name == "barankin_approx":
-            search_opts = dict(spec.options)
-            break
-    if "initial_points" in search_opts and search_opts["initial_points"] is not None:
-        search_opts["initial_points"] = TestPointSet(search_opts["initial_points"])
-    try:
-        report = reduction_experiment(model, gamma, np.asarray(cfg.x0),
-                                      cfg.radii, BarankinSearch(**search_opts),
-                                      mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in method 'barankin_approx' at x0={list(cfg.x0)}: {exc}",
-              file=sys.stderr)
-        return 3
+    options = next((spec.options for spec in cfg.methods
+                    if spec.name == "barankin_approx"), {})
+    report = _numerically(f"in method 'barankin_approx' at x0={list(cfg.x0)}",
+                          reduction_experiment, model, gamma, np.asarray(cfg.x0), cfg.radii,
+                          barankin_search(options), mc_samples=cfg.mc.samples,
+                          seed=cfg.mc.seed)
     if cfg.output.path:
         report.write_csv(cfg.output.path)
     if cfg.output.format == "pretty":
@@ -457,28 +398,26 @@ def _cmd_reduce(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    model = make_model(cfg.model.family, **cfg.model.params)
+    model = cfg.model.build()
     if cfg.estimator is None:
         raise ConfigurationError("estimator: required for validate")
+    if cfg.mc.samples < MIN_DRAWS:
+        raise ConfigurationError(f"mc.samples: validate needs at least {MIN_DRAWS} draws")
     if cfg.estimator["builtin"] == "suffstat":
-        est = phi_estimator(model, int(cfg.estimator.get("component", 0)))
+        est = phi_estimator(model, cfg.estimator["component"])
     else:
-        est = constant_estimator(float(cfg.estimator.get("value", 0.0)))
+        est = constant_estimator(cfg.estimator["value"])
     if not cfg.methods:
         raise ConfigurationError("methods: at least one method is required for validate")
-    points = _expand_x0(cfg, model)
+    points = cfg.x0.expand() if isinstance(cfg.x0, GridSpec) else [cfg.x0]
     header = [f"x{k}" for k in range(model.param_dim)] + \
         ["method", "bound", "variance", "se_variance", "margin", "satisfied"]
     rows = []
     ok = True
     for x0 in points:
-        try:
-            report = validate_bounds(model, est, np.asarray(x0), cfg.methods,
-                                     n=cfg.mc.samples, seed=cfg.mc.seed)
-        except _NUMERICAL_ERRORS as exc:
-            print(f"numerical failure during validate at x0={list(x0)}: {exc}",
-                  file=sys.stderr)
-            return 3
+        report = _numerically(f"during validate at x0={list(x0)}", validate_bounds, model,
+                              est, np.asarray(x0), cfg.methods, n=cfg.mc.samples,
+                              seed=cfg.mc.seed)
         ok = ok and report.all_satisfied
         for r in report.rows():
             rows.append(list(x0) + [r["method"], r["bound"], r["variance"],
@@ -498,11 +437,6 @@ def list_models() -> str:
                      f"natural space: {model.natural_space_desc:<12} "
                      f"closed-form moments: {closed}")
     return "\n".join(lines)
-
-
-def _cmd_models() -> int:
-    print(list_models())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "models":
-        return _cmd_models()
+        print(list_models())
+        return 0
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -59,12 +59,16 @@ class EstimatorMoments:
     seed: int
 
 
+#: Fewest draws estimator_variance_mc accepts.
+MIN_DRAWS = 100
+
+
 def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
                           n: int = 100_000, seed: int = 0) -> EstimatorMoments:
     """Sample mean and unbiased variance of the estimator over n draws at x0,
     with jackknife standard errors."""
-    if n < 100:
-        raise ValueError("need at least 100 draws")
+    if n < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws")
     Y = sample(model, x0, seed, n)
     g = np.asarray(est.map(Y), dtype=float)
     if g.shape != (n,):

@@ -67,7 +67,8 @@ class GenericModel:
 Model = ExponentialFamilyModel | GenericModel
 
 
-def _as_param(model, x) -> np.ndarray:
+def as_param(model, x) -> np.ndarray:
+    """x as a float vector of the model's parameter dimension."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.param_dim,):
         raise ValueError(f"parameter shape {x.shape} does not match param_dim={model.param_dim}")
@@ -87,13 +88,13 @@ def _as_obs_batch(model, y) -> np.ndarray:
 
 def natural_space_contains(model: ExponentialFamilyModel, x) -> bool:
     """True iff the log moment-generating function is finite at x."""
-    x = _as_param(model, x)
+    x = as_param(model, x)
     return bool(np.isfinite(model.log_lambda(x)))
 
 
 def log_density_batch(model: Model, Y: np.ndarray, x) -> np.ndarray:
     """Per-observation log density over a (count, M) batch."""
-    x = _as_param(model, x)
+    x = as_param(model, x)
     if isinstance(model, GenericModel):
         return np.asarray(model.log_density(Y, x), dtype=float)
     ll = float(model.log_lambda(x))
@@ -127,7 +128,7 @@ def likelihood_ratio(model: Model, y, x, x0) -> float:
 
 def sample(model: Model, x, seed: int, count: int) -> np.ndarray:
     """Deterministic i.i.d. draws: identical (x, seed, count) give identical output."""
-    x = _as_param(model, x)
+    x = as_param(model, x)
     if isinstance(model, ExponentialFamilyModel) and not natural_space_contains(model, x):
         raise NaturalSpaceError(x)
     if count == 0:

@@ -1,13 +1,15 @@
 """Variance lower bounds against closed-form oracles and each other."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import varbounds as vb
-from varbounds.bounds import BarankinSearch, MethodSpec, TestPointSet, _quadratic_bound, \
-    evaluate_bound
+import varbounds.kernel as vb_kernel
+from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
+    _quadratic_bound, barankin_search, evaluate_bound, method_options
 from varbounds.errors import ConstraintRankError, DomainError
 from varbounds.kernel import deriv_inner_products
 
@@ -141,6 +143,36 @@ class TestBhattacharyya:
         res = vb.bhattacharyya(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(),
                                [0.0], [(1,)], n_mc=100_000, seed=2)
         assert res.value == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("gamma, indices, exact", [
+        (vb.polynomial_mean([0.0, 0.0, 0.0, 1.0]), [(1,), (3,)], None),
+        (vb.identity_mean(), [(1,), (4,)], 1.0),
+    ], ids=["cube-orders-1-3", "identity-orders-1-4"])
+    def test_generic_mixed_step_orders(self, gamma, indices, exact):
+        # orders 3 and 4 difference at step 1e-3, orders 1 and 2 at 1e-4: the
+        # ratio vectors of the two step sizes must not be confused (they were
+        # once keyed by stencil offset alone, giving 1e-11 and 1e-32 here)
+        if exact is None:
+            exact = vb.bhattacharyya(vb.gaussian_mean(), gamma, [0.0], indices).value
+            assert exact == pytest.approx(6.0, rel=1e-9)
+        res = vb.bhattacharyya(vb.as_generic(vb.gaussian_mean()), gamma, [0.0], indices,
+                               n_mc=200_000, seed=1)
+        assert res.value == pytest.approx(exact, rel=0.15)
+
+    def test_generic_reuses_reference_ratios(self, monkeypatch):
+        # draws at x0 plus the ratio vectors at x0 -/+ h; the centre of the
+        # order-2 stencil is x0, whose vector the evaluator starts with
+        calls = []
+        orig = vb_kernel.log_density_batch
+
+        def counted(model, Y, x):
+            calls.append(np.array(x, dtype=float))
+            return orig(model, Y, x)
+        monkeypatch.setattr(vb_kernel, "log_density_batch", counted)
+        vb.bhattacharyya(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(), [0.5],
+                         [(1,), (2,)], n_mc=1000, seed=3)
+        assert len(calls) == 3
+        assert sum(np.array_equal(x, [0.5]) for x in calls) == 1
 
 
 class TestHCRB:
@@ -367,6 +399,86 @@ class TestEvaluateBound:
         g, gamma, x0 = vb.gaussian_mean(), vb.identity_mean(), np.array([0.0])
         assert evaluate_bound(g, gamma, x0, MethodSpec("expfam_moment",
                               {"indices": [(1,)]})).method == "expfam_moment"
+
+
+_SEARCH = {"restarts": 1, "halvings": 2, "max_points": 2, "seed": 4,
+           "initial_points": [[0.7, -0.2], [0.3, 0.4]], "lower": [-1.0, -1.0]}
+
+#: One call per method: (options, the direct call it stands for).
+_TABLE_CASES = {
+    "crb": ({}, lambda m, g, x0: vb.crb(m, g, x0, n_mc=5000, seed=9)),
+    "constrained_crb": ({"constraint": [[1.0, -1.0]]},
+                        lambda m, g, x0: vb.constrained_crb(m, g, x0, [[1.0, -1.0]],
+                                                            n_mc=5000, seed=9)),
+    "bhattacharyya": ({"indices": [[1, 0], [0, 2]]},
+                      lambda m, g, x0: vb.bhattacharyya(m, g, x0, [(1, 0), (0, 2)],
+                                                        n_mc=5000, seed=9)),
+    "hcrb": ({"points": [[0.5, 0.5], [-0.2, 0.1]]},
+             lambda m, g, x0: vb.hcrb(m, g, x0, TestPointSet([[0.5, 0.5], [-0.2, 0.1]]),
+                                      mc_samples=5000, seed=9)),
+    "barankin_approx": (_SEARCH, lambda m, g, x0: vb.barankin_approx(
+        m, g, x0, BarankinSearch(**{**_SEARCH, "initial_points": TestPointSet(
+            _SEARCH["initial_points"]), "lower": (-1.0, -1.0)}), mc_samples=5000)),
+    "expfam_moment": ({"indices": [[0, 0], [1, 0], [1, 1]]},
+                      lambda m, g, x0: vb.expfam_bound(m, g, x0, [(0, 0), (1, 0), (1, 1)])),
+    "expfam_crb": ({}, lambda m, g, x0: vb.expfam_crb(m, g, x0)),
+}
+
+
+class TestMethodTable:
+    def test_cases_cover_the_table(self):
+        assert set(_TABLE_CASES) == set(METHODS)
+
+    def test_search_options_are_the_search_fields(self):
+        assert set(METHODS["barankin_approx"].optional) == \
+            {f.name for f in fields(BarankinSearch)}
+
+    @pytest.mark.parametrize("name", list(_TABLE_CASES))
+    def test_evaluate_bound_is_the_direct_call(self, name):
+        model, gamma, x0 = vb.gaussian_mean_nd(2), vb.identity_mean(1), np.array([0.1, -0.3])
+        options, direct = _TABLE_CASES[name]
+        via = evaluate_bound(model, gamma, x0, MethodSpec(name, options),
+                             mc_samples=5000, seed=9)
+        expected = direct(model, gamma, x0)
+        assert via.value == expected.value
+        assert via.method == expected.method
+        assert via.diagnostics == expected.diagnostics
+
+    @pytest.mark.parametrize("name", list(_TABLE_CASES))
+    def test_options_normalise_idempotently(self, name):
+        once = method_options(name, _TABLE_CASES[name][0], 2)
+        assert method_options(name, once, 2) == once
+
+    @pytest.mark.parametrize("name, options, field", [
+        ("bhattacharyya", {}, "indices"),
+        ("bhattacharyya", {"indices": [[1.5]]}, "indices"),
+        ("bhattacharyya", {"indices": []}, "indices"),
+        ("expfam_moment", {"indices": [[1, 0]]}, "indices"),
+        ("hcrb", {"points": []}, "points"),
+        ("hcrb", {"points": [[1.0, 2.0]]}, "points"),
+        ("hcrb", {"points": [[1.0], [1.0]]}, "points"),
+        ("constrained_crb", {"constraint": [[1.0, 2.0]]}, "constraint"),
+        ("barankin_approx", {"max_points": 0}, "max_points"),
+        ("barankin_approx", {"initial_step": 0}, "initial_step"),
+        ("barankin_approx", {"restarts": 1.5}, "restarts"),
+        ("barankin_approx", {"lower": [0.0, 1.0]}, "lower"),
+        ("crb", {"points": [[1.0]]}, "points"),
+    ])
+    def test_bad_options_name_the_method(self, name, options, field):
+        with pytest.raises(ValueError) as err:
+            method_options(name, options, 1)
+        assert name in str(err.value) and field in str(err.value)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="newton"):
+            method_options("newton", {}, 1)
+
+    def test_search_seed_default_and_override(self):
+        assert barankin_search({}, seed=7).seed == 7
+        assert barankin_search({"seed": 2}, seed=7).seed == 2
+        search = barankin_search(method_options(
+            "barankin_approx", {"initial_points": [[1.0]]}, 1))
+        assert [p.tolist() for p in search.initial_points.points] == [[1.0]]
 
 
 def test_one_decomposition_per_quadratic_bound(monkeypatch):

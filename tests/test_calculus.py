@@ -126,6 +126,31 @@ class TestPartialDerivative:
     def test_zero_order_returns_value(self):
         assert partial_derivative(lambda x: x[0] + 2, [1.0], (0,)) == 3.0
 
+    @pytest.mark.parametrize("x0, p", [([0.3], (0,)), ([0.3], (1,)), ([0.3], (2,)),
+                                       ([0.3], (3,)), ([0.3], (4,)),
+                                       ([0.2, -1.1], (1, 1)), ([0.2, -1.1], (2, 1))])
+    def test_array_valued_f_is_entrywise(self, x0, p):
+        def f(x):
+            return np.array([np.sin(x[0]), x[0] ** 3 * x[-1], np.exp(x[-1] - x[0])])
+
+        arr = partial_derivative(f, x0, p)
+        entries = [partial_derivative(lambda x, i=i: f(x)[i], x0, p) for i in range(3)]
+        assert isinstance(arr, np.ndarray)
+        assert arr.tolist() == entries
+
+    def test_scalar_f_returns_a_float(self):
+        for p in [(0,), (1,), (3,)]:
+            val = partial_derivative(lambda x: x[0] ** 2, [1.0], p)
+            assert isinstance(val, float) and not isinstance(val, np.ndarray)
+
+    def test_array_stencil_error_on_any_entry(self):
+        def f(x):
+            return np.array([x[0], math.inf if x[0] < 1.0 else x[0]])
+
+        with pytest.raises(StencilError) as err:
+            partial_derivative(f, [1.0], (1,), FDConfig(0.5))
+        assert err.value.point[0] < 1.0 and err.value.value == math.inf
+
     def test_step_widens_with_total_order(self):
         x0 = np.array([2.0, 0.1])
         assert np.allclose(default_steps(x0, MultiIndex((1, 1))), [2e-4, 1e-4])

@@ -1,12 +1,23 @@
 """Command-line front end: config parsing, subcommands, exit codes, CSV output."""
 
+import contextlib
+import copy
+import functools
+import io
 import math
+import operator
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from varbounds.cli import RunConfig, list_models, load_config, main
 from varbounds.errors import ConfigurationError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 GAUSSIAN_RUN = {
     "model": {"family": "gaussian-mean"},
@@ -65,6 +76,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="model"):
             RunConfig.from_dict({"x0": [0.0]})
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_example_configs_load(self, path):
+        assert load_config(str(path)).methods
+
     def test_invalid_yaml_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("model:\n  family: [unclosed\n", encoding="utf-8")
@@ -98,30 +113,80 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "crb" in err and "natural" in err
 
-    @pytest.mark.parametrize("methods, x0, code", [
-        ([{"name": "bhattacharyya"}], [0.0], 2),
-        ([{"name": "expfam_moment"}], [0.0], 2),
-        ([{"name": "hcrb"}], [0.0], 2),
-        ([{"name": "bhattacharyya", "indices": [[5]]}], [0.0], 2),
+    @pytest.mark.parametrize("methods, x0, code, model", [
+        ([{"name": "bhattacharyya"}], [0.0], 2, None),
+        ([{"name": "expfam_moment"}], [0.0], 2, None),
+        ([{"name": "hcrb"}], [0.0], 2, None),
+        ([{"name": "bhattacharyya", "indices": [[5]]}], [0.0], 2, None),
         ([{"name": "hcrb", "points": [[0.5]]}], {"grid": {"start": 0.0, "stop": 0.5,
-                                                          "count": 2}}, 3),
-        ([{"name": "bhattacharyya", "indices": [[1], [1]]}], [0.0], 2),
-        ([{"name": "expfam_moment", "indices": [[1], [1]]}], [0.0], 2),
-        ([{"name": "bhattacharyya", "indices": [[0]]}], [0.0], 2),
-        ([{"name": "hcrb", "points": [[1.0], [1.0]]}], [0.0], 2),
+                                                          "count": 2}}, 3, None),
+        ([{"name": "bhattacharyya", "indices": [[1], [1]]}], [0.0], 2, None),
+        ([{"name": "expfam_moment", "indices": [[1], [1]]}], [0.0], 2, None),
+        ([{"name": "bhattacharyya", "indices": [[0]]}], [0.0], 2, None),
+        ([{"name": "hcrb", "points": [[1.0], [1.0]]}], [0.0], 2, None),
+        ([{"name": "hcrb", "points": [[1.0, 2.0]]}], [0.0], 2, None),
+        ([{"name": "expfam_moment", "indices": [[1, 0]]}], [0.0], 2, None),
+        ([{"name": "constrained_crb", "constraint": [[1.0, 2.0]]}], [0.0], 2, None),
+        ([{"name": "barankin_approx", "initial_points": [[1.0], [1.0]]}], [0.0], 2, None),
+        ([{"name": "barankin_approx", "max_points": 0}], [0.0], 2, None),
+        ([{"name": "barankin_approx", "initial_step": 0}], [0.0], 2, None),
+        ([{"name": "bhattacharyya", "indices": []}], [0.0], 2, None),
+        ([{"name": "bhattacharyya", "indices": [[1.5]]}], [0.0], 2, None),
+        ([{"name": "hcrb", "points": []}], [0.0], 2, None),
+        ([{"name": "crb"}], [0.0, 0.0], 2, {"family": "gaussian-mean-nd", "dim": 0}),
+        ([{"name": "crb"}], [0.0, 0.0], 2, {"family": "gaussian-mean-nd", "dim": "x"}),
+        ([{"name": "crb"}], [0.0], 2, {"family": "gaussian-iid", "n_obs": -1}),
     ], ids=["bhattacharyya-no-indices", "expfam_moment-no-indices", "hcrb-no-points",
             "order-5-index", "hcrb-point-at-grid-x0", "bhattacharyya-duplicate-indices",
             "expfam_moment-duplicate-indices", "bhattacharyya-order-0-index",
-            "hcrb-duplicate-points"])
-    def test_bad_method_configs_exit_cleanly(self, tmp_path, capsys, methods, x0, code):
-        cfg = write_config(tmp_path, {**GAUSSIAN_RUN, "methods": methods, "x0": x0})
+            "hcrb-duplicate-points", "hcrb-point-of-wrong-length",
+            "expfam_moment-index-of-wrong-length", "constrained_crb-wrong-width",
+            "barankin-duplicate-initial-points", "barankin-max-points-0",
+            "barankin-initial-step-0", "empty-indices", "fractional-index",
+            "hcrb-empty-points", "nd-dim-0", "nd-dim-string", "iid-negative-n-obs"])
+    def test_bad_method_configs_exit_cleanly(self, tmp_path, capsys, methods, x0, code,
+                                             model):
+        doc = {**GAUSSIAN_RUN, "methods": methods, "x0": x0}
+        if model is not None:
+            doc["model"] = model
+        cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg]) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
-        name = methods[0]["name"]
-        assert name in captured.err
+        assert (methods[0]["name"] if model is None else "model") in captured.err
         if code == 3:
             assert "x0=[0.5]" in captured.err
+
+    @pytest.mark.parametrize("command, overrides, section", [
+        ("run", {"mc": {"samples": "abc"}}, "mc"),
+        ("run", {"mc": {"seed": -1}}, "mc.seed"),
+        ("run", {"x0": ["a"]}, "x0"),
+        ("run", {"x0": [None]}, "x0"),
+        ("run", {"x0": [float("inf")]}, "x0"),
+        ("run", {"x0": {"grid": {"start": 0.0, "stop": 1.0, "count": "z"}}}, "x0"),
+        ("reduce", {"radii": ["a"]}, "radii"),
+        ("run", {"mean_function": {"builtin": "identity", "component": "x"}},
+         "mean_function"),
+        ("run", {"mean_function": {"builtin": "identity", "component": 1}},
+         "mean_function"),
+        ("validate", {"estimator": {"builtin": "constant", "value": "abc"}}, "estimator"),
+        ("validate", {"estimator": {"builtin": "suffstat", "component": 2}}, "estimator"),
+        ("validate", {"estimator": {"builtin": "suffstat"}, "mc": {"samples": 50}},
+         "mc.samples"),
+        ("run", {"output": {"path": 5}}, "output.path"),
+    ])
+    def test_bad_scalar_fields_exit_2(self, tmp_path, capsys, command, overrides,
+                                      section):
+        cfg = write_config(tmp_path, {**GAUSSIAN_RUN, **overrides})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert f"configuration error: {section}" in captured.err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GAUSSIAN_RUN)
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
+        assert "mc.seed" in capsys.readouterr().err
 
     def test_all_barankin_search_options_accepted(self, tmp_path):
         search = {"seed": 5, "max_sweeps_per_level": 2, "min_distance": 1e-3,
@@ -282,3 +347,98 @@ class TestModelsCommand:
     def test_listing_function(self):
         text = list_models()
         assert "closed-form moments: yes" in text
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: mutated known-good configs end in a clean exit code
+# ---------------------------------------------------------------------------
+
+_SMALL_SEARCH = {"name": "barankin_approx", "restarts": 1, "halvings": 1, "max_points": 1,
+                 "max_sweeps_per_level": 1}
+
+FUZZ_BASES = [
+    ("run", {"model": {"family": "gaussian-mean"}, "x0": [0.5],
+             "methods": [{"name": "crb"}, {"name": "expfam_crb"},
+                         {"name": "constrained_crb", "constraint": []},
+                         {"name": "bhattacharyya", "indices": [[1], [2]]},
+                         {"name": "expfam_moment", "indices": [[0], [1]]},
+                         {"name": "hcrb", "points": [[1.0]]}],
+             "mc": {"samples": 200, "seed": 1}}),
+    ("run", {"model": {"family": "gaussian-mean-nd", "dim": 2}, "x0": [0.1, -0.2],
+             "mean_function": {"builtin": "identity", "component": 1},
+             "methods": [{"name": "constrained_crb", "constraint": [[1.0, -1.0]]},
+                         {"name": "hcrb", "points": [[0.5, 0.5]]},
+                         {**_SMALL_SEARCH, "lower": [-1.0, -1.0]}]}),
+    ("validate", {"model": {"family": "poisson"}, "x0": [0.0],
+                  "mean_function": {"builtin": "expfam-mean"},
+                  "estimator": {"builtin": "suffstat", "component": 0},
+                  "methods": [{"name": "crb"}, {"name": "expfam_moment", "indices": [[1]]}],
+                  "mc": {"samples": 200, "seed": 3}}),
+    ("validate", {"model": {"family": "bernoulli"}, "x0": [0.2],
+                  "mean_function": {"builtin": "constant", "constant": 0.5},
+                  "estimator": {"builtin": "constant", "value": 0.5},
+                  "methods": [{"name": "bhattacharyya", "indices": [[1]]}],
+                  "mc": {"samples": 200, "seed": 3}}),
+    ("scan", {"model": {"family": "gaussian-mean"},
+              "x0": {"grid": {"start": -0.5, "stop": 0.5, "count": 2}},
+              "methods": [{**_SMALL_SEARCH, "initial_points": [[1.0]]}]}),
+    ("reduce", {"model": {"family": "exponential-rate"}, "x0": [-1.0],
+                "mean_function": {"polynomial": [0.0, 1.0]}, "radii": [0.25],
+                "methods": [{**_SMALL_SEARCH, "upper": [-0.6], "radius": 0.5}]}),
+]
+
+FUZZ_VALUES = [None, "x", "", -1, 0, 1, 2, 0.5, 1.5, -2.5, 1e300, math.nan, math.inf, True,
+               [], [[]], [1.0], [[1.0]], [[1.0, 2.0]], [[1.5]], [[0], [0]], {}, {"a": 1}]
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _main_in_process(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+    return code, out.getvalue() + err.getvalue()
+
+
+def test_fuzz_bases_succeed():
+    for command, config in FUZZ_BASES:
+        assert _main_in_process(command, config)[0] == 0, (command, config)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_mutated_configs_exit_cleanly(data):
+    command, base = data.draw(st.sampled_from(FUZZ_BASES))
+    config = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = _paths(config)
+        if not paths:
+            break
+        *head, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, head, config)
+        op = data.draw(st.sampled_from(["set", "delete", "grow"]))
+        if op == "set":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent[key], dict):
+            parent[key]["extra"] = 1
+        elif isinstance(parent[key], list):
+            parent[key].append(copy.deepcopy(parent[key][-1]) if parent[key] else 1)
+        else:
+            parent[key] = [parent[key]]
+    code, output = _main_in_process(command, config)
+    assert code in (0, 2, 3), (command, config, output)
+    assert "Traceback" not in output

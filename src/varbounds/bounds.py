@@ -305,6 +305,19 @@ class BarankinSearch:
             raise ValueError("initial_step must be positive")
 
 
+def _remembering_values(gamma: MeanFunction) -> MeanFunction:
+    """gamma with each value computed once per point, for one search."""
+    values: dict[bytes, float] = {}
+
+    def value(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in values:
+            values[key] = gamma.value(x)
+        return values[key]
+
+    return MeanFunction(value=value, derivative=gamma.derivative)
+
+
 def barankin_approx(model: Model, gamma: MeanFunction, x0,
                     search: BarankinSearch | None = None, *,
                     mc_samples: int = 100_000, seed: int | None = None,
@@ -312,7 +325,10 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     """Best test-point projection found by coordinate search with restarts.
 
     The reported value is the running maximum over every configuration the
-    search evaluated, so it never decreases as the search proceeds.
+    search evaluated, so it never decreases as the search proceeds.  Each
+    distinct configuration is computed once: `diagnostics["evaluations"]`
+    counts the computed ones and `diagnostics["revisits"]` the proposals of
+    a configuration the search had already computed.
     """
     x0 = as_param(model, x0)
     cfg = search if search is not None else BarankinSearch()
@@ -324,9 +340,10 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     upper = np.asarray(cfg.upper, dtype=float) if cfg.upper is not None else None
 
     def in_domain(pt: np.ndarray) -> bool:
-        if np.linalg.norm(pt - x0) < cfg.min_distance:
+        distance = np.linalg.norm(pt - x0)
+        if distance < cfg.min_distance:
             return False
-        if cfg.radius is not None and np.linalg.norm(pt - x0) > cfg.radius:
+        if cfg.radius is not None and distance > cfg.radius:
             return False
         if lower is not None and np.any(pt < lower):
             return False
@@ -334,16 +351,25 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
             return False
         return True
 
-    evaluations = 0
+    gamma = _remembering_values(gamma)
+    # every configuration computed in this search, across restarts; a
+    # configuration whose kernel is undefined is kept as (None, None)
+    seen: dict[bytes, tuple] = {}
+    evaluations = revisits = 0
 
     def objective(pts: np.ndarray):
-        nonlocal evaluations
+        nonlocal evaluations, revisits
+        key = pts.tobytes()
+        if key in seen:
+            revisits += 1
+            return seen[key]
         evaluations += 1
         try:
-            value, diag = _difference_projection(evaluator, gamma, list(pts), pinv_tol)
+            result = _difference_projection(evaluator, gamma, list(pts), pinv_tol)
         except (NaturalSpaceError, KernelEvaluationError):
-            return None, None
-        return value, diag
+            result = None, None
+        seen[key] = result
+        return result
 
     lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
     hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
@@ -410,7 +436,8 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
 
     # best_diag holds the keys of a positive, hence unclamped, projection
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
-                   **best_diag, "evaluations": evaluations, "search_trace": trace}
+                   **best_diag, "evaluations": evaluations, "revisits": revisits,
+                   "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
     if isinstance(evaluator, MonteCarloKernelEvaluator):

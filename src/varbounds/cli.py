@@ -3,7 +3,8 @@ parameters, and bound methods in a YAML file; run computations; emit pretty
 tables and CSV.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
-message names the failing method and parameter point).
+message names the failing method and parameter point) or an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -191,6 +193,15 @@ class OutputConfig:
     path: str | None = None
     format: str = "pretty"
 
+    def __post_init__(self):
+        # checked here so that the --output override is checked too, and
+        # before any bound is computed
+        folder = os.path.dirname(self.path) if self.path else ""
+        if folder and not os.path.isdir(folder):
+            raise ConfigurationError(
+                f"output.path: {self.path!r} lies in {folder!r}, which is not an "
+                f"existing directory")
+
     @classmethod
     def from_dict(cls, d: dict) -> "OutputConfig":
         _require_keys(d, {"path", "format"}, "output")
@@ -315,9 +326,17 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _write(path: str, write, *args) -> None:
+    """write(path, *args); a file-system failure is an error naming the path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise VarBoundsError(f"cannot write output.path {path!r}: {exc}") from exc
+
+
 def _emit(cfg: RunConfig, header, rows) -> None:
     if cfg.output.path:
-        write_csv(cfg.output.path, header, rows)
+        _write(cfg.output.path, write_csv, header, rows)
     if cfg.output.format == "pretty":
         _print_table(header, rows)
     elif not cfg.output.path:
@@ -366,7 +385,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
                           model, gamma, grid, spec.name, spec.options,
                           mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
     if cfg.output.path:
-        report.write_csv(cfg.output.path)
+        _write(cfg.output.path, report.write_csv)
     header = ["x0", "value"]
     rows = [[x[0], v] for x, v in zip(report.grid, report.values)]
     if cfg.output.format == "pretty":
@@ -389,7 +408,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
                           barankin_search(options), mc_samples=cfg.mc.samples,
                           seed=cfg.mc.seed)
     if cfg.output.path:
-        report.write_csv(cfg.output.path)
+        _write(cfg.output.path, report.write_csv)
     if cfg.output.format == "pretty":
         _print_table(["radius", "value"], [[r, v] for r, v in
                                            zip(report.radii, report.values)])

@@ -55,6 +55,7 @@ class ExpfamKernelEvaluator:
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if not natural_space_contains(model, self.x0):
             raise NaturalSpaceError(self.x0)
+        self._ll0 = float(model.log_lambda(self.x0))
 
     def evaluate(self, x1, x2) -> float:
         return kernel_expfam(self.model, self.x0, x1, x2)
@@ -70,8 +71,7 @@ class ExpfamKernelEvaluator:
         if not np.all(np.isfinite(ll_sums)):
             bad = sums.reshape(-1, P.shape[1])[~np.isfinite(ll_sums)][0]
             raise NaturalSpaceError(bad, context="x1 + x2 - x0 must lie in the natural space")
-        ll0 = float(self.model.log_lambda(self.x0))
-        expo = ll_sums.reshape(len(P), len(P)) + ll0 - (lls[:, None] + lls[None, :])
+        expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
         with np.errstate(over="ignore"):  # overflow is detected and raised below
             K = np.exp(expo)
         if not np.all(np.isfinite(K)):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import varbounds as vb
+import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
     _quadratic_bound, barankin_search, evaluate_bound, method_options
@@ -282,6 +283,101 @@ class TestBarankin:
         ess = res.diagnostics["mc_effective_sample_size"]
         assert len(ess) == len(res.diagnostics["best_points"]) == 2
         assert all(0.0 < e <= 5_000 for e in ess)
+
+
+def _search_case(name):
+    """Model, mean function, x0, search and keyword arguments of a seeded
+    search whose result is pinned in PINNED_SEARCHES."""
+    if name == "exponential-rate-unboxed":
+        # no box: some proposed configurations leave the natural space, and
+        # one of them is proposed twice
+        return (vb.exponential_rate(), vb.identity_mean(), [-2.0],
+                BarankinSearch(max_points=2, restarts=2, halvings=5, radius=1.5, seed=7), {})
+    if name == "generic-poisson":
+        p = vb.poisson()
+        return (vb.as_generic(p), vb.expfam_mean(p), [0.0],
+                BarankinSearch(restarts=1, halvings=3, max_points=2, seed=1),
+                {"mc_samples": 2_000})
+    x0, box = {"gaussian-mean": (0.3, {}), "poisson": (-0.2, {}), "bernoulli": (0.4, {}),
+               "exponential-rate": (-1.1, {"lower": (-3.1,), "upper": (-0.55,)})}[name]
+    model = vb.make_model(name)
+    return (model, vb.expfam_mean(model), [x0],
+            BarankinSearch(restarts=2, halvings=6, max_points=3, seed=5, **box), {})
+
+
+#: value (float.hex), best_points, search_trace (best values as float.hex) and
+#: evaluations + revisits, as the search gave them before it skipped
+#: configurations it had already computed.
+PINNED_SEARCHES = {
+    "gaussian-mean": (
+        "0x1.000000000fefdp+0",
+        [[0.3175175424722809], [0.3038947384189621], [0.32945336625285204]],
+        [(0, "0x1.000000000fefdp+0"), (1, "0x1.0000000001bf7p+0")],
+        170),
+    "poisson": (
+        "0x1.a330ad61dcdd8p-1",
+        [[-0.19810745752771908], [-0.2742302615810379], [-0.17054663374714796]],
+        [(0, "0x1.a330ad61dcdd8p-1"), (1, "0x1.a330ad6187640p-1")],
+        188),
+    "bernoulli": (
+        "0x1.ec0dd36bc7901p-3",
+        [[2.2952250822432867], [0.22433609912855834], [1.0752820660526896]],
+        [(0, "0x1.ec0dd36bc78fap-3"), (1, "0x1.ec0dd36bc7901p-3")],
+        128),
+    "exponential-rate": (
+        "0x1.a723f789ea9c3p-1",
+        [[-1.1101543400466032], [-1.040282157870363], [-1.1067551219276073]],
+        [(0, "0x1.a723f789b9f69p-1"), (1, "0x1.a723f789ea9c3p-1")],
+        154),
+    "exponential-rate-unboxed": (
+        "0x1.3fb7747a1a89cp+4",
+        [[-3.499713600185999], [-3.4958585970912734]],
+        [(0, "0x1.3fb7747a1a89cp+4"), (1, "0x1.3ca49588ca22ep+4")],
+        72),
+    "generic-poisson": (
+        "0x1.34172fd310672p+12",
+        [[2.9459297482015403], [2.952782177955612]],
+        [(0, "0x1.34172fd310672p+12")],
+        29),
+}
+
+
+class TestBarankinSearchWork:
+    @pytest.mark.parametrize("name", list(PINNED_SEARCHES))
+    def test_search_is_pinned(self, name):
+        value, points, trace, proposals = PINNED_SEARCHES[name]
+        model, gamma, x0, search, kwargs = _search_case(name)
+        res = vb.barankin_approx(model, gamma, x0, search, **kwargs)
+        d = res.diagnostics
+        assert res.value.hex() == value
+        assert d["best_points"] == points
+        assert [(t["start"], t["best_value"].hex()) for t in d["search_trace"]] == trace
+        assert d["evaluations"] + d["revisits"] == proposals
+        assert d["revisits"] > 0
+
+    @pytest.mark.parametrize("name", ["gaussian-mean", "exponential-rate-unboxed",
+                                      "generic-poisson"])
+    def test_each_configuration_and_gamma_value_is_computed_once(self, name, monkeypatch):
+        model, gamma, x0, search, kwargs = _search_case(name)
+        configurations, values = [], []
+        projection = bounds_module._difference_projection
+
+        def tracked_projection(evaluator, g, points, pinv_tol):
+            configurations.append((evaluator, b"".join(p.tobytes() for p in points)))
+            return projection(evaluator, g, points, pinv_tol)
+
+        def counted_value(x):
+            values.append(np.asarray(x, dtype=float).tobytes())
+            return gamma.value(x)
+
+        monkeypatch.setattr(bounds_module, "_difference_projection", tracked_projection)
+        res = vb.barankin_approx(model, vb.MeanFunction(counted_value, gamma.derivative),
+                                 x0, search, **kwargs)
+        # the Monte Carlo error estimate projects again on the two split halves
+        searched = [key for ev, key in configurations if ev is configurations[0][0]]
+        assert len(set(searched)) == len(searched) == res.diagnostics["evaluations"]
+        assert len(set(values)) == len(values)
+        assert np.asarray(x0, dtype=float).tobytes() in values
 
 
 class TestExpfamBound:

@@ -157,6 +157,34 @@ class TestRunCommand:
         if code == 3:
             assert "x0=[0.5]" in captured.err
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_output_in_missing_directory_exits_2_before_any_bound(
+            self, tmp_path, capsys, monkeypatch, where):
+        target = str(tmp_path / "missing" / "run.csv")
+        doc = {**GAUSSIAN_RUN, "output": {"format": "csv"}}
+        argv = ["run", "--config", None, "--output", target]
+        if where == "config":
+            doc["output"]["path"] = target
+            argv = argv[:3]
+        argv[2] = write_config(tmp_path, doc)
+
+        def no_bound(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr("varbounds.cli.evaluate_bound", no_bound)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("configuration error: output.path")
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_output_prints_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GAUSSIAN_RUN)
+        # the directory exists, but the path names it rather than a file in it
+        assert main(["run", "--config", cfg, "--output", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output.path") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, overrides, section", [
         ("run", {"mc": {"samples": "abc"}}, "mc"),
         ("run", {"mc": {"seed": -1}}, "mc.seed"),
@@ -363,7 +391,8 @@ FUZZ_BASES = [
                          {"name": "bhattacharyya", "indices": [[1], [2]]},
                          {"name": "expfam_moment", "indices": [[0], [1]]},
                          {"name": "hcrb", "points": [[1.0]]}],
-             "mc": {"samples": 200, "seed": 1}}),
+             "mc": {"samples": 200, "seed": 1},
+             "output": {"format": "csv", "path": "out.csv"}}),
     ("run", {"model": {"family": "gaussian-mean-nd", "dim": 2}, "x0": [0.1, -0.2],
              "mean_function": {"builtin": "identity", "component": 1},
              "methods": [{"name": "constrained_crb", "constraint": [[1.0, -1.0]]},
@@ -390,6 +419,10 @@ FUZZ_BASES = [
 FUZZ_VALUES = [None, "x", "", -1, 0, 1, 2, 0.5, 1.5, -2.5, 1e300, math.nan, math.inf, True,
                [], [[]], [1.0], [[1.0]], [[1.0, 2.0]], [[1.5]], [[0], [0]], {}, {"a": 1}]
 
+#: output paths, taken inside a temporary directory: a file, a file in a
+#: directory that does not exist, and the directory itself
+FUZZ_OUTPUT_PATHS = ["out.csv", "missing/out.csv", ""]
+
 
 def _paths(node, prefix=()):
     items = node.items() if isinstance(node, dict) else \
@@ -403,6 +436,10 @@ def _paths(node, prefix=()):
 
 def _main_in_process(command, config):
     with tempfile.TemporaryDirectory() as tmp:
+        output = config.get("output")
+        if isinstance(output, dict) and isinstance(output.get("path"), str):
+            # an output path is taken inside the temporary directory
+            config = {**config, "output": {**output, "path": os.path.join(tmp, output["path"])}}
         path = os.path.join(tmp, "cfg.yaml")
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(config, fh)
@@ -428,8 +465,10 @@ def test_mutated_configs_exit_cleanly(data):
             break
         *head, key = data.draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, head, config)
-        op = data.draw(st.sampled_from(["set", "delete", "grow"]))
-        if op == "set":
+        op = data.draw(st.sampled_from(["set", "delete", "grow", "output"]))
+        if op == "output":
+            config["output"] = {"path": data.draw(st.sampled_from(FUZZ_OUTPUT_PATHS))}
+        elif op == "set":
             parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
         elif op == "delete":
             del parent[key]

@@ -84,6 +84,24 @@ class TestKernelExpfam:
             for j in range(3):
                 assert K[i, j] == pytest.approx(ev.evaluate(pts[i], pts[j]), rel=1e-14)
 
+    def test_pairwise_makes_no_log_lambda_call_on_x0(self):
+        import dataclasses
+        p = vb.poisson()
+        args = []
+
+        def log_lambda(x):
+            args.append(np.asarray(x).copy())
+            return p.log_lambda(x)
+
+        ev = ExpfamKernelEvaluator(dataclasses.replace(p, log_lambda=log_lambda), [0.2])
+        args.clear()
+        pts = np.array([[0.2], [0.5], [-0.3]])
+        K = ev.pairwise(pts)
+        # one batch over the rows and one over the pair sums; log_lambda(x0)
+        # was taken once, at construction
+        assert [a.shape for a in args] == [(3, 1), (9, 1)]
+        assert np.array_equal(K, ExpfamKernelEvaluator(p, [0.2]).pairwise(pts))
+
 
 class TestKernelMC:
     def test_reference_pair_is_exactly_one(self):

@@ -15,7 +15,7 @@ from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomi
     multi_indices_leq, partial_derivative
 from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
     NaturalSpaceError
-from .kernel import DiffBasis, ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
+from .kernel import ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
     MonteCarloKernelEvaluator, deriv_inner_products, gram_system, make_gram_system, \
     signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
@@ -237,21 +237,25 @@ def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
 def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
                            points: Sequence[np.ndarray], pinv_tol: float):
     """Projection of the centered mean onto the span of kernel differences."""
-    return _projection(gram_system(evaluator, [DiffBasis(p) for p in points], gamma, pinv_tol))
+    return _projection(gram_system(evaluator, np.asarray(points, dtype=float), gamma,
+                                   pinv_tol))
 
 
-def _mc_projection_se(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
-                      points: Sequence[np.ndarray], pinv_tol: float) -> float:
-    """Two-fold sample-split estimate of the Monte Carlo error of the
-    difference projection."""
+def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
+                    points: Sequence[np.ndarray], pinv_tol: float) -> dict:
+    """Sample count, Kish effective sample size per point (first: a point the
+    ratio cache evicted is recomputed once, and the halves slice it) and the
+    two-fold sample-split Monte Carlo error of the projection at `points`."""
+    diagnostics = {"mc_samples": evaluator.mc_samples, "mc_effective_sample_size": [
+        evaluator.effective_sample_size(p) for p in points], "mc_standard_error": math.inf}
     values = []
     for sub in evaluator._halves():
         try:
-            v, _ = _difference_projection(sub, gamma, points, pinv_tol)
+            values.append(_difference_projection(sub, gamma, points, pinv_tol)[0])
         except (NaturalSpaceError, KernelEvaluationError):
-            return math.inf
-        values.append(v)
-    return abs(values[0] - values[1]) / 2.0
+            return diagnostics
+    diagnostics["mc_standard_error"] = abs(values[0] - values[1]) / 2.0
+    return diagnostics
 
 
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
@@ -268,11 +272,7 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     value, diagnostics = _difference_projection(evaluator, gamma, tps.points, pinv_tol)
     diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
-        diagnostics["mc_samples"] = evaluator.mc_samples
-        diagnostics["mc_effective_sample_size"] = [
-            evaluator.effective_sample_size(p) for p in tps.points]
-        diagnostics["mc_standard_error"] = _mc_projection_se(
-            evaluator, gamma, tps.points, pinv_tol)
+        diagnostics.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
     return BoundResult(value=value, method="hcrb", diagnostics=diagnostics)
 
 
@@ -309,11 +309,12 @@ def _remembering_values(gamma: MeanFunction) -> MeanFunction:
     """gamma with each value computed once per point, for one search."""
     values: dict[bytes, float] = {}
 
-    def value(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in values:
-            values[key] = gamma.value(x)
-        return values[key]
+    def value(x: np.ndarray):
+        key = x.tobytes()
+        v = values.get(key)
+        if v is None:
+            v = values[key] = gamma.value(x)
+        return v
 
     return MeanFunction(value=value, derivative=gamma.derivative)
 
@@ -340,36 +341,40 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     upper = np.asarray(cfg.upper, dtype=float) if cfg.upper is not None else None
 
     def in_domain(pt: np.ndarray) -> bool:
-        distance = np.linalg.norm(pt - x0)
+        dx = pt - x0
+        distance = math.sqrt(dx.dot(dx))  # bitwise np.linalg.norm(dx)
         if distance < cfg.min_distance:
             return False
         if cfg.radius is not None and distance > cfg.radius:
             return False
-        if lower is not None and np.any(pt < lower):
+        if lower is not None and (pt < lower).any():
             return False
-        if upper is not None and np.any(pt > upper):
+        if upper is not None and (pt > upper).any():
             return False
         return True
 
     gamma = _remembering_values(gamma)
-    # every configuration computed in this search, across restarts; a
-    # configuration whose kernel is undefined is kept as (None, None)
-    seen: dict[bytes, tuple] = {}
+    # value of each configuration computed in this search (None: kernel undefined)
+    seen: dict[bytes, float | None] = {}
     evaluations = revisits = 0
+    best_value, best_diag, best_points = 0.0, {}, None
 
-    def objective(pts: np.ndarray):
-        nonlocal evaluations, revisits
+    def objective(pts: np.ndarray) -> float | None:
+        nonlocal evaluations, revisits, best_value, best_diag, best_points
         key = pts.tobytes()
         if key in seen:
             revisits += 1
             return seen[key]
         evaluations += 1
         try:
-            result = _difference_projection(evaluator, gamma, list(pts), pinv_tol)
+            value, diag = _difference_projection(evaluator, gamma, pts, pinv_tol)
         except (NaturalSpaceError, KernelEvaluationError):
-            result = None, None
-        seen[key] = result
-        return result
+            value = None
+        else:
+            if value > best_value:  # the first configuration with the largest value
+                best_value, best_diag, best_points = value, diag, pts  # never changed in place
+        seen[key] = value
+        return value
 
     lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
     hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
@@ -398,36 +403,25 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
         if pts is not None:
             starts.append(pts)
 
-    best_value = 0.0
-    best_diag: dict = {}
-    best_points: np.ndarray | None = None
     trace = []
-    for start_idx, start in enumerate(starts):
-        pts = start.copy()
-        current, diag = objective(pts)
+    for start_idx, pts in enumerate(starts):
+        current = objective(pts)
         if current is None:
             # invalid start (kernel undefined there): any valid move wins
             current = -math.inf
-        elif current > best_value:
-            best_value, best_diag, best_points = current, diag, pts.copy()
         step = cfg.initial_step
         for _level in range(cfg.halvings):
             for _sweep in range(cfg.max_sweeps_per_level):
                 improved = False
-                for l in range(len(pts)):
-                    for k in range(len(x0)):
-                        for direction in (1.0, -1.0):
-                            cand = pts.copy()
-                            cand[l, k] += direction * step
-                            if not in_domain(cand[l]):
-                                continue
-                            value, diag = objective(cand)
-                            if value is not None and value > current:
-                                pts, current = cand, value
-                                improved = True
-                                if value > best_value:
-                                    best_value, best_diag = value, diag
-                                    best_points = cand.copy()
+                for l, k in np.ndindex(pts.shape):
+                    for direction in (1.0, -1.0):
+                        cand = pts.copy()
+                        cand[l, k] += direction * step
+                        if not in_domain(cand[l]):
+                            continue
+                        value = objective(cand)
+                        if value is not None and value > current:
+                            pts, current, improved = cand, value, True
                 if not improved:
                     break
             step *= 0.5
@@ -441,14 +435,8 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
     if isinstance(evaluator, MonteCarloKernelEvaluator):
-        diagnostics["mc_samples"] = evaluator.mc_samples
-        if best_points is not None:
-            # ahead of the split: a best point the cache evicted since is
-            # recomputed once here, and the halves then slice it
-            diagnostics["mc_effective_sample_size"] = [
-                evaluator.effective_sample_size(p) for p in best_points]
-            diagnostics["mc_standard_error"] = _mc_projection_se(
-                evaluator, gamma, list(best_points), pinv_tol)
+        diagnostics.update(_mc_diagnostics(evaluator, gamma, best_points, pinv_tol)
+                           if best_points is not None else {"mc_samples": evaluator.mc_samples})
     return BoundResult(value=max(best_value, 0.0), method="barankin_approx",
                        diagnostics=diagnostics)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomial, \
     multi_indices_leq, partial_derivative, reciprocal_series, MAX_FD_ORDER
-from .errors import KernelEvaluationError, NaturalSpaceError
+from .errors import DataError, KernelEvaluationError, NaturalSpaceError
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
     log_density_batch, mean_partial, natural_space_contains, sample
 
@@ -64,19 +64,18 @@ class ExpfamKernelEvaluator:
         """Kernel matrix over rows of `points`, vectorized through log_lambda."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         lls = np.asarray(self.model.log_lambda(P), dtype=float)
-        if not np.all(np.isfinite(lls)):
+        if not np.isfinite(lls).all():
             raise NaturalSpaceError(P[~np.isfinite(lls)][0])
-        sums = P[:, None, :] + P[None, :, :] - self.x0
-        ll_sums = np.asarray(self.model.log_lambda(sums.reshape(-1, P.shape[1])), dtype=float)
-        if not np.all(np.isfinite(ll_sums)):
-            bad = sums.reshape(-1, P.shape[1])[~np.isfinite(ll_sums)][0]
-            raise NaturalSpaceError(bad, context="x1 + x2 - x0 must lie in the natural space")
+        sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
+        ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
+        if not np.isfinite(ll_sums).all():
+            raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
+                                    context="x1 + x2 - x0 must lie in the natural space")
         expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
-        with np.errstate(over="ignore"):  # overflow is detected and raised below
-            K = np.exp(expo)
-        if not np.all(np.isfinite(K)):
+        # exp is finite exactly up to log(max float) = 709.782712893384; NaN fails too
+        if not expo.max() <= 709.782712893384:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
-        return K
+        return np.exp(expo)
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,7 @@ class DerivBasis:
 @dataclass(frozen=True)
 class GramSystem:
     """Gram matrix, right-hand side of inner products with the mean function,
-    its eigenpairs (eigenvectors as rows) in descending order of |eigenvalue|,
-    pseudoinverse truncation tolerance, and conditioning diagnostics."""
+    eigenpairs (eigenvectors as rows), truncation tolerance and diagnostics."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -317,29 +315,38 @@ class GramSystem:
 
 
 def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) -> GramSystem:
+    """One `eigh` of G, eigenpairs in descending order of |eigenvalue|.  ValueError
+    unless G is square, has one row per rhs entry and is symmetric within
+    1e-12 * max(1, max|G|); DataError names the first non-finite entry of G or
+    rhs.  rank = #{|eigenvalue| > pinv_tol * max|eigenvalue|} (0 for G = 0),
+    condition_number = max|eigenvalue| / min|eigenvalue| (inf at 0), and
+    min_eigenvalue is the smallest signed eigenvalue."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     if G.shape[0] != G.shape[1] or G.shape[0] != rhs.size:
         raise ValueError(f"incompatible Gram shapes {G.shape} and {rhs.shape}")
-    scale = float(np.abs(G).max()) if G.size else 0.0
-    if G.size and float(np.abs(G - G.T).max()) > 1e-12 * max(1.0, scale):
+    if not G.size:
+        return GramSystem(G, rhs, np.empty(0), np.empty((0, 0)), float(pinv_tol),
+                          {"rank": 0, "min_eigenvalue": 0.0, "condition_number": math.inf})
+    scale = float(np.abs(G).max())  # NaN and inf propagate through max
+    if not (math.isfinite(scale) and np.isfinite(rhs).all()):
+        name, x = ("Gram matrix", G) if not math.isfinite(scale) else ("right-hand side", rhs)
+        bad = tuple(np.argwhere(~np.isfinite(x))[0].tolist())
+        raise DataError(f"non-finite {name} entry at index {bad}")
+    # G - G.T is exactly antisymmetric, so its max is its largest |entry|
+    if float((G - G.T).max()) > 1e-12 * max(1.0, scale):
         raise ValueError("Gram matrix is not symmetric")
-    if G.size:
-        w, v = np.linalg.eigh(G)
-        # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
-        order = np.argsort(np.abs(w))[::-1]
-        eigenvalues, eigenvectors = w[order], v.T[order]
-        s = np.abs(eigenvalues)
-        smax = float(s[0])
-        rank = int(np.count_nonzero(s > pinv_tol * smax)) if smax > 0 else 0
-        cond = float(smax / s[-1]) if s[-1] > 0 else math.inf
-        min_eig = float(w[0])
-    else:
-        eigenvalues, eigenvectors = np.empty(0), np.empty((0, 0))
-        rank, cond, min_eig = 0, math.inf, 0.0
-    return GramSystem(matrix=G, rhs=rhs, eigenvalues=eigenvalues, eigenvectors=eigenvectors,
+    w, v = np.linalg.eigh(G)
+    aw = np.abs(w)
+    # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
+    order = aw.argsort()[::-1]
+    s = aw[order]
+    smax = float(s[0])
+    rank = int(np.count_nonzero(s > pinv_tol * smax)) if smax > 0 else 0
+    cond = float(smax / s[-1]) if s[-1] > 0 else math.inf
+    return GramSystem(matrix=G, rhs=rhs, eigenvalues=w[order], eigenvectors=v.T[order],
                       pinv_tol=float(pinv_tol),
-                      diagnostics={"rank": rank, "min_eigenvalue": min_eig,
+                      diagnostics={"rank": rank, "min_eigenvalue": float(w[0]),
                                    "condition_number": cond})
 
 
@@ -363,15 +370,19 @@ def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
 
     Point and difference entries come from one pairwise kernel matrix K over
     [x0, x_1, ..., x_m] as ((K_ij - d_j K_i0) - d_i K_0j) + d_i d_j K_00,
-    with d_i = 1 for a difference basis and 0 for a point basis.
+    with d_i = 1 for a difference basis and 0 for a point basis.  An (m, N)
+    array `basis` is the difference basis R(., x) - R(., x0) at its rows x.
     """
     x0 = evaluator.x0
-    deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
-    points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
-    P = np.array([x0] + [basis[i].x for i in points], dtype=float)
+    if isinstance(basis, np.ndarray):  # scalar d = 1: the products round the same
+        deriv, P, d, dcol = [], np.concatenate((x0[None], basis)), 1.0, 1.0
+    else:
+        deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
+        points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
+        P = np.array([x0] + [basis[i].x for i in points], dtype=float)
+        d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
+        dcol = d[:, None]
     K = evaluator.pairwise(P)
-    d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
-    dcol = d[:, None]
     block = ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
     if not deriv:
         return block
@@ -397,17 +408,18 @@ def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
 def gram_rhs(evaluator: KernelEvaluator, basis: Sequence, gamma: MeanFunction) -> np.ndarray:
     """Inner products of the mean function with each basis function, obtained
     by the reproducing property: evaluation for point bases, differences for
-    difference bases, partial derivatives for derivative bases."""
+    difference bases, partial derivatives for derivative bases; `basis` as in `gram`."""
     x0 = evaluator.x0
     g0 = float(gamma.value(x0))
+    if isinstance(basis, np.ndarray):
+        return np.array([float(gamma.value(x)) - g0 for x in basis])
     out = np.empty(len(basis))
     for i, b in enumerate(basis):
-        if isinstance(b, PointBasis):
-            out[i] = float(gamma.value(np.asarray(b.x, dtype=float)))
-        elif isinstance(b, DiffBasis):
-            out[i] = float(gamma.value(np.asarray(b.x, dtype=float))) - g0
-        else:
+        if isinstance(b, DerivBasis):
             out[i] = mean_partial(gamma, x0, b.p)
+        else:  # v - 0.0 is v: a point basis function keeps gamma's value
+            out[i] = float(gamma.value(np.asarray(b.x, dtype=float))) \
+                - (g0 if isinstance(b, DiffBasis) else 0.0)
     return out
 
 

@@ -1,6 +1,7 @@
 """Variance lower bounds against closed-form oracles and each other."""
 
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -378,6 +379,39 @@ class TestBarankinSearchWork:
         assert len(set(searched)) == len(searched) == res.diagnostics["evaluations"]
         assert len(set(values)) == len(values)
         assert np.asarray(x0, dtype=float).tobytes() in values
+
+    @pytest.mark.parametrize("name", ["gaussian-mean", "poisson", "bernoulli",
+                                      "exponential-rate", "exponential-rate-unboxed"])
+    def test_closed_form_work_per_configuration(self, name, monkeypatch):
+        # one kernel matrix per computed configuration, one eigh per
+        # configuration whose kernel is defined, and no other decomposition
+        model, gamma, x0, search, kwargs = _search_case(name)
+        calls = Counter()
+        pairwise = vb_kernel.ExpfamKernelEvaluator.pairwise
+
+        def counted_pairwise(evaluator, points):
+            calls["pairwise"] += 1
+            K = pairwise(evaluator, points)
+            calls["defined"] += 1
+            return K
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(vb_kernel.ExpfamKernelEvaluator, "pairwise", counted_pairwise)
+        for decomposition in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "qr",
+                              "cholesky", "lstsq", "pinv", "solve", "inv", "det", "slogdet"):
+            monkeypatch.setattr(np.linalg, decomposition,
+                                counted(getattr(np.linalg, decomposition)))
+        res = vb.barankin_approx(model, gamma, x0, search, **kwargs)
+        assert calls["pairwise"] == res.diagnostics["evaluations"]
+        assert calls["eigh"] == calls["defined"]
+        assert set(calls) == {"pairwise", "defined", "eigh"}
+        if name == "exponential-rate-unboxed":
+            assert 0 < calls["defined"] < calls["pairwise"]
 
 
 class TestExpfamBound:

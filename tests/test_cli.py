@@ -113,6 +113,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "crb" in err and "natural" in err
 
+    @pytest.mark.parametrize("method", [
+        {"name": "hcrb", "points": [[3.0]]},
+        {"name": "barankin_approx", "restarts": 1, "halvings": 2},
+    ], ids=lambda m: m["name"])
+    def test_non_finite_mean_at_a_test_point_exits_3(self, tmp_path, capsys, method):
+        # gamma(3) overflows to inf: hcrb used to print inf, the search 0, exit 0
+        doc = {**GAUSSIAN_RUN, "mean_function": {"polynomial": [0.0, 1.0e308, 1.0e308]},
+               "methods": [method]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert method["name"] in captured.err and "right-hand side" in captured.err
+
     @pytest.mark.parametrize("methods, x0, code, model", [
         ([{"name": "bhattacharyya"}], [0.0], 2, None),
         ([{"name": "expfam_moment"}], [0.0], 2, None),

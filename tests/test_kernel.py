@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import varbounds as vb
 from varbounds import kernel as kernel_module
-from varbounds.errors import NaturalSpaceError
+from varbounds.bounds import _difference_projection
+from varbounds.errors import DataError, KernelEvaluationError, NaturalSpaceError
 from varbounds.kernel import (
     _exact_deriv_inner,
     _exact_point_deriv,
@@ -435,6 +436,24 @@ class TestGramSystemDiagnostics:
         assert sys.diagnostics["condition_number"] > 1e10
         assert sys.diagnostics["min_eigenvalue"] == pytest.approx(1e-14, abs=1e-15)
 
+    @pytest.mark.parametrize("G, rhs, match", [
+        ([[math.nan]], [1.0], r"Gram matrix entry at index \(0, 0\)"),
+        ([[1.0, 0.0], [math.inf, 1.0]], [1.0, 1.0], r"Gram matrix entry at index \(1, 0\)"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, math.nan], r"right-hand side entry at index \(1,\)"),
+        ([[1.0]], [-math.inf], r"right-hand side entry at index \(0,\)"),
+    ])
+    def test_non_finite_input_is_a_data_error(self, G, rhs, match):
+        # a NaN Gram matrix used to give rank 0 and a bound of 0
+        with pytest.raises(DataError, match=match):
+            make_gram_system(np.array(G), rhs)
+
+    def test_kernel_overflow_raises(self):
+        # (x1 - x0)(x2 - x0) = 900 at x1 = x2 = 30 is beyond log(max float)
+        ev = ExpfamKernelEvaluator(vb.gaussian_mean(), [0.0])
+        with pytest.raises(KernelEvaluationError, match="overflow"):
+            ev.pairwise(np.array([[0.0], [30.0]]))
+        assert math.isfinite(ev.pairwise(np.array([[0.0], [26.6]])).max())
+
 
 class TestProjectedSqNorm:
     def test_one_dimensional(self):
@@ -535,3 +554,114 @@ class TestSuffStatCheck:
         report = suffstat_kernel_check(iid, stat, [0.2], pairs[:1], mode="mc",
                                        n=5_000, seed=1)
         assert report.factorization_gap <= 1e-12
+
+
+def parent_difference_projection(model, x0, points, gamma, pinv_tol=1e-10):
+    """The difference-basis projection as the one Gram path computed it
+    before it took the point array directly, written out step by step:
+    ExpfamKernelEvaluator.pairwise, the general block formula of `gram` with
+    every d_i = 1, `gram_rhs`, `make_gram_system`, `signed_sq_norm` and the
+    clamp of the bound diagnostics."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    P = np.array([x0] + [np.asarray(p, dtype=float) for p in points], dtype=float)
+    lls = np.asarray(model.log_lambda(P), dtype=float)
+    if not np.all(np.isfinite(lls)):
+        raise NaturalSpaceError(P[~np.isfinite(lls)][0])
+    sums = P[:, None, :] + P[None, :, :] - x0
+    ll_sums = np.asarray(model.log_lambda(sums.reshape(-1, P.shape[1])), dtype=float)
+    if not np.all(np.isfinite(ll_sums)):
+        raise NaturalSpaceError(sums.reshape(-1, P.shape[1])[~np.isfinite(ll_sums)][0],
+                                context="x1 + x2 - x0 must lie in the natural space")
+    expo = ll_sums.reshape(len(P), len(P)) + float(model.log_lambda(x0)) \
+        - (lls[:, None] + lls[None, :])
+    with np.errstate(over="ignore"):
+        K = np.exp(expo)
+    if not np.all(np.isfinite(K)):
+        raise KernelEvaluationError("kernel value overflowed for a point pair")
+    d = np.ones(len(points))
+    dcol = d[:, None]
+    G = ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
+    g0 = float(gamma.value(x0))
+    rhs = np.array([float(gamma.value(np.asarray(p, dtype=float))) - g0 for p in points])
+    if float(np.abs(G - G.T).max()) > 1e-12 * max(1.0, float(np.abs(G).max())):
+        raise ValueError("Gram matrix is not symmetric")
+    w, v = np.linalg.eigh(G)
+    order = np.argsort(np.abs(w))[::-1]
+    eigenvalues, eigenvectors = w[order], v.T[order]
+    s = np.abs(eigenvalues)
+    smax = float(s[0])
+    rank = int(np.count_nonzero(s > pinv_tol * smax)) if smax > 0 else 0
+    cond = float(smax / s[-1]) if s[-1] > 0 else math.inf
+    coeff = eigenvectors[:rank] @ rhs
+    value = float((coeff * coeff / eigenvalues[:rank]).sum())
+    diagnostics = {"gram_rank": rank, "condition_number": cond, "min_eigenvalue": float(w[0])}
+    if value < 0.0:
+        diagnostics["clamped_negative"] = True
+        value = 0.0
+    return value, diagnostics
+
+
+def _hex(diagnostics: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in diagnostics.items()}
+
+
+def _oracle_cases():
+    """(name, model, x0, points): seeded random sets of 1 to 4 points per
+    family, then the hand-picked sets."""
+    rng = np.random.default_rng(2024)
+    families = {"gaussian-mean": (-1.0, 1.0), "poisson": (-1.0, 1.0),
+                "bernoulli": (-1.5, 1.5), "exponential-rate": (-3.0, -1.5),
+                "gaussian-mean-nd": (-1.0, 1.0)}
+    for family, (lo, hi) in families.items():
+        model = vb.make_model(family)
+        for trial in range(20):
+            x0 = rng.uniform(lo, hi, size=model.param_dim)
+            m = int(rng.integers(1, 5))
+            points = x0 + rng.uniform(-1.2, 1.2, size=(m, model.param_dim))
+            yield f"{family}-{trial}", model, x0, points
+    g = vb.gaussian_mean()
+    yield "rank-deficient-bernoulli", vb.bernoulli(), [0.4], np.array([[1.0], [-0.5], [2.0]])
+    yield "rank-deficient-repeated-point", g, [0.0], np.array([[0.5], [0.5], [-0.5]])
+    yield "near-singular", g, [0.2], np.array([[0.7], [0.7 + 1e-7], [0.7 + 2e-7]])
+    er = vb.exponential_rate()
+    yield "pair-sum-outside-natural-space", er, [-1.0], np.array([[-0.2], [-0.3]])
+    yield "point-outside-natural-space", er, [-1.0], np.array([[-0.5], [0.5]])
+    yield "kernel-overflow", g, [0.0], np.array([[30.0], [1.0]])
+
+
+class TestDifferenceProjectionOracle:
+    """The projection the Barankin search and hcrb compute is bit for bit the
+    parent sequence, value and diagnostics, and fails the same way."""
+
+    @pytest.mark.parametrize("name, model, x0, points",
+                             [pytest.param(*c, id=c[0]) for c in _oracle_cases()])
+    def test_matches_parent_sequence(self, name, model, x0, points):
+        gamma = vb.expfam_mean(model)
+        ev = ExpfamKernelEvaluator(model, x0)
+        try:
+            expected = parent_difference_projection(model, x0, points, gamma)
+        except (NaturalSpaceError, KernelEvaluationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _difference_projection(ev, gamma, points, 1e-10)
+            if isinstance(exc, NaturalSpaceError):
+                assert np.array_equal(got.value.point, exc.point)
+                assert got.value.context == exc.context
+            return
+        for given_points in (points, tuple(points)):  # search array, hcrb tuple
+            value, diagnostics = _difference_projection(ev, gamma, given_points, 1e-10)
+            assert value.hex() == expected[0].hex()
+            assert _hex(diagnostics) == _hex(expected[1])
+        assert np.array_equal(gram(ev, points), gram(ev, [DiffBasis(p) for p in points]))
+
+    def test_cases_cover_the_edges(self):
+        names = {c[0]: c for c in _oracle_cases()}
+        ranks = {}
+        for name in ("rank-deficient-bernoulli", "rank-deficient-repeated-point",
+                     "near-singular"):
+            _, model, x0, points = names[name]
+            _, diagnostics = parent_difference_projection(model, x0, points,
+                                                          vb.expfam_mean(model))
+            ranks[name] = (diagnostics["gram_rank"], diagnostics["condition_number"])
+        assert ranks["rank-deficient-bernoulli"][0] == 1
+        assert ranks["rank-deficient-repeated-point"][0] == 2
+        assert ranks["near-singular"][1] > 1e10

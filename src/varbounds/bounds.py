@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomial, \
-    multi_indices_leq, partial_derivative
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
+    partial_derivative
 from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
     NaturalSpaceError
 from .kernel import ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
@@ -153,11 +153,10 @@ def null_space_onb(F) -> np.ndarray:
     Q, N = F.shape
     if Q > N:
         raise ConstraintRankError(f"more constraints ({Q}) than parameters ({N})")
-    s = np.linalg.svd(F, compute_uv=False)
+    _, s, vt = np.linalg.svd(F)
     if s[-1] <= 1e-10 * s[0]:
         raise ConstraintRankError(
             "constraint Jacobian is rank deficient; constraints are redundant")
-    _, _, vt = np.linalg.svd(F)
     return vt[Q:].T
 
 
@@ -460,14 +459,13 @@ def expfam_bound(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indices
     cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
     mu = moment_table(model, x0, cap.plus(cap), cfg)
     n_vec = np.array([
-        sum(multi_binomial(p, q) * mu[p.minus(q)] * mean_partial(gamma, x0, q)
-            for q in multi_indices_leq(p))
+        sum(b * mu[r] * mean_partial(gamma, x0, q) for b, q, r in _leibniz_terms(p))
         for p in idxs
     ])
     S = np.empty((len(idxs), len(idxs)))
     for i, p in enumerate(idxs):
         for j, q in enumerate(idxs):
-            S[i, j] = mu[p.plus(q)]
+            S[i, j] = mu[tuple(map(operator.add, p, q))]
     extra = {"moment_fd_fallback": True} if model.closed_moments is None else None
     g0 = float(gamma.value(x0))
     return _quadratic_bound(S, n_vec, "expfam_moment", pinv_tol, extra=extra,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Callable, Iterable, Mapping
 
@@ -89,6 +90,20 @@ def multi_binomial(p, q) -> int:
     for pk, qk in zip(p, q):
         out *= math.comb(pk, qk)
     return out
+
+
+@lru_cache(maxsize=1024)
+def _leibniz_terms(p) -> tuple[tuple[int, MultiIndex, MultiIndex], ...]:
+    """(multi_binomial(p, q), q, p - q) for every q <= p, in the lexicographic
+    order of multi_indices_leq(p), so the last term is q = p.
+
+    Every Leibniz sum of the moment algebra walks these terms, and each bound
+    call walks them many times over a handful of indices; caching them builds
+    each index's terms once per process.  The cache is bounded because
+    moment_table's cap comes from callers.
+    """
+    p = as_index(p)
+    return tuple((multi_binomial(p, q), q, p.minus(q)) for q in multi_indices_leq(p))
 
 
 @dataclass(frozen=True)
@@ -206,7 +221,7 @@ def moment(model, x, p, cfg: FDConfig | None = None) -> float:
 def moment_table(model, x, cap, cfg: FDConfig | None = None) -> dict[MultiIndex, float]:
     """Raw moments E_x{phi^q} for every q <= cap componentwise."""
     cap = as_index(cap, dim=model.param_dim)
-    return {q: moment(model, x, q, cfg) for q in multi_indices_leq(cap)}
+    return {q: moment(model, x, q, cfg) for _, q, _ in _leibniz_terms(cap)}
 
 
 def reciprocal_series(moments: Mapping[MultiIndex, float], cap) -> dict[MultiIndex, float]:
@@ -215,17 +230,10 @@ def reciprocal_series(moments: Mapping[MultiIndex, float], cap) -> dict[MultiInd
     Returns nu_q = lambda(x) * d^q (1/lambda) / dx^q for q <= cap, computed
     from raw moments by inverting the Leibniz identity for lambda * (1/lambda) = 1.
     """
-    cap = as_index(cap)
-    zero = MultiIndex.zero(len(cap))
     nu: dict[MultiIndex, float] = {}
-    for q in multi_indices_leq(cap):
-        if q == zero:
-            nu[q] = 1.0
-            continue
+    for _, q, _ in _leibniz_terms(as_index(cap)):
         acc = 0.0
-        for r in multi_indices_leq(q):
-            if r == q:
-                continue
-            acc += multi_binomial(q, r) * nu[r] * moments[q.minus(r)]
-        nu[q] = -acc
+        for b, r, rest in _leibniz_terms(q)[:-1]:  # every r < q
+            acc += b * nu[r] * moments[rest]
+        nu[q] = -acc if any(q) else 1.0
     return nu

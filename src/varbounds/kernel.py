@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, as_index, moment_table, multi_binomial, \
-    multi_indices_leq, partial_derivative, reciprocal_series, MAX_FD_ORDER
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
+    partial_derivative, reciprocal_series, MAX_FD_ORDER
 from .errors import DataError, KernelEvaluationError, NaturalSpaceError
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
     log_density_batch, mean_partial, natural_space_contains, sample
+
+#: exp is finite exactly up to log(max float); NaN exponents fail the test too
+_EXP_MAX = 709.782712893384
 
 
 def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
@@ -39,8 +43,11 @@ def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
     if not math.isfinite(lls):
         raise NaturalSpaceError(s, context="x1 + x2 - x0 must lie in the natural space")
     # grouping keeps the result bitwise symmetric in (x1, x2)
-    return math.exp(lls + float(model.log_lambda(x0))
-                    - (float(model.log_lambda(x1)) + float(model.log_lambda(x2))))
+    expo = lls + float(model.log_lambda(x0)) \
+        - (float(model.log_lambda(x1)) + float(model.log_lambda(x2)))
+    if not expo <= _EXP_MAX:
+        raise KernelEvaluationError("kernel value overflowed for a point pair")
+    return math.exp(expo)
 
 
 class ExpfamKernelEvaluator:
@@ -72,8 +79,7 @@ class ExpfamKernelEvaluator:
             raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
                                     context="x1 + x2 - x0 must lie in the natural space")
         expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
-        # exp is finite exactly up to log(max float) = 709.782712893384; NaN fails too
-        if not expo.max() <= 709.782712893384:
+        if not expo.max() <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
         return np.exp(expo)
 
@@ -225,18 +231,17 @@ def _exact_tables(model, x0, indices: Sequence[MultiIndex]):
 def _exact_deriv_inner(mu, nu, p1: MultiIndex, p2: MultiIndex) -> float:
     """<r^(p1), r^(p2)> from the Leibniz expansion of the closed-form kernel."""
     total = 0.0
-    for q1 in multi_indices_leq(p1):
-        c1 = multi_binomial(p1, q1) * nu[p1.minus(q1)]
-        for q2 in multi_indices_leq(p2):
-            total += c1 * multi_binomial(p2, q2) * mu[q1.plus(q2)] * nu[p2.minus(q2)]
+    for b1, q1, r1 in _leibniz_terms(p1):
+        c1 = b1 * nu[r1]
+        for b2, q2, r2 in _leibniz_terms(p2):
+            total += c1 * b2 * mu[tuple(map(operator.add, q1, q2))] * nu[r2]
     return total
 
 
 def _exact_point_deriv(model, x0_nu, p: MultiIndex, a) -> float:
     """r^(p)(a) from moments at a and reciprocal derivatives at x0."""
     mu_a = moment_table(model, a, p)
-    return sum(multi_binomial(p, q) * mu_a[q] * x0_nu[p.minus(q)]
-               for q in multi_indices_leq(p))
+    return sum(b * mu_a[q] * x0_nu[r] for b, q, r in _leibniz_terms(p))
 
 
 def _fd_deriv_inner(model, x0, p1: MultiIndex, p2: MultiIndex,

@@ -15,14 +15,15 @@ natural_space_contains before doing arithmetic on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, as_index, moment, moment_table, \
-    multi_binomial, multi_indices_leq, partial_derivative, reciprocal_series
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment, \
+    moment_table, partial_derivative, reciprocal_series
 from .errors import NaturalSpaceError, ReferenceSupportError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -453,7 +454,7 @@ def expfam_mean(model: ExponentialFamilyModel, component: int = 0) -> MeanFuncti
             return value(x)
         mu = moment_table(model, x, p.plus(e_c))
         nu = reciprocal_series(mu, p)
-        return sum(multi_binomial(p, q) * mu[q.plus(e_c)] * nu[p.minus(q)]
-                   for q in multi_indices_leq(p))
+        return sum(b * mu[tuple(map(operator.add, q, e_c))] * nu[r]
+                   for b, q, r in _leibniz_terms(p))
 
     return MeanFunction(value=value, derivative=deriv)

@@ -82,6 +82,18 @@ class TestNullSpaceONB:
         with pytest.raises(ConstraintRankError):
             vb.null_space_onb([[1.0, 1.0], [2.0, 2.0]])
 
+    def test_one_decomposition_per_call(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k))
+        F = [[1.0, -1.0, 0.5]]
+        U = vb.null_space_onb(F)
+        assert calls == [{}]
+        assert np.array_equal(U, svd(np.asarray(F))[2][1:].T)
+        with pytest.raises(ConstraintRankError):
+            vb.null_space_onb([[1.0, 1.0], [2.0, 2.0]])
+        assert len(calls) == 2
+
 
 class TestConstrainedCRB:
     def test_equal_components_constraint(self):

@@ -1,6 +1,9 @@
 """Kernel evaluation, Gram systems, projections, and sufficiency invariance."""
 
+import dataclasses
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varbounds as vb
+from varbounds import calculus as calculus_module
 from varbounds import kernel as kernel_module
-from varbounds.bounds import _difference_projection
+from varbounds import models as models_module
+from varbounds.bounds import _difference_projection, _quadratic_bound
+from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
+    multi_indices_leq, reciprocal_series
+from varbounds.cli import main as cli_main
 from varbounds.errors import DataError, KernelEvaluationError, NaturalSpaceError
 from varbounds.kernel import (
     _exact_deriv_inner,
@@ -454,6 +462,16 @@ class TestGramSystemDiagnostics:
             ev.pairwise(np.array([[0.0], [30.0]]))
         assert math.isfinite(ev.pairwise(np.array([[0.0], [26.6]])).max())
 
+    def test_scalar_kernel_overflow_raises_like_pairwise(self):
+        # the scalar path backs the finite-difference kernel derivatives; it
+        # used to raise a bare OverflowError from math.exp
+        g = vb.gaussian_mean()
+        with pytest.raises(KernelEvaluationError, match="overflow"):
+            kernel_expfam(g, [0.0], [30.0], [30.0])
+        with pytest.raises(KernelEvaluationError, match="overflow"):
+            ExpfamKernelEvaluator(g, [0.0]).evaluate([30.0], [30.0])
+        assert kernel_expfam(g, [0.0], [26.6], [26.6]) == pytest.approx(math.exp(26.6 * 26.6))
+
 
 class TestProjectedSqNorm:
     def test_one_dimensional(self):
@@ -665,3 +683,234 @@ class TestDifferenceProjectionOracle:
         assert ranks["rank-deficient-bernoulli"][0] == 1
         assert ranks["rank-deficient-repeated-point"][0] == 2
         assert ranks["near-singular"][1] > 1e10
+
+
+# ---------------------------------------------------------------------------
+# Moment algebra against the MultiIndex loops of its first implementation
+# ---------------------------------------------------------------------------
+
+def loop_moment_table(model, x, cap):
+    return {q: moment(model, x, q) for q in multi_indices_leq(MultiIndex(cap))}
+
+
+def loop_reciprocal_series(moments, cap):
+    cap = MultiIndex(cap)
+    zero = MultiIndex.zero(len(cap))
+    nu = {}
+    for q in multi_indices_leq(cap):
+        if q == zero:
+            nu[q] = 1.0
+            continue
+        acc = 0.0
+        for r in multi_indices_leq(q):
+            if r == q:
+                continue
+            acc += multi_binomial(q, r) * nu[r] * moments[q.minus(r)]
+        nu[q] = -acc
+    return nu
+
+
+def loop_tables(model, x0, idxs):
+    cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
+    mu = loop_moment_table(model, x0, cap.plus(cap))
+    return mu, loop_reciprocal_series(mu, cap)
+
+
+def loop_deriv_inner(mu, nu, p1, p2):
+    total = 0.0
+    for q1 in multi_indices_leq(p1):
+        c1 = multi_binomial(p1, q1) * nu[p1.minus(q1)]
+        for q2 in multi_indices_leq(p2):
+            total += c1 * multi_binomial(p2, q2) * mu[q1.plus(q2)] * nu[p2.minus(q2)]
+    return total
+
+
+def loop_deriv_inner_products(model, x0, idxs):
+    mu, nu = loop_tables(model, x0, idxs)
+    out = np.empty((len(idxs), len(idxs)))
+    for i in range(len(idxs)):
+        for j in range(i, len(idxs)):
+            out[i, j] = out[j, i] = loop_deriv_inner(mu, nu, idxs[i], idxs[j])
+    return out
+
+
+def loop_point_deriv(model, x0_nu, p, a):
+    mu_a = loop_moment_table(model, a, p)
+    return sum(multi_binomial(p, q) * mu_a[q] * x0_nu[p.minus(q)]
+               for q in multi_indices_leq(p))
+
+
+def loop_mean(model, component=0):
+    """expfam_mean with the derivative written as the MultiIndex loop."""
+    e_c = MultiIndex.unit(model.param_dim, component)
+
+    def value(x):
+        return moment(model, x, e_c)
+
+    def deriv(x, p):
+        p = MultiIndex(p)
+        if p.order == 0:
+            return value(x)
+        mu = loop_moment_table(model, x, p.plus(e_c))
+        nu = loop_reciprocal_series(mu, p)
+        return sum(multi_binomial(p, q) * mu[q.plus(e_c)] * nu[p.minus(q)]
+                   for q in multi_indices_leq(p))
+
+    return vb.MeanFunction(value=value, derivative=deriv)
+
+
+def loop_expfam_bound(model, gamma, x0, idxs):
+    cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
+    mu = loop_moment_table(model, x0, cap.plus(cap))
+    n_vec = np.array([
+        sum(multi_binomial(p, q) * mu[p.minus(q)] * vb.mean_partial(gamma, x0, q)
+            for q in multi_indices_leq(p))
+        for p in idxs
+    ])
+    S = np.array([[mu[p.plus(q)] for q in idxs] for p in idxs])
+    extra = {"moment_fd_fallback": True} if model.closed_moments is None else None
+    g0 = float(gamma.value(x0))
+    return _quadratic_bound(S, n_vec, "expfam_moment", 1e-10, extra=extra, offset=g0 * g0)
+
+
+def loop_bhattacharyya(model, gamma, x0, idxs):
+    a = np.array([vb.mean_partial(gamma, x0, p) for p in idxs])
+    if model.closed_moments is None:  # finite differences of the kernel, no Leibniz sum
+        B, extra = deriv_inner_products(model, x0, idxs), {"moment_fd_fallback": True}
+    else:
+        B, extra = loop_deriv_inner_products(model, x0, idxs), {}
+    return _quadratic_bound(B, a, "bhattacharyya", 1e-10, extra=extra)
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+SCALAR_RANGES = {"gaussian-mean": (-1.0, 1.0), "poisson": (-1.0, 1.0),
+                 "bernoulli": (-1.5, 1.5), "exponential-rate": (-3.0, -1.5),
+                 "gaussian-iid": (-1.0, 1.0), "gaussian-sum": (-1.0, 1.0)}
+
+
+def _moment_cases(with_fd: bool = True):
+    """(name, model, x0, bhattacharyya indices, expfam_moment indices):
+    two seeded x0 per built-in scalar family at orders 1-4 and 0-3, the 2-D
+    Gaussian mean with mixed indices, and three families on the
+    finite-difference moment path (total order at most 4 there)."""
+    rng = np.random.default_rng(8)
+    scalar = ([[1], [2], [3], [4]], [[0], [1], [2], [3]])
+    nd = ([[1, 0], [0, 1], [1, 1], [2, 0], [0, 2], [2, 1]],
+          [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
+    fd = ([[1], [2]], [[0], [1], [2]])
+    fd_nd = ([[1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1]])
+    cases = [(f, vb.make_model(f), rng.uniform(*r, size=1), scalar)
+             for f, r in SCALAR_RANGES.items() for _ in range(2)]
+    nd_model = vb.gaussian_mean_nd(2)
+    cases += [("gaussian-mean-nd", nd_model, rng.uniform(-1.0, 1.0, size=2), nd)
+              for _ in range(2)]
+    fd_families = (("poisson", (-1.0, 1.0), fd), ("exponential-rate", (-3.0, -1.5), fd),
+                   ("gaussian-mean-nd", (-1.0, 1.0), fd_nd))
+    for f, r, idx in fd_families if with_fd else ():
+        model = dataclasses.replace(vb.make_model(f), closed_moments=None)
+        cases.append((f"{f}-fd", model, rng.uniform(*r, size=model.param_dim), idx))
+    for k, (name, model, x0, (bhat, moments)) in enumerate(cases):
+        idxs = [MultiIndex(p) for p in bhat]
+        yield pytest.param(model, x0, idxs, [MultiIndex(p) for p in moments],
+                           id=f"{name}-{k}")
+
+
+class TestMomentAlgebraOracle:
+    """The cached Leibniz terms give, bit for bit, what the MultiIndex loops gave."""
+
+    def test_cases_cover_every_scalar_family(self):
+        scalar = {f for f in vb.BUILTIN_FAMILIES if vb.make_model(f).param_dim == 1}
+        assert scalar == set(SCALAR_RANGES)
+
+    @pytest.mark.parametrize("model, x0, idxs, moment_idxs", _moment_cases())
+    def test_tables_and_reciprocal_series(self, model, x0, idxs, moment_idxs):
+        cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
+        mu = moment_table(model, x0, cap.plus(cap))
+        expected = loop_moment_table(model, x0, cap.plus(cap))
+        assert list(mu) == list(expected)
+        assert _hexes(list(mu.values())) == _hexes(list(expected.values()))
+        nu = reciprocal_series(mu, cap)
+        expected_nu = loop_reciprocal_series(mu, cap)
+        assert list(nu) == list(expected_nu)
+        assert _hexes(list(nu.values())) == _hexes(list(expected_nu.values()))
+
+    @pytest.mark.parametrize("model, x0, idxs, moment_idxs", _moment_cases())
+    def test_mean_derivatives(self, model, x0, idxs, moment_idxs):
+        for component in range(model.param_dim):
+            gamma, expected = vb.expfam_mean(model, component), loop_mean(model, component)
+            got = [gamma.derivative(x0, p) for p in idxs]
+            assert _hexes(got) == _hexes([expected.derivative(x0, p) for p in idxs])
+
+    @pytest.mark.parametrize("model, x0, idxs, moment_idxs", _moment_cases())
+    def test_bounds(self, model, x0, idxs, moment_idxs):
+        gamma, expected_gamma = vb.expfam_mean(model), loop_mean(model)
+        for got, expected in (
+                (vb.bhattacharyya(model, gamma, x0, idxs),
+                 loop_bhattacharyya(model, expected_gamma, x0, idxs)),
+                (vb.expfam_bound(model, gamma, x0, moment_idxs),
+                 loop_expfam_bound(model, expected_gamma, x0, moment_idxs))):
+            assert got.value.hex() == expected.value.hex()
+            assert _hex(got.diagnostics) == _hex(expected.diagnostics)
+
+    # on the finite-difference path these differentiate the kernel: no Leibniz sum
+    @pytest.mark.parametrize("model, x0, idxs, moment_idxs", _moment_cases(with_fd=False))
+    def test_deriv_inner_products_and_gram(self, model, x0, idxs, moment_idxs, monkeypatch):
+        assert _hexes(deriv_inner_products(model, x0, idxs)) == \
+            _hexes(loop_deriv_inner_products(model, x0, idxs))
+        ev = ExpfamKernelEvaluator(model, x0)
+        basis = [PointBasis(x0 + 0.3), DerivBasis(tuple(idxs[0])), DiffBasis(x0 - 0.2)] \
+            + [DerivBasis(tuple(p)) for p in idxs[1:]]
+        with monkeypatch.context() as m:
+            m.setattr(kernel_module, "_exact_tables", loop_tables)
+            m.setattr(kernel_module, "_exact_deriv_inner", loop_deriv_inner)
+            m.setattr(kernel_module, "_exact_point_deriv", loop_point_deriv)
+            expected = gram(ev, basis)
+        assert _hexes(gram(ev, basis)) == _hexes(expected)
+
+    def test_run_gives_the_same_csv_with_a_cold_and_a_warm_cache(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "scripts" / "configs" \
+            / "poisson_moments.yaml"
+        calculus_module._leibniz_terms.cache_clear()
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"run{k}.csv"
+            assert cli_main(["run", "--config", str(config), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert calculus_module._leibniz_terms.cache_info().hits > 0
+        assert outputs[0] == outputs[1]
+
+
+class TestMomentAlgebraWork:
+    """A warm bound call builds no multi-index combinatorics and computes the
+    moments the MultiIndex loops computed."""
+
+    @pytest.mark.parametrize("bound, indices, moments", [
+        # 18 moments for the mean derivatives of orders 1-4, 9 for the order-8 table
+        (vb.bhattacharyya, [[1], [2], [3], [4]], 27),
+        # 7 for the order-6 table, 26 inside n and 1 for gamma(x0)^2
+        (vb.expfam_bound, [[0], [1], [2], [3]], 34),
+    ])
+    def test_warm_call(self, monkeypatch, bound, indices, moments):
+        model = vb.poisson()
+        gamma = vb.expfam_mean(model)
+        bound(model, gamma, [0.3], indices)
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("multi_binomial", "multi_indices_leq"):
+            monkeypatch.setattr(calculus_module, name,
+                                counting(name, getattr(calculus_module, name)))
+        counted_moment = counting("moment", calculus_module.moment)
+        monkeypatch.setattr(calculus_module, "moment", counted_moment)
+        monkeypatch.setattr(models_module, "moment", counted_moment)
+        bound(model, gamma, [0.3], indices)
+        assert counts["multi_binomial"] == counts["multi_indices_leq"] == 0
+        assert counts["moment"] == moments

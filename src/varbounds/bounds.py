@@ -16,7 +16,7 @@ from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_tab
 from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
     NaturalSpaceError
 from .kernel import ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
-    MonteCarloKernelEvaluator, deriv_inner_products, gram_system, make_gram_system, \
+    MonteCarloKernelEvaluator, deriv_inner_products, difference_block, make_gram_system, \
     signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, \
     as_param, log_density_batch, mean_partial, sample
@@ -64,19 +64,23 @@ class TestPointSet:
         return len(self.points)
 
 
-def _projection(system: GramSystem, offset=0.0) -> tuple[float, dict]:
-    """rhs' G^+ rhs - offset, clamped at zero, with the Gram diagnostics every
+def _clamped(value: float, rank: int, condition_number: float,
+             min_eigenvalue: float) -> tuple[float, dict]:
+    """A projection value clamped at zero, with the Gram diagnostics every
     bound reports."""
-    value = signed_sq_norm(system) - offset
-    diagnostics = {
-        "gram_rank": system.diagnostics["rank"],
-        "condition_number": system.diagnostics["condition_number"],
-        "min_eigenvalue": system.diagnostics["min_eigenvalue"],
-    }
+    diagnostics = {"gram_rank": rank, "condition_number": condition_number,
+                   "min_eigenvalue": min_eigenvalue}
     if value < 0.0:
         diagnostics["clamped_negative"] = True
         value = 0.0
     return value, diagnostics
+
+
+def _projection(system: GramSystem, offset=0.0) -> tuple[float, dict]:
+    """rhs' G^+ rhs - offset of a one-matrix system, clamped at zero."""
+    d = system.diagnostics
+    return _clamped(signed_sq_norm(system) - offset, d["rank"], d["condition_number"],
+                    d["min_eigenvalue"])
 
 
 def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> BoundResult:
@@ -234,10 +238,42 @@ def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
 
 
 def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
-                           points: Sequence[np.ndarray], pinv_tol: float):
-    """Projection of the centered mean onto the span of kernel differences."""
-    return _projection(gram_system(evaluator, np.asarray(points, dtype=float), gamma,
-                                   pinv_tol))
+                           configurations: Sequence, pinv_tol: float) -> list:
+    """Projection of the centered mean onto the span of the kernel differences
+    R(., x) - R(., x0) at the rows x of each configuration (an (m, N) array or
+    a sequence of m points): `(value, diagnostics)` per configuration, or None
+    where the kernel is undefined.
+
+    One `pairwise` per configuration; then, over the stack of the defined
+    configurations with the same m, the block formula, one `make_gram_system`
+    and one `signed_sq_norm` (a stack of one is their one-matrix case).
+    """
+    x0 = evaluator.x0
+    g0 = float(gamma.value(x0))
+    results = [None] * len(configurations)
+    stacks: dict[int, tuple[list, list, list]] = {}  # m -> positions, kernels, rhs
+    for i, points in enumerate(configurations):
+        points = np.asarray(points, dtype=float)
+        try:
+            K = evaluator.pairwise(np.concatenate((x0[None], points)))
+        except (NaturalSpaceError, KernelEvaluationError):
+            continue
+        positions, kernels, rhs = stacks.setdefault(len(points), ([], [], []))
+        positions.append(i)
+        kernels.append(K)
+        rhs.append([float(gamma.value(x)) - g0 for x in points])
+    for positions, kernels, rhs in stacks.values():
+        if len(positions) == 1:  # a stack of one is solved as one matrix
+            results[positions[0]] = _projection(make_gram_system(
+                difference_block(kernels[0]), rhs[0], pinv_tol))
+            continue
+        system = make_gram_system(difference_block(np.array(kernels)), rhs, pinv_tol)
+        d = system.diagnostics
+        for i, value, rank, condition, smallest in zip(
+                positions, signed_sq_norm(system), d["rank"], d["condition_number"],
+                d["min_eigenvalue"]):
+            results[i] = _clamped(value, rank, condition, smallest)
+    return results
 
 
 def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
@@ -249,10 +285,10 @@ def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
         evaluator.effective_sample_size(p) for p in points], "mc_standard_error": math.inf}
     values = []
     for sub in evaluator._halves():
-        try:
-            values.append(_difference_projection(sub, gamma, points, pinv_tol)[0])
-        except (NaturalSpaceError, KernelEvaluationError):
+        (result,) = _difference_projection(sub, gamma, [points], pinv_tol)
+        if result is None:
             return diagnostics
+        values.append(result[0])
     diagnostics["mc_standard_error"] = abs(values[0] - values[1]) / 2.0
     return diagnostics
 
@@ -268,7 +304,10 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
                               f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
-    value, diagnostics = _difference_projection(evaluator, gamma, tps.points, pinv_tol)
+    (result,) = _difference_projection(evaluator, gamma, [tps.points], pinv_tol)
+    if result is None:  # the kernel is undefined there: pairwise raises why
+        evaluator.pairwise(np.concatenate((x0[None], np.asarray(tps.points))))
+    value, diagnostics = result
     diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
@@ -302,6 +341,11 @@ class BarankinSearch:
             raise ValueError("max_points must be >= 1")
         if self.initial_step <= 0:
             raise ValueError("initial_step must be positive")
+        if self.restarts < 1 and not self.initial_points:
+            raise ValueError("restarts must be >= 1 when no initial_points are given")
+        if self.radius is not None and self.radius < self.min_distance:
+            raise ValueError(f"radius {self.radius} is below min_distance "
+                             f"{self.min_distance}, so no test point is allowed")
 
 
 def _remembering_values(gamma: MeanFunction) -> MeanFunction:
@@ -324,11 +368,22 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
                     pinv_tol: float = 1e-10) -> BoundResult:
     """Best test-point projection found by coordinate search with restarts.
 
-    The reported value is the running maximum over every configuration the
-    search evaluated, so it never decreases as the search proceeds.  Each
-    distinct configuration is computed once: `diagnostics["evaluations"]`
-    counts the computed ones and `diagnostics["revisits"]` the proposals of
-    a configuration the search had already computed.
+    Each start (the initial points, then one random point set per restart)
+    climbs on its own: it moves each coordinate of each point by +step and
+    then -step, keeps the first proposal that beats its current value, and
+    halves the step after a sweep that kept none.  The starts run in
+    lockstep.  A proposal of a configuration the search has computed is
+    answered at once; the distinct new configurations the starts propose
+    next are computed together, one stacked Gram solve per point count
+    (`diagnostics["gram_stacks"]` counts them).  So each distinct
+    configuration is computed once: `diagnostics["evaluations"]` counts the
+    computed ones and `diagnostics["revisits"]` the other proposals.
+
+    The reported value is the largest value of any proposal, so it never
+    decreases as the search proceeds.  A tie goes to the proposal that comes
+    first in serial order (start index, then proposal index), so the value,
+    `best_points` and the Gram diagnostics are those of running the starts
+    one after the other.
     """
     x0 = as_param(model, x0)
     cfg = search if search is not None else BarankinSearch()
@@ -352,34 +407,12 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
             return False
         return True
 
-    gamma = _remembering_values(gamma)
-    # value of each configuration computed in this search (None: kernel undefined)
-    seen: dict[bytes, float | None] = {}
-    evaluations = revisits = 0
-    best_value, best_diag, best_points = 0.0, {}, None
-
-    def objective(pts: np.ndarray) -> float | None:
-        nonlocal evaluations, revisits, best_value, best_diag, best_points
-        key = pts.tobytes()
-        if key in seen:
-            revisits += 1
-            return seen[key]
-        evaluations += 1
-        try:
-            value, diag = _difference_projection(evaluator, gamma, pts, pinv_tol)
-        except (NaturalSpaceError, KernelEvaluationError):
-            value = None
-        else:
-            if value > best_value:  # the first configuration with the largest value
-                best_value, best_diag, best_points = value, diag, pts  # never changed in place
-        seen[key] = value
-        return value
-
     lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
     hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
+    region = f"sampling box from {lo.tolist()} to {hi.tolist()}" + (
+        f" within radius {cfg.radius}" if cfg.radius is not None else "")
     if np.any(lo > hi):
-        raise DomainError(f"barankin_approx: empty sampling box from {lo.tolist()} to "
-                          f"{hi.tolist()} at x0={x0.tolist()}")
+        raise DomainError(f"barankin_approx: empty {region} at x0={x0.tolist()}")
 
     def random_points(rng) -> np.ndarray | None:
         pts = np.empty((cfg.max_points, len(x0)))
@@ -394,17 +427,21 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
         return pts
 
     starts: list[np.ndarray] = []
-    if cfg.initial_points is not None and len(cfg.initial_points) > 0:
+    if cfg.initial_points:
         starts.append(np.vstack([np.atleast_1d(p) for p in cfg.initial_points.points]))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         pts = random_points(rng)
         if pts is not None:
             starts.append(pts)
+    if not starts:
+        raise DomainError(f"barankin_approx: no start drawn in the {region} "
+                          f"at x0={x0.tolist()}")
 
-    trace = []
-    for start_idx, pts in enumerate(starts):
-        current = objective(pts)
+    def climb(pts: np.ndarray):
+        """One start's search: yields each proposal, receives its value (None:
+        kernel undefined) and returns the start's final value."""
+        current = yield pts
         if current is None:
             # invalid start (kernel undefined there): any valid move wins
             current = -math.inf
@@ -418,19 +455,72 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
                         cand[l, k] += direction * step
                         if not in_domain(cand[l]):
                             continue
-                        value = objective(cand)
+                        value = yield cand
                         if value is not None and value > current:
                             pts, current, improved = cand, value, True
                 if not improved:
                     break
             step *= 0.5
-        trace.append({"start": start_idx,
-                      "best_value": current if math.isfinite(current) else None})
+        return current
 
+    gamma = _remembering_values(gamma)
+    # (value, diagnostics) of each configuration computed (None: kernel undefined)
+    seen: dict[bytes, tuple[float, dict] | None] = {}
+    evaluations = revisits = gram_stacks = 0
+    best_value, best_at, best_diag, best_points = 0.0, None, {}, None
+    climbs = [climb(pts) for pts in starts]
+    proposed = [0] * len(climbs)  # proposals answered per start
+    finals: list[float] = [-math.inf] * len(climbs)
+
+    def answer(i: int, pts: np.ndarray, result) -> np.ndarray | None:
+        """Start i's next proposal after the one of pts, or None at its end."""
+        nonlocal best_value, best_at, best_diag, best_points
+        if result is not None:
+            value, at = result[0], (i, proposed[i])
+            if value > best_value or (value == best_value and best_at is not None
+                                      and at < best_at):
+                best_value, best_at, best_diag, best_points = value, at, result[1], pts
+        proposed[i] += 1
+        try:
+            return climbs[i].send(None if result is None else result[0])
+        except StopIteration as stop:
+            finals[i] = stop.value
+            return None
+
+    pending = {i: next(c) for i, c in enumerate(climbs)}  # start -> its proposal
+    while pending:
+        new: dict[bytes, tuple[np.ndarray, list[int]]] = {}  # key -> pts, starts
+        for i, pts in pending.items():
+            while pts is not None:
+                key = pts.tobytes()
+                if key not in seen:
+                    if key in new:
+                        revisits += 1
+                    new.setdefault(key, (pts, []))[1].append(i)
+                    break
+                revisits += 1
+                pts = answer(i, pts, seen[key])
+        if not new:  # the last starts ended on proposals the search had computed
+            break
+        configurations = [pts for pts, _ in new.values()]
+        results = _difference_projection(evaluator, gamma, configurations, pinv_tol)
+        evaluations += len(configurations)
+        # one solve per point count among the configurations with a kernel
+        gram_stacks += len({len(p) for p, r in zip(configurations, results) if r is not None})
+        pending = {}
+        for (key, (pts, waiting)), result in zip(new.items(), results):
+            seen[key] = result
+            for i in waiting:
+                nxt = answer(i, pts, result)
+                if nxt is not None:
+                    pending[i] = nxt
+
+    trace = [{"start": i, "best_value": v if math.isfinite(v) else None}
+             for i, v in enumerate(finals)]
     # best_diag holds the keys of a positive, hence unclamped, projection
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
                    **best_diag, "evaluations": evaluations, "revisits": revisits,
-                   "search_trace": trace}
+                   "gram_stacks": gram_stacks, "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
     if isinstance(evaluator, MonteCarloKernelEvaluator):
@@ -546,11 +636,14 @@ def barankin_search(options: dict, seed: int = 0) -> BarankinSearch:
 
 class _Method(NamedTuple):
     """call(model, gamma, x0, options, mc_samples, seed, pinv_tol) evaluates
-    the bound; required and optional map option names to their checks."""
+    the bound; required and optional map option names to their checks, and
+    joint(options), when set, raises ValueError for normalised options that
+    conflict with each other."""
 
     call: Callable[..., BoundResult]
     required: dict = {}
     optional: dict = {}
+    joint: Callable[[dict], object] | None = None
 
 
 #: The one table of bound methods.  Each call looks its bound up by module
@@ -566,7 +659,8 @@ METHODS: dict[str, _Method] = {
         m, g, x, TestPointSet(o["points"]), mc_samples=n, seed=s, pinv_tol=t),
         {"points": _points}),
     "barankin_approx": _Method(lambda m, g, x, o, n, s, t: barankin_approx(
-        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS),
+        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS,
+        joint=barankin_search),
     "expfam_moment": _Method(lambda m, g, x, o, n, s, t: expfam_bound(
         m, g, x, o["indices"], pinv_tol=t), {"indices": _indices(0)}),
     "expfam_crb": _Method(lambda m, g, x, o, n, s, t: expfam_crb(m, g, x, pinv_tol=t)),
@@ -589,6 +683,11 @@ def method_options(name: str, options: dict, dim: int) -> dict:
             out[key] = checks[key](value, dim)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{key}: {exc} for {name!r}") from exc
+    if METHODS[name].joint is not None:
+        try:
+            METHODS[name].joint(out)
+        except ValueError as exc:
+            raise ValueError(f"{exc} for {name!r}") from exc
     return out
 
 

@@ -28,6 +28,10 @@ from .harness import MIN_DRAWS, format_float, phi_estimator, constant_estimator,
 from .models import BUILTIN_FAMILIES, MeanFunction, constant_mean, expfam_mean, \
     identity_mean, make_model, polynomial_mean
 
+#: libyaml's loader where PyYAML was built with it: the same documents and
+#: error marks as the pure-Python SafeLoader, several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _NUMERICAL_ERRORS = (NaturalSpaceError, KernelEvaluationError, StencilError,
                      ConstraintRankError, DataError, DomainError, np.linalg.LinAlgError,
                      FloatingPointError)
@@ -293,7 +297,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -403,10 +407,12 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         raise ConfigurationError("x0: reduce requires a single parameter vector")
     options = next((spec.options for spec in cfg.methods
                     if spec.name == "barankin_approx"), {})
+    search = barankin_search(options)
+    # each radius must leave room for test points beyond min_distance
+    _section("radii", lambda: [replace(search, radius=r) for r in cfg.radii])
     report = _numerically(f"in method 'barankin_approx' at x0={list(cfg.x0)}",
                           reduction_experiment, model, gamma, np.asarray(cfg.x0), cfg.radii,
-                          barankin_search(options), mc_samples=cfg.mc.samples,
-                          seed=cfg.mc.seed)
+                          search, mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
     if cfg.output.path:
         _write(cfg.output.path, report.write_csv)
     if cfg.output.format == "pretty":

@@ -69,17 +69,20 @@ class ExpfamKernelEvaluator:
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         """Kernel matrix over rows of `points`, vectorized through log_lambda."""
-        P = np.atleast_2d(np.asarray(points, dtype=float))
+        P = np.asarray(points, dtype=float)
+        if P.ndim < 2:
+            P = P.reshape(1, -1)
+        # the ufunc reductions are what .all() and .max() call, without their wrappers
         lls = np.asarray(self.model.log_lambda(P), dtype=float)
-        if not np.isfinite(lls).all():
+        if not np.logical_and.reduce(np.isfinite(lls), axis=None):
             raise NaturalSpaceError(P[~np.isfinite(lls)][0])
-        sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
+        sums = (P[:, None, :] + P - self.x0).reshape(-1, P.shape[1])
         ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
-        if not np.isfinite(ll_sums).all():
+        if not np.logical_and.reduce(np.isfinite(ll_sums), axis=None):
             raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
                                     context="x1 + x2 - x0 must lie in the natural space")
-        expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
-        if not expo.max() <= _EXP_MAX:
+        expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - np.add.outer(lls, lls)
+        if not np.maximum.reduce(expo, axis=None) <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
         return np.exp(expo)
 
@@ -320,48 +323,93 @@ class GramSystem:
 
 
 def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) -> GramSystem:
-    """One `eigh` of G, eigenpairs in descending order of |eigenvalue|.  ValueError
-    unless G is square, has one row per rhs entry and is symmetric within
-    1e-12 * max(1, max|G|); DataError names the first non-finite entry of G or
-    rhs.  rank = #{|eigenvalue| > pinv_tol * max|eigenvalue|} (0 for G = 0),
-    condition_number = max|eigenvalue| / min|eigenvalue| (inf at 0), and
-    min_eigenvalue is the smallest signed eigenvalue."""
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if G.shape[0] != G.shape[1] or G.shape[0] != rhs.size:
+    """One `eigh` of G, eigenpairs in descending order of |eigenvalue|.
+
+    G is one (m, m) matrix with an (m,) rhs, or a stack (B, m, m) of them
+    with a (B, m) rhs, whose diagnostics are lists with one entry per
+    matrix; one matrix is solved as a stack of one.  ValueError unless every
+    G is square, has one row per rhs entry and is symmetric within
+    1e-12 * max(1, max|G|); DataError names the first non-finite entry of G
+    or rhs (and its matrix in a stack).  rank = #{|eigenvalue| > pinv_tol *
+    max|eigenvalue|} (0 for G = 0), condition_number = max|eigenvalue| /
+    min|eigenvalue| (inf at 0), and min_eigenvalue is the smallest signed
+    eigenvalue."""
+    G = np.asarray(G, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    stacked = G.ndim == 3
+    if G.ndim < 2:
+        G = G.reshape(1, -1)
+    if rhs.ndim < 1:
+        rhs = rhs.reshape(1)
+    Gs, rs = (G, rhs) if stacked else (G[None], rhs[None])
+    B, m = Gs.shape[:2]
+    if Gs.ndim != 3 or Gs.shape[2] != m or rs.shape != (B, m):
         raise ValueError(f"incompatible Gram shapes {G.shape} and {rhs.shape}")
-    if not G.size:
-        return GramSystem(G, rhs, np.empty(0), np.empty((0, 0)), float(pinv_tol),
-                          {"rank": 0, "min_eigenvalue": 0.0, "condition_number": math.inf})
-    scale = float(np.abs(G).max())  # NaN and inf propagate through max
-    if not (math.isfinite(scale) and np.isfinite(rhs).all()):
-        name, x = ("Gram matrix", G) if not math.isfinite(scale) else ("right-hand side", rhs)
-        bad = tuple(np.argwhere(~np.isfinite(x))[0].tolist())
-        raise DataError(f"non-finite {name} entry at index {bad}")
-    # G - G.T is exactly antisymmetric, so its max is its largest |entry|
-    if float((G - G.T).max()) > 1e-12 * max(1.0, scale):
-        raise ValueError("Gram matrix is not symmetric")
-    w, v = np.linalg.eigh(G)
-    aw = np.abs(w)
-    # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
-    order = aw.argsort()[::-1]
-    s = aw[order]
-    smax = float(s[0])
-    rank = int(np.count_nonzero(s > pinv_tol * smax)) if smax > 0 else 0
-    cond = float(smax / s[-1]) if s[-1] > 0 else math.inf
-    return GramSystem(matrix=G, rhs=rhs, eigenvalues=w[order], eigenvectors=v.T[order],
-                      pinv_tol=float(pinv_tol),
-                      diagnostics={"rank": rank, "min_eigenvalue": float(w[0]),
-                                   "condition_number": cond})
+    in_system = " in system {}" if stacked else ""
+    if m:
+        # the ufunc reductions are what .max() and .all() call, without their wrappers
+        scale = np.maximum.reduce(np.abs(Gs), axis=(1, 2)).tolist()  # NaN and inf propagate
+        if not (all(map(math.isfinite, scale))
+                and np.logical_and.reduce(np.isfinite(rs), axis=None)):
+            name, x = ("Gram matrix", Gs) if not all(map(math.isfinite, scale)) \
+                else ("right-hand side", rs)
+            b, *bad = np.argwhere(~np.isfinite(x))[0].tolist()
+            raise DataError(f"non-finite {name} entry at index {tuple(bad)}"
+                            + in_system.format(b))
+        # G - G.T is exactly antisymmetric, so its max is its largest |entry|
+        asymmetry = np.maximum.reduce(Gs - Gs.swapaxes(1, 2), axis=(1, 2)).tolist()
+        if max(asymmetry) > 1e-12 * max(1.0, min(scale)):  # the smallest tolerance
+            for b, (a, sc) in enumerate(zip(asymmetry, scale)):
+                if a > 1e-12 * max(1.0, sc):
+                    raise ValueError("Gram matrix is not symmetric" + in_system.format(b))
+        w, v = np.linalg.eigh(Gs)
+        ascending = w.tolist()
+        # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
+        order = np.abs(w).argsort(axis=1)[:, ::-1]
+        if B > 1:
+            rows = np.arange(B)[:, None]
+            w, vt = w[rows, order], v.swapaxes(1, 2)[rows, order]
+        else:  # the same rows, by the cheaper one-array index
+            w, vt = w[0][order], v[0].T[order]
+    else:
+        w, vt, ascending = np.empty((B, 0)), np.empty((B, 0, 0)), [[0.0]] * B
+    ranks, conditions = [], []
+    for row in ascending:
+        s = [abs(x) for x in row]
+        smax, smin = max(s), min(s)
+        ranks.append(len([x for x in s if x > pinv_tol * smax]))
+        conditions.append(smax / smin if smin > 0 else math.inf)
+    if stacked:
+        return GramSystem(G, rhs, w, vt, float(pinv_tol), {
+            "rank": ranks, "min_eigenvalue": [row[0] for row in ascending],
+            "condition_number": conditions})
+    return GramSystem(G, rhs, w[0], vt[0], float(pinv_tol), {
+        "rank": ranks[0], "min_eigenvalue": ascending[0][0], "condition_number": conditions[0]})
 
 
-def signed_sq_norm(system: GramSystem) -> float:
+def _sq_norm(eigenvectors, eigenvalues, rhs, rank) -> float:
+    coeff = eigenvectors[:rank] @ rhs
+    return float(np.add.reduce(coeff * coeff / eigenvalues[:rank]))  # what .sum() calls
+
+
+def signed_sq_norm(system: GramSystem):
     """rhs' G^+ rhs over the leading `rank` eigenpairs, those with |eigenvalue|
-    above pinv_tol times the largest.  Not clamped: an indefinite matrix can
-    give a negative value."""
-    rank = system.diagnostics["rank"]
-    coeff = system.eigenvectors[:rank] @ system.rhs
-    return float((coeff * coeff / system.eigenvalues[:rank]).sum())
+    above pinv_tol times the largest; a list with one value per matrix for a
+    stacked system.  Not clamped: an indefinite matrix can give a negative
+    value."""
+    V, w, rhs, rank = (system.eigenvectors, system.eigenvalues, system.rhs,
+                       system.diagnostics["rank"])
+    if V.ndim == 2:
+        return _sq_norm(V, w, rhs, rank)
+    m = w.shape[1]
+    if m < 8 and all(r == m for r in rank):
+        # every matrix keeps all its eigenpairs: the stacked matmul makes the
+        # one-matrix BLAS call per matrix, and numpy sums fewer than 8 terms
+        # in order, so this rounds as the one-matrix path does.  A truncated
+        # matrix is not stacked: its rank-1 product goes through dot, not gemv
+        coeff = (V @ rhs[:, :, None])[:, :, 0]
+        return np.add.reduce(coeff * coeff / w, axis=1).tolist()
+    return [_sq_norm(*matrix) for matrix in zip(V, w, rhs, rank)]
 
 
 def projected_sq_norm(system: GramSystem) -> float:
@@ -369,26 +417,32 @@ def projected_sq_norm(system: GramSystem) -> float:
     return max(signed_sq_norm(system), 0.0)
 
 
+def difference_block(K: np.ndarray, d=None) -> np.ndarray:
+    """Gram block ((K_ij - d_j K_i0) - d_i K_0j) + d_i d_j K_00 of the point
+    and difference basis functions at x_1, ..., x_m, from the kernel matrix K
+    over [x0, x_1, ..., x_m] or a stack of them; d_i = 1 marks a difference
+    R(., x_i) - R(., x0) and 0 a point R(., x_i), and d = None makes every
+    basis function a difference (x * 1.0 is x, so the values are the same)."""
+    Ki0, K0j, K00 = K[..., 1:, :1], K[..., :1, 1:], K[..., :1, :1]
+    if d is None:
+        return ((K[..., 1:, 1:] - Ki0) - K0j) + K00
+    dcol = d[:, None]
+    return ((K[..., 1:, 1:] - Ki0 * d) - dcol * K0j) + dcol * (d * K00)
+
+
 def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
     """Gram matrix of inner products among basis functions, assembled from
     kernel values and kernel derivatives via the reproducing property.
 
-    Point and difference entries come from one pairwise kernel matrix K over
-    [x0, x_1, ..., x_m] as ((K_ij - d_j K_i0) - d_i K_0j) + d_i d_j K_00,
-    with d_i = 1 for a difference basis and 0 for a point basis.  An (m, N)
-    array `basis` is the difference basis R(., x) - R(., x0) at its rows x.
+    Point and difference entries are the `difference_block` of one pairwise
+    kernel matrix over [x0, x_1, ..., x_m].
     """
     x0 = evaluator.x0
-    if isinstance(basis, np.ndarray):  # scalar d = 1: the products round the same
-        deriv, P, d, dcol = [], np.concatenate((x0[None], basis)), 1.0, 1.0
-    else:
-        deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
-        points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
-        P = np.array([x0] + [basis[i].x for i in points], dtype=float)
-        d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
-        dcol = d[:, None]
-    K = evaluator.pairwise(P)
-    block = ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
+    deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
+    points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
+    P = np.array([x0] + [basis[i].x for i in points], dtype=float)
+    d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
+    block = difference_block(evaluator.pairwise(P), d)
     if not deriv:
         return block
 
@@ -401,7 +455,7 @@ def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
         D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
     else:
         D = np.array([[derivative_kernel_function(evaluator, p, a) for p in idxs] for a in P])
-    cross = D[1:] - dcol * D[:1]
+    cross = D[1:] - d[:, None] * D[:1]
     G = np.empty((len(basis), len(basis)))
     G[np.ix_(points, points)] = block
     G[np.ix_(points, deriv)] = cross
@@ -413,11 +467,9 @@ def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
 def gram_rhs(evaluator: KernelEvaluator, basis: Sequence, gamma: MeanFunction) -> np.ndarray:
     """Inner products of the mean function with each basis function, obtained
     by the reproducing property: evaluation for point bases, differences for
-    difference bases, partial derivatives for derivative bases; `basis` as in `gram`."""
+    difference bases, partial derivatives for derivative bases."""
     x0 = evaluator.x0
     g0 = float(gamma.value(x0))
-    if isinstance(basis, np.ndarray):
-        return np.array([float(gamma.value(x)) - g0 for x in basis])
     out = np.empty(len(basis))
     for i, b in enumerate(basis):
         if isinstance(b, DerivBasis):

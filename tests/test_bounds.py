@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -288,6 +288,24 @@ class TestBarankin:
             assert pt[0] < 0.0
             assert abs(pt[0] + 2.0) <= 1.5 + 1e-12
 
+    @pytest.mark.parametrize("options, match", [({"restarts": 0}, "restarts"),
+                                                ({"radius": 1.0e-7}, "min_distance")])
+    def test_search_with_nothing_to_search_is_rejected(self, options, match):
+        # both used to give a value of 0 after 0 evaluations
+        with pytest.raises(ValueError, match=match):
+            BarankinSearch(**options)
+        with pytest.raises(ValueError, match=match):
+            method_options("barankin_approx", options, 1)
+        if "restarts" in options:
+            with pytest.raises(ValueError, match=match):
+                BarankinSearch(initial_points=TestPointSet([]), **options)
+
+    def test_search_that_draws_no_start_is_a_domain_error(self):
+        search = BarankinSearch(restarts=2, radius=1.0, lower=(0.99999,), upper=(10.0,))
+        with pytest.raises(DomainError, match=r"no start drawn in the sampling box .* "
+                                              r"within radius 1.0 at x0=\[0.0\]"):
+            vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0], search)
+
     def test_monte_carlo_search_reports_effective_sample_sizes(self):
         p = vb.poisson()
         res = vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
@@ -375,9 +393,10 @@ class TestBarankinSearchWork:
         configurations, values = [], []
         projection = bounds_module._difference_projection
 
-        def tracked_projection(evaluator, g, points, pinv_tol):
-            configurations.append((evaluator, b"".join(p.tobytes() for p in points)))
-            return projection(evaluator, g, points, pinv_tol)
+        def tracked_projection(evaluator, g, stack, pinv_tol):
+            configurations.extend((evaluator, np.asarray(points, dtype=float).tobytes())
+                                  for points in stack)
+            return projection(evaluator, g, stack, pinv_tol)
 
         def counted_value(x):
             values.append(np.asarray(x, dtype=float).tobytes())
@@ -395,8 +414,9 @@ class TestBarankinSearchWork:
     @pytest.mark.parametrize("name", ["gaussian-mean", "poisson", "bernoulli",
                                       "exponential-rate", "exponential-rate-unboxed"])
     def test_closed_form_work_per_configuration(self, name, monkeypatch):
-        # one kernel matrix per computed configuration, one eigh per
-        # configuration whose kernel is defined, and no other decomposition
+        # one kernel matrix per computed configuration, one eigh per stacked
+        # solve, each stack holding the configurations whose kernel is
+        # defined, and no other decomposition
         model, gamma, x0, search, kwargs = _search_case(name)
         calls = Counter()
         pairwise = vb_kernel.ExpfamKernelEvaluator.pairwise
@@ -410,6 +430,8 @@ class TestBarankinSearchWork:
         def counted(fn):
             def call(*args, **kwargs):
                 calls[fn.__name__] += 1
+                if fn.__name__ == "eigh":
+                    calls["stacked rows"] += len(args[0])
                 return fn(*args, **kwargs)
             return call
 
@@ -420,10 +442,200 @@ class TestBarankinSearchWork:
                                 counted(getattr(np.linalg, decomposition)))
         res = vb.barankin_approx(model, gamma, x0, search, **kwargs)
         assert calls["pairwise"] == res.diagnostics["evaluations"]
-        assert calls["eigh"] == calls["defined"]
-        assert set(calls) == {"pairwise", "defined", "eigh"}
+        assert calls["eigh"] == res.diagnostics["gram_stacks"] < calls["defined"]
+        assert calls["stacked rows"] == calls["defined"]
+        assert set(calls) == {"pairwise", "defined", "eigh", "stacked rows"}
         if name == "exponential-rate-unboxed":
             assert 0 < calls["defined"] < calls["pairwise"]
+
+
+def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10):
+    """The search loop before the starts ran in lockstep: each start climbs to
+    its end before the next one starts, every configuration is projected on
+    its own, and the best is the first computed configuration with the
+    largest value.  Returns the value and the diagnostics without
+    `gram_stacks`."""
+    x0 = bounds_module.as_param(model, x0)
+    cfg = search
+    evaluator = bounds_module._make_evaluator(model, x0, mc_samples, cfg.seed)
+    lower = np.asarray(cfg.lower, dtype=float) if cfg.lower is not None else None
+    upper = np.asarray(cfg.upper, dtype=float) if cfg.upper is not None else None
+
+    def in_domain(pt):
+        distance = np.linalg.norm(pt - x0)
+        if distance < cfg.min_distance:
+            return False
+        if cfg.radius is not None and distance > cfg.radius:
+            return False
+        if lower is not None and np.any(pt < lower):
+            return False
+        return not (upper is not None and np.any(pt > upper))
+
+    lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
+    hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
+
+    def random_points(rng):
+        pts = np.empty((cfg.max_points, len(x0)))
+        for l in range(cfg.max_points):
+            for _ in range(100):
+                cand = rng.uniform(lo, hi)
+                if in_domain(cand):
+                    pts[l] = cand
+                    break
+            else:
+                return None
+        return pts
+
+    starts = []
+    if cfg.initial_points is not None and len(cfg.initial_points) > 0:
+        starts.append(np.vstack([np.atleast_1d(p) for p in cfg.initial_points.points]))
+    for r in range(cfg.restarts):
+        pts = random_points(np.random.default_rng([cfg.seed, r]))
+        if pts is not None:
+            starts.append(pts)
+
+    gamma = bounds_module._remembering_values(gamma)
+    seen = {}
+    work = Counter()
+    best = [0.0, {}, None]
+
+    def objective(pts):
+        key = pts.tobytes()
+        if key in seen:
+            work["revisits"] += 1
+            return seen[key]
+        work["evaluations"] += 1
+        [result] = bounds_module._difference_projection(evaluator, gamma, [pts], pinv_tol)
+        value = None if result is None else result[0]
+        if value is not None and value > best[0]:
+            best[:] = [value, result[1], pts]
+        seen[key] = value
+        return value
+
+    trace = []
+    for start_idx, pts in enumerate(starts):
+        current = objective(pts)
+        if current is None:
+            current = -math.inf
+        step = cfg.initial_step
+        for _level in range(cfg.halvings):
+            for _sweep in range(cfg.max_sweeps_per_level):
+                improved = False
+                for l in range(pts.shape[0]):
+                    for k in range(pts.shape[1]):
+                        for direction in (1.0, -1.0):
+                            cand = pts.copy()
+                            cand[l, k] += direction * step
+                            if not in_domain(cand[l]):
+                                continue
+                            value = objective(cand)
+                            if value is not None and value > current:
+                                pts, current, improved = cand, value, True
+                if not improved:
+                    break
+            step *= 0.5
+        trace.append({"start": start_idx,
+                      "best_value": current if math.isfinite(current) else None})
+
+    value, best_diag, best_points = best
+    diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
+                   **best_diag, "evaluations": work["evaluations"],
+                   "revisits": work["revisits"], "search_trace": trace}
+    if best_points is not None:
+        diagnostics["best_points"] = [p.tolist() for p in best_points]
+    if isinstance(evaluator, vb_kernel.MonteCarloKernelEvaluator):
+        diagnostics.update(bounds_module._mc_diagnostics(evaluator, gamma, best_points,
+                                                         pinv_tol))
+    return max(value, 0.0), diagnostics
+
+
+def _restart_draw(search, r=0):
+    """The point set restart r of a search over a scalar family draws (every
+    draw of the default ball around x0 = 0 is accepted)."""
+    rng = np.random.default_rng([search.seed, r])
+    return [rng.uniform([-search.radius], [search.radius]).tolist()
+            for _ in range(search.max_points)]
+
+
+def _lockstep_case(name):
+    if name in PINNED_SEARCHES:
+        return _search_case(name)
+    g, identity = vb.gaussian_mean(), vb.identity_mean()
+    if name == "gaussian-mean-nd":
+        model = vb.make_model("gaussian-mean-nd")
+        return (model, vb.expfam_mean(model, 1), [0.2, -0.1],
+                BarankinSearch(restarts=3, halvings=4, max_points=2, seed=2), {})
+    if name == "initial-points":
+        # a 2-point start beside 3-point restarts: two stacks per step
+        return (g, identity, [0.0], BarankinSearch(
+            initial_points=TestPointSet([[0.8], [-1.3]]), restarts=2, halvings=5,
+            max_points=3, seed=3), {})
+    if name == "same-start-twice":
+        search = BarankinSearch(restarts=2, halvings=4, max_points=2, seed=6)
+        return (g, identity, [0.0], replace(search, initial_points=TestPointSet(
+            _restart_draw(search))), {})
+    if name == "mirrored-starts":
+        # kernel and mean are symmetric about x0 = 0, so the mirrored start
+        # reaches the mirrored configurations with the same values, and the
+        # random start moves on its first proposal where the initial one
+        # moves on its second
+        search = BarankinSearch(restarts=1, halvings=6, max_points=1, seed=8)
+        return (g, identity, [0.0], replace(search, initial_points=TestPointSet(
+            [[-p[0]] for p in _restart_draw(search)])), {})
+    if name == "generic-poisson-two-restarts":
+        p = vb.poisson()
+        return (vb.as_generic(p), vb.expfam_mean(p), [0.0],
+                BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
+                {"mc_samples": 2_000})
+    raise KeyError(name)
+
+
+LOCKSTEP_CASES = ["gaussian-mean", "poisson", "bernoulli", "exponential-rate",
+                  "exponential-rate-unboxed", "gaussian-mean-nd", "initial-points",
+                  "same-start-twice", "mirrored-starts", "generic-poisson-two-restarts"]
+
+
+def _hexed(diagnostics):
+    def hexed(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, list):
+            return [hexed(x) for x in v]
+        if isinstance(v, dict):
+            return {k: hexed(x) for k, x in v.items()}
+        return v
+    return hexed(diagnostics)
+
+
+class TestLockstepSearch:
+    """The lockstep search is the serial one bit for bit."""
+
+    @pytest.mark.parametrize("name", LOCKSTEP_CASES)
+    def test_matches_the_serial_search(self, name):
+        model, gamma, x0, search, kwargs = _lockstep_case(name)
+        value, diagnostics = serial_barankin(model, gamma, x0, search, **kwargs)
+        res = vb.barankin_approx(model, gamma, x0, search, **kwargs)
+        got = dict(res.diagnostics)
+        stacks = got.pop("gram_stacks")
+        assert res.value.hex() == value.hex()
+        assert _hexed(got) == _hexed(diagnostics)
+        assert 0 < stacks < got["evaluations"]
+
+    def test_the_cases_reach_ties_and_stacks(self):
+        # same-start-twice: every proposal of one start is a revisit of the
+        # other's; mirrored-starts: both starts end on the same value
+        model, gamma, x0, search, kwargs = _lockstep_case("same-start-twice")
+        d = vb.barankin_approx(model, gamma, x0, search, **kwargs).diagnostics
+        trace = d["search_trace"]
+        assert trace[0]["best_value"] == trace[1]["best_value"]
+        assert d["revisits"] >= d["evaluations"]
+        model, gamma, x0, search, kwargs = _lockstep_case("mirrored-starts")
+        d = vb.barankin_approx(model, gamma, x0, search, **kwargs).diagnostics
+        trace = d["search_trace"]
+        assert trace[0]["best_value"] == trace[1]["best_value"]
+        # the random start is one proposal ahead, but the tie goes to the
+        # first start: the best point lies on the initial point's side
+        assert np.sign(d["best_points"][0][0]) == np.sign(search.initial_points.points[0][0])
 
 
 class TestExpfamBound:

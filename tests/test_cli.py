@@ -80,6 +80,14 @@ class TestConfigParsing:
     def test_example_configs_load(self, path):
         assert load_config(str(path)).methods
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_libyaml_and_python_loaders_agree(self, path):
+        fast = getattr(yaml, "CSafeLoader", None)
+        if fast is None:
+            pytest.skip("PyYAML was built without libyaml")
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+
     def test_invalid_yaml_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("model:\n  family: [unclosed\n", encoding="utf-8")
@@ -170,6 +178,24 @@ class TestRunCommand:
         assert (methods[0]["name"] if model is None else "model") in captured.err
         if code == 3:
             assert "x0=[0.5]" in captured.err
+
+    @pytest.mark.parametrize("options", [{"restarts": 0}, {"radius": 1.0e-7}],
+                             ids=["no-restarts", "radius-below-min-distance"])
+    def test_search_with_nothing_to_search_exits_2(self, tmp_path, capsys, options):
+        # both used to print a value of 0 after 0 evaluations, with exit 0
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", **options}]}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: methods[0]") and "Traceback" not in err
+
+    def test_search_that_draws_no_start_exits_3(self, tmp_path, capsys):
+        # the box meets the ball around x0 only in [0.99999, 1]
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 2,
+                                            "radius": 1.0, "lower": [0.99999],
+                                            "upper": [10.0]}]}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert "no start drawn" in err and "x0=[0.0]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_output_in_missing_directory_exits_2_before_any_bound(
@@ -352,6 +378,14 @@ class TestReduceCommand:
         assert "spread across radii" in capsys.readouterr().out
         rows = read_rows(out)
         assert [float(r["radius"]) for r in rows] == [0.25, 1.0]
+
+    def test_radius_below_min_distance_exits_2(self, tmp_path, capsys):
+        # no test point fits between min_distance and the radius
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 1}],
+               "radii": [0.25, 1.0e-7]}
+        assert main(["reduce", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: radii") and "Traceback" not in err
 
     def test_reduce_requires_radii(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GAUSSIAN_RUN)

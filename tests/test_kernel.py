@@ -31,12 +31,14 @@ from varbounds.kernel import (
     PointBasis,
     derivative_kernel_function,
     deriv_inner_products,
+    difference_block,
     gram,
     gram_system,
     kernel_expfam,
     kernel_mc,
     make_gram_system,
     projected_sq_norm,
+    signed_sq_norm,
     suffstat_kernel_check,
 )
 from varbounds.models import log_density_batch
@@ -534,6 +536,84 @@ class TestProjectedSqNorm:
                 assert b >= a - 1e-9
 
 
+class TestStackedGramSystem:
+    """A stack of Gram systems is, matrix for matrix, the one-matrix system."""
+
+    @pytest.mark.parametrize("kinds", [
+        ("psd", "rank_deficient", "indefinite", "near_ties", "zero", "identity"),
+        ("psd", "indefinite", "near_ties", "identity", "psd", "psd")],
+        ids=["mixed-ranks", "full-ranks"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9])
+    def test_stack_equals_one_matrix_calls(self, m, kinds):
+        # a stack of full-rank matrices with m < 8 is solved by stacked
+        # products, any other stack matrix by matrix
+        rng = np.random.default_rng(100 + m)
+        mats, rhss = [], []
+        for kind in kinds:
+            Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            lam = rng.uniform(0.1, 10.0, size=m)
+            if kind == "rank_deficient":
+                lam[rng.random(m) < 0.5] = 0.0
+            elif kind == "indefinite":
+                lam[0] = -0.05
+            elif kind == "near_ties":
+                lam[:] = 1.0
+            G = (Q * lam) @ Q.T
+            G = {"zero": np.zeros((m, m)), "identity": np.eye(m)}.get(kind, (G + G.T) / 2)
+            mats.append(G)
+            rhss.append(rng.normal(size=m))
+        stacked = make_gram_system(np.array(mats), np.array(rhss), 1e-10)
+        values = signed_sq_norm(stacked)
+        assert len(values) == len(mats) == len(stacked.diagnostics["rank"])
+        for b, (G, rhs) in enumerate(zip(mats, rhss)):
+            one = make_gram_system(G, rhs, 1e-10)
+            assert np.array_equal(stacked.matrix[b], one.matrix)
+            assert np.array_equal(stacked.rhs[b], one.rhs)
+            assert _hexes(stacked.eigenvalues[b]) == _hexes(one.eigenvalues)
+            assert _hexes(stacked.eigenvectors[b]) == _hexes(one.eigenvectors)
+            assert stacked.pinv_tol == one.pinv_tol
+            assert _hex({k: v[b] for k, v in stacked.diagnostics.items()}) == \
+                _hex(one.diagnostics)
+            assert values[b].hex() == signed_sq_norm(one).hex()
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_full_rank_stacks_round_as_one_matrix(self, m):
+        # the stacked products over many random scales and conditionings
+        rng = np.random.default_rng(200 + m)
+        for _ in range(40):
+            B = int(rng.integers(2, 7))
+            A = rng.normal(size=(B, m, m)) * 10.0 ** rng.integers(-6, 6, size=(B, 1, 1))
+            G = A @ A.swapaxes(1, 2) + 1e-3 * np.eye(m)
+            rhs = rng.normal(size=(B, m)) * 10.0 ** rng.integers(-4, 4, size=(B, 1))
+            stacked = make_gram_system(G, rhs, 1e-10)
+            assert stacked.diagnostics["rank"] == [m] * B
+            expected = [signed_sq_norm(make_gram_system(g, r, 1e-10)).hex()
+                        for g, r in zip(G, rhs)]
+            assert [v.hex() for v in signed_sq_norm(stacked)] == expected
+
+    def test_stacked_checks_name_the_matrix(self):
+        G = np.array([np.eye(2)] * 3)
+        rhs = np.ones((3, 2))
+        bad = G.copy()
+        bad[1, 0, 1] = math.nan
+        with pytest.raises(DataError, match=r"Gram matrix entry at index \(0, 1\) in system 1"):
+            make_gram_system(bad, rhs)
+        bad_rhs = rhs.copy()
+        bad_rhs[2, 1] = math.inf
+        with pytest.raises(DataError, match=r"right-hand side entry at index \(1,\) in system 2"):
+            make_gram_system(G, bad_rhs)
+        asym = G.copy()
+        asym[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="not symmetric in system 2"):
+            make_gram_system(asym, rhs)
+        with pytest.raises(ValueError, match="incompatible Gram shapes"):
+            make_gram_system(G, np.ones((2, 2)))
+        empty = make_gram_system(np.empty((2, 0, 0)), np.empty((2, 0)))
+        assert empty.diagnostics == {"rank": [0, 0], "min_eigenvalue": [0.0, 0.0],
+                                     "condition_number": [math.inf, math.inf]}
+        assert signed_sq_norm(empty) == [0.0, 0.0]
+
+
 class TestSuffStatCheck:
     @staticmethod
     def _setup():
@@ -659,17 +739,22 @@ class TestDifferenceProjectionOracle:
         try:
             expected = parent_difference_projection(model, x0, points, gamma)
         except (NaturalSpaceError, KernelEvaluationError) as exc:
+            # the projection marks the configuration undefined, and hcrb
+            # raises the error the parent raised
+            assert _difference_projection(ev, gamma, [points], 1e-10) == [None]
             with pytest.raises(type(exc)) as got:
-                _difference_projection(ev, gamma, points, 1e-10)
+                vb.hcrb(model, gamma, x0, vb.TestPointSet(points))
             if isinstance(exc, NaturalSpaceError):
                 assert np.array_equal(got.value.point, exc.point)
                 assert got.value.context == exc.context
             return
         for given_points in (points, tuple(points)):  # search array, hcrb tuple
-            value, diagnostics = _difference_projection(ev, gamma, given_points, 1e-10)
+            [(value, diagnostics)] = _difference_projection(ev, gamma, [given_points], 1e-10)
             assert value.hex() == expected[0].hex()
             assert _hex(diagnostics) == _hex(expected[1])
-        assert np.array_equal(gram(ev, points), gram(ev, [DiffBasis(p) for p in points]))
+        K = ev.pairwise(np.concatenate((np.atleast_2d(x0), points)))
+        assert np.array_equal(difference_block(K[None])[0],
+                              gram(ev, [DiffBasis(p) for p in points]))
 
     def test_cases_cover_the_edges(self):
         names = {c[0]: c for c in _oracle_cases()}

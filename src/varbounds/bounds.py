@@ -238,36 +238,40 @@ def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
 
 
 def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
-                           configurations: Sequence, pinv_tol: float) -> list:
+                           configurations: Sequence, pinv_tol: float, *,
+                           skip_undefined: bool = True) -> list:
     """Projection of the centered mean onto the span of the kernel differences
     R(., x) - R(., x0) at the rows x of each configuration (an (m, N) array or
-    a sequence of m points): `(value, diagnostics)` per configuration, or None
-    where the kernel is undefined.
+    a sequence of m points): `(value, diagnostics)` per configuration.  Where
+    the kernel or gamma is undefined (NaturalSpaceError or
+    KernelEvaluationError) the result is None, or with skip_undefined=False
+    the error propagates.
 
     One `pairwise` per configuration; then, over the stack of the defined
     configurations with the same m, the block formula, one `make_gram_system`
-    and one `signed_sq_norm` (a stack of one is their one-matrix case).
+    and one `signed_sq_norm`.
     """
+    undefined = (NaturalSpaceError, KernelEvaluationError) if skip_undefined else ()
+    evaluator.reserve(sum(len(points) + 1 for points in configurations))
     x0 = evaluator.x0
-    g0 = float(gamma.value(x0))
+    g0 = None
     results = [None] * len(configurations)
     stacks: dict[int, tuple[list, list, list]] = {}  # m -> positions, kernels, rhs
     for i, points in enumerate(configurations):
         points = np.asarray(points, dtype=float)
         try:
             K = evaluator.pairwise(np.concatenate((x0[None], points)))
-        except (NaturalSpaceError, KernelEvaluationError):
+            if g0 is None:
+                g0 = float(gamma.value(x0))
+            rhs = [float(gamma.value(x)) - g0 for x in points]
+        except undefined:
             continue
-        positions, kernels, rhs = stacks.setdefault(len(points), ([], [], []))
+        positions, kernels, rows = stacks.setdefault(len(points), ([], [], []))
         positions.append(i)
         kernels.append(K)
-        rhs.append([float(gamma.value(x)) - g0 for x in points])
-    for positions, kernels, rhs in stacks.values():
-        if len(positions) == 1:  # a stack of one is solved as one matrix
-            results[positions[0]] = _projection(make_gram_system(
-                difference_block(kernels[0]), rhs[0], pinv_tol))
-            continue
-        system = make_gram_system(difference_block(np.array(kernels)), rhs, pinv_tol)
+        rows.append(rhs)
+    for positions, kernels, rows in stacks.values():
+        system = make_gram_system(difference_block(np.array(kernels)), rows, pinv_tol)
         d = system.diagnostics
         for i, value, rank, condition, smallest in zip(
                 positions, signed_sq_norm(system), d["rank"], d["condition_number"],
@@ -304,10 +308,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
                               f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
-    (result,) = _difference_projection(evaluator, gamma, [tps.points], pinv_tol)
-    if result is None:  # the kernel is undefined there: pairwise raises why
-        evaluator.pairwise(np.concatenate((x0[None], np.asarray(tps.points))))
-    value, diagnostics = result
+    ((value, diagnostics),) = _difference_projection(evaluator, gamma, [tps.points],
+                                                     pinv_tol, skip_undefined=False)
     diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
@@ -636,14 +638,11 @@ def barankin_search(options: dict, seed: int = 0) -> BarankinSearch:
 
 class _Method(NamedTuple):
     """call(model, gamma, x0, options, mc_samples, seed, pinv_tol) evaluates
-    the bound; required and optional map option names to their checks, and
-    joint(options), when set, raises ValueError for normalised options that
-    conflict with each other."""
+    the bound; required and optional map option names to their checks."""
 
     call: Callable[..., BoundResult]
     required: dict = {}
     optional: dict = {}
-    joint: Callable[[dict], object] | None = None
 
 
 #: The one table of bound methods.  Each call looks its bound up by module
@@ -659,8 +658,7 @@ METHODS: dict[str, _Method] = {
         m, g, x, TestPointSet(o["points"]), mc_samples=n, seed=s, pinv_tol=t),
         {"points": _points}),
     "barankin_approx": _Method(lambda m, g, x, o, n, s, t: barankin_approx(
-        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS,
-        joint=barankin_search),
+        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS),
     "expfam_moment": _Method(lambda m, g, x, o, n, s, t: expfam_bound(
         m, g, x, o["indices"], pinv_tol=t), {"indices": _indices(0)}),
     "expfam_crb": _Method(lambda m, g, x, o, n, s, t: expfam_crb(m, g, x, pinv_tol=t)),
@@ -683,9 +681,9 @@ def method_options(name: str, options: dict, dim: int) -> dict:
             out[key] = checks[key](value, dim)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{key}: {exc} for {name!r}") from exc
-    if METHODS[name].joint is not None:
-        try:
-            METHODS[name].joint(out)
+    if name == "barankin_approx":
+        try:  # restarts, initial_points, radius and min_distance together
+            barankin_search(out)
         except ValueError as exc:
             raise ValueError(f"{exc} for {name!r}") from exc
     return out

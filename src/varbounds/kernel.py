@@ -67,22 +67,22 @@ class ExpfamKernelEvaluator:
     def evaluate(self, x1, x2) -> float:
         return kernel_expfam(self.model, self.x0, x1, x2)
 
+    def reserve(self, rows: int) -> None:
+        """Nothing to size: closed-form kernel values are not cached."""
+
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         """Kernel matrix over rows of `points`, vectorized through log_lambda."""
-        P = np.asarray(points, dtype=float)
-        if P.ndim < 2:
-            P = P.reshape(1, -1)
-        # the ufunc reductions are what .all() and .max() call, without their wrappers
+        P = np.atleast_2d(np.asarray(points, dtype=float))
         lls = np.asarray(self.model.log_lambda(P), dtype=float)
-        if not np.logical_and.reduce(np.isfinite(lls), axis=None):
+        if not np.isfinite(lls).all():
             raise NaturalSpaceError(P[~np.isfinite(lls)][0])
-        sums = (P[:, None, :] + P - self.x0).reshape(-1, P.shape[1])
+        sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
         ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
-        if not np.logical_and.reduce(np.isfinite(ll_sums), axis=None):
+        if not np.isfinite(ll_sums).all():
             raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
                                     context="x1 + x2 - x0 must lie in the natural space")
-        expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - np.add.outer(lls, lls)
-        if not np.maximum.reduce(expo, axis=None) <= _EXP_MAX:
+        expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
+        if not expo.max() <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
         return np.exp(expo)
 
@@ -103,10 +103,11 @@ class MonteCarloKernelEvaluator:
 
     Each likelihood-ratio vector over the draws is computed once and kept,
     read-only, in a least-recently-used cache that starts with x0's vector.
-    The cache holds at most 2 * (most rows of any pairwise call) + 1 vectors,
-    and never fewer than 5, so a search that moves one test point computes
-    one new vector per step while memory stays near twice the ratio matrix
-    pairwise builds anyway.
+    The cache holds at most 2 * n + 1 vectors, and never fewer than 5, where
+    n is the most rows of any pairwise call or of any batch of calls
+    announced by `reserve`.  So a search that moves one test point per
+    configuration computes one new vector per configuration, while memory
+    stays near twice the ratio matrices of one search step.
     """
 
     mode = "monte_carlo"
@@ -140,6 +141,11 @@ class MonteCarloKernelEvaluator:
         while len(self._cache) > self._cache_cap:
             del self._cache[next(iter(self._cache))]
         return r
+
+    def reserve(self, rows: int) -> None:
+        """Size the ratio cache for a batch of pairwise calls over `rows` rows
+        in all, such as the configurations of one lockstep search step."""
+        self._cache_cap = max(self._cache_cap, 2 * rows + 1)
 
     def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
         """Evaluators over the first and the second half of the draws, for
@@ -184,7 +190,7 @@ class MonteCarloKernelEvaluator:
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
-        self._cache_cap = max(self._cache_cap, 2 * len(P) + 1)
+        self.reserve(len(P))
         R = np.stack([self._ratios(p) for p in P])
         K = (R @ R.T) / R.shape[1]
         if not np.all(np.isfinite(K)):
@@ -326,51 +332,43 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
     """One `eigh` of G, eigenpairs in descending order of |eigenvalue|.
 
     G is one (m, m) matrix with an (m,) rhs, or a stack (B, m, m) of them
-    with a (B, m) rhs, whose diagnostics are lists with one entry per
-    matrix; one matrix is solved as a stack of one.  ValueError unless every
-    G is square, has one row per rhs entry and is symmetric within
-    1e-12 * max(1, max|G|); DataError names the first non-finite entry of G
-    or rhs (and its matrix in a stack).  rank = #{|eigenvalue| > pinv_tol *
-    max|eigenvalue|} (0 for G = 0), condition_number = max|eigenvalue| /
-    min|eigenvalue| (inf at 0), and min_eigenvalue is the smallest signed
-    eigenvalue."""
+    with a (B, m) rhs; a stacked system's eigenpairs gain the leading axis
+    and its diagnostics are lists with one entry per matrix.  One matrix is
+    solved as a stack of one.  ValueError unless every G is square, has one
+    row per rhs entry and is symmetric within 1e-12 * max(1, max|G|);
+    DataError names the first non-finite entry of G or rhs (and its matrix
+    in a stack).  rank = #{|eigenvalue| > pinv_tol * max|eigenvalue|} (0 for
+    G = 0), condition_number = max|eigenvalue| / min|eigenvalue| (inf at 0),
+    and min_eigenvalue is the smallest signed eigenvalue."""
     G = np.asarray(G, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     stacked = G.ndim == 3
-    if G.ndim < 2:
-        G = G.reshape(1, -1)
-    if rhs.ndim < 1:
-        rhs = rhs.reshape(1)
+    if not stacked:
+        G, rhs = np.atleast_2d(G), np.atleast_1d(rhs)
     Gs, rs = (G, rhs) if stacked else (G[None], rhs[None])
     B, m = Gs.shape[:2]
     if Gs.ndim != 3 or Gs.shape[2] != m or rs.shape != (B, m):
         raise ValueError(f"incompatible Gram shapes {G.shape} and {rhs.shape}")
     in_system = " in system {}" if stacked else ""
     if m:
-        # the ufunc reductions are what .max() and .all() call, without their wrappers
-        scale = np.maximum.reduce(np.abs(Gs), axis=(1, 2)).tolist()  # NaN and inf propagate
-        if not (all(map(math.isfinite, scale))
-                and np.logical_and.reduce(np.isfinite(rs), axis=None)):
+        scale = np.abs(Gs).max(axis=(1, 2)).tolist()  # NaN and inf propagate through max
+        if not (all(map(math.isfinite, scale)) and np.isfinite(rs).all()):
             name, x = ("Gram matrix", Gs) if not all(map(math.isfinite, scale)) \
                 else ("right-hand side", rs)
             b, *bad = np.argwhere(~np.isfinite(x))[0].tolist()
             raise DataError(f"non-finite {name} entry at index {tuple(bad)}"
                             + in_system.format(b))
         # G - G.T is exactly antisymmetric, so its max is its largest |entry|
-        asymmetry = np.maximum.reduce(Gs - Gs.swapaxes(1, 2), axis=(1, 2)).tolist()
-        if max(asymmetry) > 1e-12 * max(1.0, min(scale)):  # the smallest tolerance
-            for b, (a, sc) in enumerate(zip(asymmetry, scale)):
-                if a > 1e-12 * max(1.0, sc):
-                    raise ValueError("Gram matrix is not symmetric" + in_system.format(b))
+        asymmetry = (Gs - Gs.swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+        for b, (a, sc) in enumerate(zip(asymmetry, scale)):
+            if a > 1e-12 * max(1.0, sc):
+                raise ValueError("Gram matrix is not symmetric" + in_system.format(b))
         w, v = np.linalg.eigh(Gs)
         ascending = w.tolist()
         # descending |eigenvalue|, ties ordered as svd(hermitian=True) orders them
         order = np.abs(w).argsort(axis=1)[:, ::-1]
-        if B > 1:
-            rows = np.arange(B)[:, None]
-            w, vt = w[rows, order], v.swapaxes(1, 2)[rows, order]
-        else:  # the same rows, by the cheaper one-array index
-            w, vt = w[0][order], v[0].T[order]
+        rows = np.arange(B)[:, None]
+        w, vt = w[rows, order], v.swapaxes(1, 2)[rows, order]
     else:
         w, vt, ascending = np.empty((B, 0)), np.empty((B, 0, 0)), [[0.0]] * B
     ranks, conditions = [], []
@@ -389,32 +387,28 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
 
 def _sq_norm(eigenvectors, eigenvalues, rhs, rank) -> float:
     coeff = eigenvectors[:rank] @ rhs
-    return float(np.add.reduce(coeff * coeff / eigenvalues[:rank]))  # what .sum() calls
+    return float((coeff * coeff / eigenvalues[:rank]).sum())
 
 
 def signed_sq_norm(system: GramSystem):
     """rhs' G^+ rhs over the leading `rank` eigenpairs, those with |eigenvalue|
-    above pinv_tol times the largest; a list with one value per matrix for a
-    stacked system.  Not clamped: an indefinite matrix can give a negative
-    value."""
-    V, w, rhs, rank = (system.eigenvectors, system.eigenvalues, system.rhs,
-                       system.diagnostics["rank"])
-    if V.ndim == 2:
-        return _sq_norm(V, w, rhs, rank)
-    m = w.shape[1]
-    if m < 8 and all(r == m for r in rank):
-        # every matrix keeps all its eigenpairs: the stacked matmul makes the
-        # one-matrix BLAS call per matrix, and numpy sums fewer than 8 terms
-        # in order, so this rounds as the one-matrix path does.  A truncated
-        # matrix is not stacked: its rank-1 product goes through dot, not gemv
-        coeff = (V @ rhs[:, :, None])[:, :, 0]
-        return np.add.reduce(coeff * coeff / w, axis=1).tolist()
-    return [_sq_norm(*matrix) for matrix in zip(V, w, rhs, rank)]
+    above pinv_tol times the largest: a float for one matrix, a list with one
+    value per matrix for a stacked system, each computed as for one matrix.
+    Not clamped: an indefinite matrix can give a negative value."""
+    parts = (system.eigenvectors, system.eigenvalues, system.rhs, system.diagnostics["rank"])
+    if system.eigenvectors.ndim == 2:
+        return _sq_norm(*parts)
+    return [_sq_norm(*matrix) for matrix in zip(*parts)]
 
 
-def projected_sq_norm(system: GramSystem) -> float:
-    """rhs' G^+ rhs with relative eigenvalue truncation, clamped at zero."""
-    return max(signed_sq_norm(system), 0.0)
+def projected_sq_norm(system: GramSystem):
+    """rhs' G^+ rhs with relative eigenvalue truncation, clamped at zero: a
+    float for one matrix, a list with one value per matrix for a stacked
+    system."""
+    value = signed_sq_norm(system)
+    if isinstance(value, list):
+        return [max(v, 0.0) for v in value]
+    return max(value, 0.0)
 
 
 def difference_block(K: np.ndarray, d=None) -> np.ndarray:

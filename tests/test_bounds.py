@@ -12,7 +12,7 @@ import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
     _quadratic_bound, barankin_search, evaluate_bound, method_options
-from varbounds.errors import ConstraintRankError, DomainError
+from varbounds.errors import ConstraintRankError, DomainError, NaturalSpaceError
 from varbounds.kernel import deriv_inner_products
 
 
@@ -587,12 +587,26 @@ def _lockstep_case(name):
         return (vb.as_generic(p), vb.expfam_mean(p), [0.0],
                 BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                 {"mc_samples": 2_000})
+    if name == "generic-boundary-fd-mean":
+        # moments by finite differences, kernel by Monte Carlo: near the
+        # boundary x = 0 the kernel is defined where gamma's stencil is not
+        return (vb.as_generic(vb.exponential_rate()), _fd_mean_exponential_rate(), [-1.0],
+                BarankinSearch(initial_points=TestPointSet([[-0.3], [-3e-5]]), restarts=1,
+                               halvings=2, max_points=2, seed=1, initial_step=1e-4,
+                               lower=[-2.0], upper=[-1e-6]),
+                {"mc_samples": 2_000})
     raise KeyError(name)
+
+
+def _fd_mean_exponential_rate():
+    """expfam_mean of exponential-rate without its closed-form moments."""
+    return vb.expfam_mean(replace(vb.exponential_rate(), closed_moments=None))
 
 
 LOCKSTEP_CASES = ["gaussian-mean", "poisson", "bernoulli", "exponential-rate",
                   "exponential-rate-unboxed", "gaussian-mean-nd", "initial-points",
-                  "same-start-twice", "mirrored-starts", "generic-poisson-two-restarts"]
+                  "same-start-twice", "mirrored-starts", "generic-poisson-two-restarts",
+                  "generic-boundary-fd-mean"]
 
 
 def _hexed(diagnostics):
@@ -636,6 +650,40 @@ class TestLockstepSearch:
         # the random start is one proposal ahead, but the tie goes to the
         # first start: the best point lies on the initial point's side
         assert np.sign(d["best_points"][0][0]) == np.sign(search.initial_points.points[0][0])
+
+    def test_undefined_mean_skips_only_its_configuration(self):
+        # the Monte Carlo kernel is defined at -3e-5, gamma's stencil is not
+        model, gamma = vb.as_generic(vb.exponential_rate()), _fd_mean_exponential_rate()
+        evaluator = bounds_module._make_evaluator(model, np.array([-1.0]), 2_000, 1)
+        configurations = [np.array([[-0.3]]), np.array([[-3e-5]]), np.array([[-0.5]])]
+        results = bounds_module._difference_projection(evaluator, gamma, configurations, 1e-10)
+        assert results[1] is None
+        for points, result in zip(configurations[::2], results[::2]):
+            [alone] = bounds_module._difference_projection(evaluator, gamma, [points], 1e-10)
+            assert _hexed(list(result)) == _hexed(list(alone))
+        with pytest.raises(NaturalSpaceError, match="finite-difference stencil point"):
+            vb.hcrb(model, gamma, [-1.0], TestPointSet([[-3e-5]]), mc_samples=2_000)
+
+    def test_ratio_vectors_no_more_than_serial(self, monkeypatch):
+        # the ratio cache holds the rows of one lockstep step, so running the
+        # default five starts side by side recomputes no more likelihood-ratio
+        # vectors than running them one after the other
+        p = vb.poisson()
+        model, gamma, search = vb.as_generic(p), vb.expfam_mean(p), BarankinSearch(seed=1)
+        computed = []
+        original = vb_kernel.log_density_batch
+
+        def counting(model, Y, x):
+            computed.append(1)
+            return original(model, Y, x)
+
+        monkeypatch.setattr(vb_kernel, "log_density_batch", counting)
+        counts = []
+        for run in (serial_barankin, vb.barankin_approx):
+            computed.clear()
+            run(model, gamma, [0.0], search, mc_samples=2_000)
+            counts.append(len(computed))
+        assert counts[1] <= counts[0]
 
 
 class TestExpfamBound:

@@ -216,8 +216,9 @@ class TestMonteCarloRatioCache:
             assert a == b
 
     def test_cache_stays_within_its_cap_during_a_search(self, monkeypatch):
-        sizes, rows = [], [0]
+        sizes, rows, step_rows = [], [0], [0]
         ratios, pairwise = MonteCarloKernelEvaluator._ratios, MonteCarloKernelEvaluator.pairwise
+        reserve = MonteCarloKernelEvaluator.reserve
 
         def tracked_ratios(self, x):
             out = ratios(self, x)
@@ -229,15 +230,22 @@ class TestMonteCarloRatioCache:
             rows[0] = max(rows[0], len(points))
             return pairwise(self, points)
 
+        def tracked_reserve(self, n):
+            step_rows[0] = max(step_rows[0], n)
+            return reserve(self, n)
+
         monkeypatch.setattr(MonteCarloKernelEvaluator, "_ratios", tracked_ratios)
         monkeypatch.setattr(MonteCarloKernelEvaluator, "pairwise", tracked_pairwise)
+        monkeypatch.setattr(MonteCarloKernelEvaluator, "reserve", tracked_reserve)
         p = vb.poisson()
         vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
                            vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                            mc_samples=5_000)
+        # x0 and 2 points per configuration, one configuration per start and step
         assert rows[0] == 3
+        assert step_rows[0] == 2 * rows[0]
         # the search evaluates far more points than the cache keeps
-        assert max(sizes) == 2 * rows[0] + 1
+        assert max(sizes) == 2 * step_rows[0] + 1
 
     def test_cached_vectors_are_read_only(self):
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
@@ -545,8 +553,6 @@ class TestStackedGramSystem:
         ids=["mixed-ranks", "full-ranks"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9])
     def test_stack_equals_one_matrix_calls(self, m, kinds):
-        # a stack of full-rank matrices with m < 8 is solved by stacked
-        # products, any other stack matrix by matrix
         rng = np.random.default_rng(100 + m)
         mats, rhss = [], []
         for kind in kinds:
@@ -575,10 +581,11 @@ class TestStackedGramSystem:
             assert _hex({k: v[b] for k, v in stacked.diagnostics.items()}) == \
                 _hex(one.diagnostics)
             assert values[b].hex() == signed_sq_norm(one).hex()
+            assert projected_sq_norm(stacked)[b] == projected_sq_norm(one)
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_full_rank_stacks_round_as_one_matrix(self, m):
-        # the stacked products over many random scales and conditionings
+        # stacked eigendecompositions over many random scales and conditionings
         rng = np.random.default_rng(200 + m)
         for _ in range(40):
             B = int(rng.integers(2, 7))
@@ -612,6 +619,15 @@ class TestStackedGramSystem:
         assert empty.diagnostics == {"rank": [0, 0], "min_eigenvalue": [0.0, 0.0],
                                      "condition_number": [math.inf, math.inf]}
         assert signed_sq_norm(empty) == [0.0, 0.0]
+
+    def test_projected_norm_clamps_each_matrix(self):
+        # an indefinite matrix beside a definite one: only its value is clamped
+        G = np.array([np.diag([1.0, -1.0]), np.eye(2)])
+        rhs = np.array([[0.0, 1.0], [1.0, 1.0]])
+        stacked = make_gram_system(G, rhs)
+        assert signed_sq_norm(stacked) == [-1.0, 2.0]
+        assert projected_sq_norm(stacked) == [0.0, 2.0]
+        assert projected_sq_norm(make_gram_system(G[0], rhs[0])) == 0.0
 
 
 class TestSuffStatCheck:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,47 +237,63 @@ def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
     return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
 
 
-def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
-                           configurations: Sequence, pinv_tol: float, *,
-                           skip_undefined: bool = True) -> list:
-    """Projection of the centered mean onto the span of the kernel differences
-    R(., x) - R(., x0) at the rows x of each configuration (an (m, N) array or
-    a sequence of m points): `(value, diagnostics)` per configuration.  Where
-    the kernel or gamma is undefined (NaturalSpaceError or
-    KernelEvaluationError) the result is None, or with skip_undefined=False
-    the error propagates.
-
-    One `pairwise` per configuration; then, over the stack of the defined
-    configurations with the same m, the block formula, one `make_gram_system`
-    and one `signed_sq_norm`.
-    """
+def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
+                   configurations: Sequence, skip_undefined: bool = True) -> tuple[list, dict]:
+    """The projection of the centered mean onto the kernel differences
+    R(., x) - R(., x0) at the rows x of each configuration, up to its solve:
+    one `pairwise` each, stacked by point count m as `{m: (slots, kernels,
+    rhs rows)}` with a slot (results, i) per row, and the results list that
+    `_solve_stacks` fills.  Where kernel
+    or gamma is undefined (NaturalSpaceError, KernelEvaluationError) the
+    result stays None, or with skip_undefined=False the error propagates."""
     undefined = (NaturalSpaceError, KernelEvaluationError) if skip_undefined else ()
-    evaluator.reserve(sum(len(points) + 1 for points in configurations))
-    x0 = evaluator.x0
+    evaluator.reserve(sum(map(len, configurations)) + len(configurations))
+    x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
     results = [None] * len(configurations)
-    stacks: dict[int, tuple[list, list, list]] = {}  # m -> positions, kernels, rhs
+    stacks: dict[int, tuple[list, list, list]] = {}
     for i, points in enumerate(configurations):
         points = np.asarray(points, dtype=float)
         try:
-            K = evaluator.pairwise(np.concatenate((x0[None], points)))
+            K = evaluator.pairwise(np.concatenate((first, points)))
             if g0 is None:
                 g0 = float(gamma.value(x0))
             rhs = [float(gamma.value(x)) - g0 for x in points]
         except undefined:
             continue
-        positions, kernels, rows = stacks.setdefault(len(points), ([], [], []))
-        positions.append(i)
+        slots, kernels, rows = stacks.setdefault(len(points), ([], [], []))
+        slots.append((results, i))
         kernels.append(K)
         rows.append(rhs)
-    for positions, kernels, rows in stacks.values():
+    return results, stacks
+
+
+def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
+    """Per point count, the block formula, one `make_gram_system` and one
+    `signed_sq_norm` over the stacks of all `requests` together, each matrix
+    solved as it would be alone; a result is the unclamped (value, rank,
+    condition number, smallest eigenvalue)."""
+    merged: dict[int, tuple[list, list, list]] = {}
+    for stacks in requests:
+        for m, parts in stacks.items():
+            merged[m] = tuple(map(list.__add__, merged[m], parts)) if m in merged else parts
+    for slots, kernels, rows in merged.values():
         system = make_gram_system(difference_block(np.array(kernels)), rows, pinv_tol)
         d = system.diagnostics
-        for i, value, rank, condition, smallest in zip(
-                positions, signed_sq_norm(system), d["rank"], d["condition_number"],
+        for (results, i), value, rank, condition, smallest in zip(
+                slots, signed_sq_norm(system), d["rank"], d["condition_number"],
                 d["min_eigenvalue"]):
-            results[i] = _clamped(value, rank, condition, smallest)
-    return results
+            results[i] = value, rank, condition, smallest
+
+
+def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
+                           configurations: Sequence, pinv_tol: float, *,
+                           skip_undefined: bool = True) -> list:
+    """`(value, diagnostics)` of each configuration, clamped at zero (None
+    where undefined), from `_kernel_stacks` and `_solve_stacks`."""
+    results, stacks = _kernel_stacks(evaluator, gamma, configurations, skip_undefined)
+    _solve_stacks([stacks], pinv_tol)
+    return [None if result is None else _clamped(*result) for result in results]
 
 
 def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
@@ -349,6 +365,29 @@ class BarankinSearch:
             raise ValueError(f"radius {self.radius} is below min_distance "
                              f"{self.min_distance}, so no test point is allowed")
 
+    def region(self, x0: np.ndarray) -> Callable[[np.ndarray], bool]:
+        """Whether a point may be a test point of this search around x0: at
+        least min_distance from x0, within the radius and inside the box.
+        DomainError if an initial point may not."""
+        lower = np.asarray(self.lower, dtype=float) if self.lower is not None else None
+        upper = np.asarray(self.upper, dtype=float) if self.upper is not None else None
+        min_distance, radius = self.min_distance, self.radius
+
+        def in_domain(pt: np.ndarray) -> bool:
+            dx = pt - x0
+            distance = math.sqrt(dx.dot(dx))  # bitwise np.linalg.norm(dx)
+            return not (distance < min_distance or radius is not None and distance > radius
+                        or lower is not None and (pt < lower).any()
+                        or upper is not None and (pt > upper).any())
+
+        for p in self.initial_points.points if self.initial_points else ():
+            if not in_domain(p):
+                raise DomainError(
+                    f"barankin_approx: initial point {p.tolist()} lies outside the search region "
+                    f"(min_distance {min_distance}, radius {radius}, lower {self.lower}, upper "
+                    f"{self.upper}) at x0={x0.tolist()}")
+        return in_domain
+
 
 def _remembering_values(gamma: MeanFunction) -> MeanFunction:
     """gamma with each value computed once per point, for one search."""
@@ -385,32 +424,87 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     decreases as the search proceeds.  A tie goes to the proposal that comes
     first in serial order (start index, then proposal index), so the value,
     `best_points` and the Gram diagnostics are those of running the starts
-    one after the other.
+    one after the other.  An initial point outside `search.region(x0)` is a
+    DomainError.
     """
-    x0 = as_param(model, x0)
     cfg = search if search is not None else BarankinSearch()
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    # `_lockstep` with one problem, without its scheduling
+    steps = _search(model, gamma, x0, cfg if seed is None else replace(cfg, seed=seed),
+                    mc_samples, pinv_tol)
+    try:
+        while True:
+            _solve_stacks([next(steps)], pinv_tol)
+    except StopIteration as stop:
+        return stop.value
+
+
+#: Most closed-form searches `_lockstep` runs at once; each holds its memo.
+_WINDOW = 8
+
+
+def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
+              mc_samples: int = 100_000, pinv_tol: float = 1e-10):
+    """Yields `barankin_approx(model, gamma, x0, search)` for each `(x0,
+    search)` of `problems` in order, bit for bit, and raises the error the
+    serial loop raises where it raises it.  Up to `_WINDOW` closed-form
+    searches (Monte Carlo: one) climb side by side, one `make_gram_system`
+    per point count and step; after a failure no further search starts."""
+    window = _WINDOW if isinstance(model, ExponentialFamilyModel) else 1
+    searches = (_search(model, gamma, x0, cfg, mc_samples, pinv_tol) for x0, cfg in problems)
+    running: dict[int, tuple] = {}  # position -> search, the stacks it waits on
+    ended: dict[int, object] = {}  # position -> BoundResult or exception
+    started = done = 0
+
+    def advance(i: int, search) -> None:
+        nonlocal window
+        try:
+            running[i] = search, next(search)
+        except StopIteration as stop:
+            ended[i] = stop.value
+        except Exception as exc:
+            ended[i], window = exc, 0  # no search starts after a failure
+
+    while True:
+        while len(running) < window:
+            started += 1
+            try:
+                advance(started - 1, next(searches))
+            except StopIteration:
+                window = 0  # no problem left
+            except Exception as exc:  # `problems` failed
+                ended[started - 1], window = exc, 0
+        while done in ended:
+            outcome = ended.pop(done)
+            done += 1
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+        if not running:
+            return
+        stepping, running = running, {}
+        try:
+            _solve_stacks([stacks for _, stacks in stepping.values()], pinv_tol)
+        except Exception:  # alone, a failing search raises its own error and index
+            for i, (_, stacks) in list(stepping.items()):
+                try:
+                    _solve_stacks([stacks], pinv_tol)
+                except Exception as exc:
+                    ended[i], window = exc, 0
+                    del stepping[i]
+        for i, (search, _) in stepping.items():
+            advance(i, search)
+
+
+def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
+            mc_samples: int, pinv_tol: float):
+    """One Barankin search as `_lockstep` runs it: each step yields the
+    stacks of the distinct new configurations its starts propose, resumes
+    once they are solved, and at its end returns the BoundResult."""
+    x0 = as_param(model, x0)
     evaluator = _make_evaluator(model, x0, mc_samples, cfg.seed)
-
-    lower = np.asarray(cfg.lower, dtype=float) if cfg.lower is not None else None
-    upper = np.asarray(cfg.upper, dtype=float) if cfg.upper is not None else None
-
-    def in_domain(pt: np.ndarray) -> bool:
-        dx = pt - x0
-        distance = math.sqrt(dx.dot(dx))  # bitwise np.linalg.norm(dx)
-        if distance < cfg.min_distance:
-            return False
-        if cfg.radius is not None and distance > cfg.radius:
-            return False
-        if lower is not None and (pt < lower).any():
-            return False
-        if upper is not None and (pt > upper).any():
-            return False
-        return True
-
-    lo = lower if lower is not None else x0 - (cfg.radius if cfg.radius else 1.0)
-    hi = upper if upper is not None else x0 + (cfg.radius if cfg.radius else 1.0)
+    in_domain = cfg.region(x0)
+    lo = np.asarray(cfg.lower, dtype=float) if cfg.lower is not None else x0 - (cfg.radius or 1.0)
+    hi = np.asarray(cfg.upper, dtype=float) if cfg.upper is not None else x0 + (cfg.radius or 1.0)
     region = f"sampling box from {lo.tolist()} to {hi.tolist()}" + (
         f" within radius {cfg.radius}" if cfg.radius is not None else "")
     if np.any(lo > hi):
@@ -466,25 +560,26 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
         return current
 
     gamma = _remembering_values(gamma)
-    # (value, diagnostics) of each configuration computed (None: kernel undefined)
-    seen: dict[bytes, tuple[float, dict] | None] = {}
+    # `_solve_stacks` result of each configuration computed (None: undefined)
+    seen: dict[bytes, tuple | None] = {}
     evaluations = revisits = gram_stacks = 0
-    best_value, best_at, best_diag, best_points = 0.0, None, {}, None
+    best_value, best_at, best_result, best_points = 0.0, None, None, None
     climbs = [climb(pts) for pts in starts]
     proposed = [0] * len(climbs)  # proposals answered per start
     finals: list[float] = [-math.inf] * len(climbs)
 
     def answer(i: int, pts: np.ndarray, result) -> np.ndarray | None:
         """Start i's next proposal after the one of pts, or None at its end."""
-        nonlocal best_value, best_at, best_diag, best_points
-        if result is not None:
-            value, at = result[0], (i, proposed[i])
+        nonlocal best_value, best_at, best_result, best_points
+        value = None if result is None else max(result[0], 0.0)  # clamped at zero
+        if value is not None:
+            at = (i, proposed[i])
             if value > best_value or (value == best_value and best_at is not None
                                       and at < best_at):
-                best_value, best_at, best_diag, best_points = value, at, result[1], pts
+                best_value, best_at, best_result, best_points = value, at, result, pts
         proposed[i] += 1
         try:
-            return climbs[i].send(None if result is None else result[0])
+            return climbs[i].send(value)
         except StopIteration as stop:
             finals[i] = stop.value
             return None
@@ -505,10 +600,11 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
         if not new:  # the last starts ended on proposals the search had computed
             break
         configurations = [pts for pts, _ in new.values()]
-        results = _difference_projection(evaluator, gamma, configurations, pinv_tol)
+        results, stacks = _kernel_stacks(evaluator, gamma, configurations)
+        yield stacks  # the driver solves them into results
         evaluations += len(configurations)
         # one solve per point count among the configurations with a kernel
-        gram_stacks += len({len(p) for p, r in zip(configurations, results) if r is not None})
+        gram_stacks += len(stacks)
         pending = {}
         for (key, (pts, waiting)), result in zip(new.items(), results):
             seen[key] = result
@@ -519,9 +615,10 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
 
     trace = [{"start": i, "best_value": v if math.isfinite(v) else None}
              for i, v in enumerate(finals)]
-    # best_diag holds the keys of a positive, hence unclamped, projection
+    # the best is a positive, hence unclamped, projection
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
-                   **best_diag, "evaluations": evaluations, "revisits": revisits,
+                   **(_clamped(*best_result)[1] if best_result else {}),
+                   "evaluations": evaluations, "revisits": revisits,
                    "gram_stacks": gram_stacks, "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]

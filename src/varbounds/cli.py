@@ -268,6 +268,11 @@ class RunConfig:
         if not isinstance(raw_methods, list):
             raise ConfigurationError("methods: expected a list")
         methods = tuple(_method_from_dict(m, i, dim) for i, m in enumerate(raw_methods))
+        for i, spec in enumerate(methods):
+            if spec.name == "barankin_approx" and spec.options.get("initial_points"):
+                search = barankin_search(spec.options)
+                for point in x0.expand() if isinstance(x0, GridSpec) else [x0]:
+                    _section(f"methods[{i}]", search.region, np.asarray(point, dtype=float))
         mc = _section("mc", MCConfig.from_dict, d.get("mc", {}))
         output = _section("output", OutputConfig.from_dict, d.get("output", {}))
         radii = None if d.get("radii") is None else _section("radii", _finite, d["radii"], 0.0)
@@ -408,10 +413,12 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     options = next((spec.options for spec in cfg.methods
                     if spec.name == "barankin_approx"), {})
     search = barankin_search(options)
-    # each radius must leave room for test points beyond min_distance
-    _section("radii", lambda: [replace(search, radius=r) for r in cfg.radii])
+    # each radius must leave room for test points beyond min_distance, and
+    # hold the initial points
+    x0 = np.asarray(cfg.x0, dtype=float)
+    _section("radii", lambda: [replace(search, radius=r).region(x0) for r in cfg.radii])
     report = _numerically(f"in method 'barankin_approx' at x0={list(cfg.x0)}",
-                          reduction_experiment, model, gamma, np.asarray(cfg.x0), cfg.radii,
+                          reduction_experiment, model, gamma, x0, cfg.radii,
                           search, mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
     if cfg.output.path:
         _write(cfg.output.path, report.write_csv)

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BarankinSearch, MethodSpec, barankin_approx, evaluate_bound
+from .bounds import BarankinSearch, MethodSpec, _lockstep, barankin_search, \
+    evaluate_bound, method_options
 from .errors import ConfigurationError, DataError
 from .models import ExponentialFamilyModel, MeanFunction, Model, constant_mean, \
     expfam_mean, sample
@@ -205,16 +206,24 @@ def semicontinuity_scan(model: Model, gamma: MeanFunction, grid: Sequence,
     parameter.  The report records values and, through
     largest_downward_jump, the worst drop between adjacent grid points.
 
+    Grid point i uses seed `seed + i`.  `barankin_approx` searches up to 8
+    grid points side by side with shared Gram solves (Monte Carlo: one at a
+    time); values, diagnostics and errors are those of each point alone.
+
     This illustrates how the bound varies with the reference point; it is a
     numerical scan, not a certificate of continuity.
     """
     spec = MethodSpec(bound_method, options or {})
     grid_pts = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in grid)
-    values = []
-    diagnostics = []
-    for i, x in enumerate(grid_pts):
-        res = evaluate_bound(model, gamma, x, spec, mc_samples=mc_samples,
-                             seed=seed + i)
+    if bound_method == "barankin_approx":
+        checked = method_options(spec.name, spec.options, model.param_dim) if grid_pts else {}
+        results = _lockstep(model, gamma, ((x, barankin_search(checked, seed + i))
+                                           for i, x in enumerate(grid_pts)), mc_samples)
+    else:
+        results = (evaluate_bound(model, gamma, x, spec, mc_samples=mc_samples, seed=seed + i)
+                   for i, x in enumerate(grid_pts))
+    values, diagnostics = [], []
+    for x, res in zip(grid_pts, results):
         if not math.isfinite(res.value) or res.value < 0:
             raise DataError(f"scan produced invalid value {res.value} at grid point {x}")
         values.append(res.value)
@@ -254,19 +263,23 @@ def reduction_experiment(model: Model, gamma: MeanFunction, x0,
                          mc_samples: int = 100_000, seed: int = 0) -> ReductionReport:
     """Run the test-point search with points confined to balls of each radius.
 
+    Radius j uses seed `seed + j`.  Up to 8 radii are searched side by side
+    with shared Gram solves (Monte Carlo: one at a time); values, diagnostics
+    and errors are those of each radius alone.
+
     When the best achievable projection is attained by test points arbitrarily
     close to x0, every radius gives the same value and the spread is small.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     base = search if search is not None else BarankinSearch()
-    values = []
-    diagnostics = []
-    for j, r in enumerate(radii):
-        if not r > 0:
-            raise ValueError(f"radii must be positive, got {r}")
-        cfg = replace(base, radius=float(r), seed=seed + j)
-        res = barankin_approx(model, gamma, x0, cfg, mc_samples=mc_samples)
-        values.append(res.value)
-        diagnostics.append(res.diagnostics)
+
+    def problems():
+        for j, r in enumerate(radii):
+            if not r > 0:
+                raise ValueError(f"radii must be positive, got {r}")
+            yield x0, replace(base, radius=float(r), seed=seed + j)
+
+    results = list(_lockstep(model, gamma, problems(), mc_samples))
     return ReductionReport(x0=tuple(x0), radii=tuple(float(r) for r in radii),
-                           values=tuple(values), diagnostics=tuple(diagnostics))
+                           values=tuple(res.value for res in results),
+                           diagnostics=tuple(res.diagnostics for res in results))

@@ -74,13 +74,15 @@ class ExpfamKernelEvaluator:
         """Kernel matrix over rows of `points`, vectorized through log_lambda."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         lls = np.asarray(self.model.log_lambda(P), dtype=float)
-        if not np.isfinite(lls).all():
-            raise NaturalSpaceError(P[~np.isfinite(lls)][0])
         sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
         ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
-        if not np.isfinite(ll_sums).all():
-            raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
-                                    context="x1 + x2 - x0 must lie in the natural space")
+        # one test of every entry: the sum is finite unless one is not or it overflows
+        if not math.isfinite(lls.sum() + ll_sums.sum()):
+            if not np.isfinite(lls).all():
+                raise NaturalSpaceError(P[~np.isfinite(lls)][0])
+            if not np.isfinite(ll_sums).all():
+                raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
+                                        context="x1 + x2 - x0 must lie in the natural space")
         expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
         if not expo.max() <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
@@ -385,20 +387,25 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
         "rank": ranks[0], "min_eigenvalue": ascending[0][0], "condition_number": conditions[0]})
 
 
-def _sq_norm(eigenvectors, eigenvalues, rhs, rank) -> float:
-    coeff = eigenvectors[:rank] @ rhs
-    return float((coeff * coeff / eigenvalues[:rank]).sum())
-
-
 def signed_sq_norm(system: GramSystem):
     """rhs' G^+ rhs over the leading `rank` eigenpairs, those with |eigenvalue|
     above pinv_tol times the largest: a float for one matrix, a list with one
-    value per matrix for a stacked system, each computed as for one matrix.
-    Not clamped: an indefinite matrix can give a negative value."""
-    parts = (system.eigenvectors, system.eigenvalues, system.rhs, system.diagnostics["rank"])
-    if system.eigenvectors.ndim == 2:
-        return _sq_norm(*parts)
-    return [_sq_norm(*matrix) for matrix in zip(*parts)]
+    value per matrix for a stacked system.  The matrices of one rank share a
+    stacked product, in which each gets the matrix-vector product and sum it
+    gets alone.  Not clamped: an indefinite matrix can give a negative value."""
+    vt, w, rhs, ranks = system.eigenvectors, system.eigenvalues, system.rhs, \
+        system.diagnostics["rank"]
+    if vt.ndim == 2:
+        coeff = vt[:ranks] @ rhs
+        return float((coeff * coeff / w[:ranks]).sum())
+    values = [0.0] * len(ranks)
+    for r in set(ranks):
+        rows = [b for b, rank in enumerate(ranks) if rank == r]
+        pick = rows if len(rows) < len(ranks) else slice(None)
+        coeff = (vt[pick, :r] @ rhs[pick, :, None])[..., 0]
+        for b, value in zip(rows, (coeff * coeff / w[pick, :r]).sum(axis=1).tolist()):
+            values[b] = value
+    return values
 
 
 def projected_sq_norm(system: GramSystem):

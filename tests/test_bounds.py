@@ -306,6 +306,31 @@ class TestBarankin:
                                               r"within radius 1.0 at x0=\[0.0\]"):
             vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0], search)
 
+    @pytest.mark.parametrize("point, options", [
+        ([5.0], {"radius": 1.0}),              # beyond the radius
+        ([0.0], {}),                           # at x0
+        ([5e-7], {}),                          # closer than min_distance
+        ([0.5], {"lower": (0.6,), "upper": (2.0,)}),  # outside the box
+    ], ids=["beyond-radius", "at-x0", "below-min-distance", "outside-box"])
+    def test_initial_point_outside_the_region_is_a_domain_error(self, point, options):
+        # such a start used to be searched from: [5.0] was reported as the
+        # best point of a search confined to the unit ball
+        search = BarankinSearch(initial_points=TestPointSet([point]), restarts=0,
+                                halvings=0, **options)
+        with pytest.raises(DomainError, match=rf"initial point \[{point[0]}\] lies outside "
+                                              r"the search region .* at x0=\[0.0\]"):
+            vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0], search)
+        with pytest.raises(DomainError):
+            search.region(np.array([0.0]))
+
+    def test_initial_points_inside_the_region_are_searched_from(self):
+        search = BarankinSearch(initial_points=TestPointSet([[0.9], [-0.5]]), restarts=0,
+                                halvings=0, radius=1.0)
+        in_domain = search.region(np.array([0.0]))
+        assert in_domain(np.array([0.9])) and not in_domain(np.array([1.1]))
+        res = vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0], search)
+        assert res.diagnostics["best_points"] == [[0.9], [-0.5]]
+
     def test_monte_carlo_search_reports_effective_sample_sizes(self):
         p = vb.poisson()
         res = vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
@@ -391,18 +416,18 @@ class TestBarankinSearchWork:
     def test_each_configuration_and_gamma_value_is_computed_once(self, name, monkeypatch):
         model, gamma, x0, search, kwargs = _search_case(name)
         configurations, values = [], []
-        projection = bounds_module._difference_projection
+        kernel_stacks = bounds_module._kernel_stacks
 
-        def tracked_projection(evaluator, g, stack, pinv_tol):
+        def tracked_stacks(evaluator, g, stack, *args):
             configurations.extend((evaluator, np.asarray(points, dtype=float).tobytes())
                                   for points in stack)
-            return projection(evaluator, g, stack, pinv_tol)
+            return kernel_stacks(evaluator, g, stack, *args)
 
         def counted_value(x):
             values.append(np.asarray(x, dtype=float).tobytes())
             return gamma.value(x)
 
-        monkeypatch.setattr(bounds_module, "_difference_projection", tracked_projection)
+        monkeypatch.setattr(bounds_module, "_kernel_stacks", tracked_stacks)
         res = vb.barankin_approx(model, vb.MeanFunction(counted_value, gamma.derivative),
                                  x0, search, **kwargs)
         # the Monte Carlo error estimate projects again on the two split halves

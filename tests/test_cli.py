@@ -188,6 +188,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: methods[0]") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc, where", [
+        ("run", {**GAUSSIAN_RUN, "methods": [
+            {"name": "crb"}, {"name": "barankin_approx", "radius": 1.0,
+                              "initial_points": [[5.0]], "restarts": 0, "halvings": 0}]},
+         "methods[1]"),
+        ("scan", {"model": {"family": "gaussian-mean"},
+                  "x0": {"grid": {"start": -1.0, "stop": 1.0, "count": 3}},
+                  "methods": [{"name": "barankin_approx", "initial_points": [[0.0]]}]},
+         "methods[0]"),
+        ("reduce", {"model": {"family": "gaussian-mean"}, "x0": [0.0], "radii": [2.0, 0.5],
+                    "methods": [{"name": "barankin_approx", "initial_points": [[1.0]]}]},
+         "radii"),
+    ], ids=["run-beyond-radius", "scan-at-a-grid-point", "reduce-beyond-a-radius"])
+    def test_initial_point_outside_the_search_region_exits_2(self, tmp_path, capsys,
+                                                              command, doc, where):
+        # such a start used to be searched from, and its point reported
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {where}: barankin_approx: initial point")
+        assert "Traceback" not in err
+
     def test_search_that_draws_no_start_exits_3(self, tmp_path, capsys):
         # the box meets the ball around x0 only in [0.99999, 1]
         doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 2,

@@ -1,13 +1,15 @@
 """Monte Carlo estimator validation, scans, and the shrinking-region experiment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import varbounds as vb
+import varbounds.bounds as bounds_module
 from varbounds.bounds import BarankinSearch, MethodSpec
-from varbounds.errors import ConfigurationError, DataError
+from varbounds.errors import ConfigurationError, DataError, NaturalSpaceError
 from varbounds.harness import estimator_variance_mc, write_csv
 
 
@@ -238,3 +240,222 @@ class TestCSVWriter:
         text = path.read_text(encoding="utf-8")
         assert text == "a\n0.33333333333333331\n"
         assert float(text.splitlines()[1]) == value
+
+
+def _hexed(value):
+    """Floats as float.hex, recursively, so that comparisons are bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return value
+
+
+_LIGHT = {"restarts": 2, "halvings": 4, "max_points": 3}
+
+
+def _scan_case(name):
+    """Model, mean, grid, search options and keyword arguments of a scan."""
+    if name == "gaussian-mean-nd":
+        model = vb.make_model(name)
+        return (model, vb.expfam_mean(model, 1), [[0.2, -0.1], [-0.4, 0.3], [0.0, 0.5]],
+                {"restarts": 2, "halvings": 3, "max_points": 2}, {})
+    if name == "exponential-rate-unboxed":
+        # some proposed configurations leave the natural space
+        return (vb.exponential_rate(), vb.identity_mean(), [[-2.0], [-1.6], [-1.2]],
+                {"max_points": 2, "restarts": 2, "halvings": 5, "radius": 1.5}, {})
+    if name == "gaussian-mean-ten-points":
+        # more grid points than searches run at once: the window refills
+        return (vb.gaussian_mean(), vb.identity_mean(),
+                [[v] for v in np.linspace(-1.0, 1.0, 10)], _LIGHT, {})
+    if name == "generic-poisson":
+        p = vb.poisson()
+        return (vb.as_generic(p), vb.expfam_mean(p), [[-0.2], [0.0], [0.2]],
+                {"restarts": 1, "halvings": 3, "max_points": 2}, {"mc_samples": 2_000})
+    x0 = {"gaussian-mean": 0.3, "poisson": -0.2, "bernoulli": 0.4}[name]
+    model = vb.make_model(name)
+    return model, vb.expfam_mean(model), [[x0 - 0.5], [x0], [x0 + 0.5]], _LIGHT, {}
+
+
+SCAN_CASES = ["gaussian-mean", "poisson", "bernoulli", "gaussian-mean-nd",
+              "exponential-rate-unboxed", "gaussian-mean-ten-points", "generic-poisson"]
+
+
+class TestBatchedSearchesEqualAlone:
+    """The scan's grid points and the reduction's radii share stacked Gram
+    solves; each result is still the one `barankin_approx` gives alone."""
+
+    @pytest.mark.parametrize("name", SCAN_CASES)
+    def test_scan_point_equals_its_search_alone(self, name):
+        model, gamma, grid, options, kwargs = _scan_case(name)
+        report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7, **kwargs)
+        for i, x in enumerate(grid):
+            alone = vb.evaluate_bound(model, gamma, x, MethodSpec("barankin_approx", options),
+                                      seed=7 + i, **kwargs)
+            assert report.values[i].hex() == alone.value.hex()
+            assert _hexed(report.diagnostics[i]) == _hexed(alone.diagnostics)
+
+    @pytest.mark.parametrize("name", ["gaussian-mean", "poisson", "bernoulli",
+                                      "gaussian-mean-nd", "exponential-rate-unboxed",
+                                      "generic-poisson"])
+    def test_reduction_radius_equals_its_search_alone(self, name):
+        model, gamma, grid, options, kwargs = _scan_case(name)
+        base = BarankinSearch(**{k: v for k, v in options.items() if k != "radius"})
+        radii = [0.25, 0.5, 1.0, 2.0]
+        report = vb.reduction_experiment(model, gamma, grid[0], radii, base, seed=3, **kwargs)
+        for j, r in enumerate(radii):
+            alone = vb.barankin_approx(model, gamma, grid[0],
+                                       replace(base, radius=r, seed=3 + j), **kwargs)
+            assert report.values[j].hex() == alone.value.hex()
+            assert _hexed(report.diagnostics[j]) == _hexed(alone.diagnostics)
+
+    def test_each_configuration_is_computed_once_per_grid_point(self, monkeypatch):
+        model, gamma, grid, options, kwargs = _scan_case("gaussian-mean-ten-points")
+        kernel_stacks, computed = bounds_module._kernel_stacks, {}
+
+        def tracked_stacks(evaluator, g, stack, *args):
+            computed.setdefault(float(evaluator.x0[0]), []).extend(
+                np.asarray(points, dtype=float).tobytes() for points in stack)
+            return kernel_stacks(evaluator, g, stack, *args)
+
+        monkeypatch.setattr(bounds_module, "_kernel_stacks", tracked_stacks)
+        report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7)
+        assert list(computed) == [x[0] for x in grid]
+        for keys, d in zip(computed.values(), report.diagnostics):
+            assert len(set(keys)) == len(keys) == d["evaluations"]
+
+    @pytest.mark.parametrize("name, window", [("gaussian-mean-ten-points", 8),
+                                              ("generic-poisson", 1)])
+    def test_window_of_searches(self, name, window, monkeypatch):
+        # closed-form searches share their solves 8 at a time; Monte Carlo
+        # searches, each holding its draws and ratio cache, run one at a time
+        model, gamma, grid, options, kwargs = _scan_case(name)
+        search, solves = bounds_module._search, []
+        running = []
+
+        def counted_search(*args):
+            running.append(1)
+            solves.append(("peak", len(running)))
+            try:
+                return (yield from search(*args))
+            finally:
+                running.pop()
+
+        def counted_solve(G, rhs, pinv_tol):
+            solves.append(("solve", len(rhs)))
+            return make_gram_system(G, rhs, pinv_tol)
+
+        make_gram_system = bounds_module.make_gram_system
+        monkeypatch.setattr(bounds_module, "_search", counted_search)
+        monkeypatch.setattr(bounds_module, "make_gram_system", counted_solve)
+        report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7, **kwargs)
+        assert max(n for kind, n in solves if kind == "peak") == min(window, len(grid))
+        stacked = sum(d["gram_stacks"] for d in report.diagnostics)
+        search_solves = [n for kind, n in solves if kind == "solve"]
+        if window == 1:
+            # the Monte Carlo error estimate solves each half once more
+            assert len(search_solves) == stacked + 2 * len(grid)
+        else:
+            # fewer solves than the searches make alone, and stacks larger
+            # than the starts of one search can fill in a step
+            assert len(search_solves) < stacked
+            assert max(search_solves) > options["restarts"]
+
+
+def _nan_at(gamma, bad_x0):
+    """gamma, but NaN at the reference parameters in bad_x0."""
+    return vb.MeanFunction(lambda x: math.nan if float(x[0]) in bad_x0 else gamma.value(x),
+                           gamma.derivative)
+
+
+def _serial_error(call, count):
+    """(type, message) of the first error of call(0), call(1), ..."""
+    for i in range(count):
+        try:
+            call(i)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestBatchedSearchErrors:
+    """A batched scan or reduction raises the error the serial loop raises:
+    the first failing grid point's or radius', with its own message."""
+
+    def test_first_failing_grid_point_wins(self):
+        # point 1's mean is NaN at x0, so its first solve fails, while point 3
+        # (outside the natural space x < 0) fails before any solve, earlier
+        er = vb.exponential_rate()
+        grid = [[-2.0], [-1.5], [-1.0], [0.5], [-0.7]]
+        gamma = _nan_at(vb.identity_mean(), {-1.5, -0.7})
+        options = {"restarts": 2, "halvings": 3, "max_points": 2, "radius": 0.4}
+        expected = _serial_error(lambda i: vb.evaluate_bound(
+            er, gamma, grid[i], MethodSpec("barankin_approx", options), seed=i), len(grid))
+        assert expected[0] is DataError and "in system 0" in expected[1]
+        with pytest.raises(Exception) as caught:
+            vb.semicontinuity_scan(er, gamma, grid, options=options)
+        # the shared stack holds point 0's configurations first: an index
+        # into it would name another system
+        assert (type(caught.value), str(caught.value)) == expected
+
+    def test_later_point_failing_first_does_not_win(self, monkeypatch):
+        # both points start from 0.6 with steps of 0.5 in a ball of radius 1:
+        # point 1 (x0 = 0.8) proposes 1.1 at its second step, where the mean
+        # raises; point 0 (x0 = 0) reaches -0.4 only at its third, where the
+        # mean is NaN.  The serial loop fails on point 0.
+        def value(x):
+            if x[0] > 1.0:
+                raise ValueError(f"mean undefined at {x[0]}")
+            return math.nan if x[0] < -0.3 else float(x[0])
+
+        g, gamma, grid = vb.gaussian_mean(), vb.MeanFunction(value), [[0.0], [0.8]]
+        options = {"initial_points": [[0.6]], "restarts": 0, "halvings": 2, "radius": 1.0}
+        expected = _serial_error(lambda i: vb.evaluate_bound(
+            g, gamma, grid[i], MethodSpec("barankin_approx", options), seed=i), len(grid))
+        assert expected[0] is DataError
+        search, failed = bounds_module._search, []
+
+        def logged_search(model, gamma, x0, *args):
+            try:
+                return (yield from search(model, gamma, x0, *args))
+            except Exception:
+                failed.append(float(x0[0]))
+                raise
+
+        monkeypatch.setattr(bounds_module, "_search", logged_search)
+        with pytest.raises(Exception) as caught:
+            vb.semicontinuity_scan(g, gamma, grid, options=options)
+        assert (type(caught.value), str(caught.value)) == expected
+        assert failed == [0.8]  # point 0's error surfaced in the shared solve
+
+    def test_grid_point_outside_the_natural_space(self):
+        er = vb.exponential_rate()
+        grid = [[-1.0], [0.5], [0.25]]
+        options = {"restarts": 1, "halvings": 2, "max_points": 2, "radius": 0.4}
+        expected = _serial_error(lambda i: vb.evaluate_bound(
+            er, vb.identity_mean(), grid[i], MethodSpec("barankin_approx", options),
+            seed=i), len(grid))
+        with pytest.raises(NaturalSpaceError) as caught:
+            vb.semicontinuity_scan(er, vb.identity_mean(), grid, options=options)
+        assert (type(caught.value), str(caught.value)) == expected
+        assert "0.5" in str(caught.value)
+
+    @pytest.mark.parametrize("radii, first_fails", [([0.5, 1.0, 0.0], False),
+                                                    ([0.5, 1.0, 0.0], True)])
+    def test_first_failing_radius_wins(self, radii, first_fails):
+        g = vb.gaussian_mean()
+        gamma = _nan_at(vb.identity_mean(), {0.0}) if first_fails else vb.identity_mean()
+        base = BarankinSearch(restarts=1, halvings=2, max_points=2)
+
+        def alone(j):
+            if not radii[j] > 0:
+                raise ValueError(f"radii must be positive, got {radii[j]}")
+            return vb.barankin_approx(g, gamma, [0.0], replace(base, radius=radii[j], seed=j))
+
+        expected = _serial_error(alone, len(radii))
+        assert expected[0] is (DataError if first_fails else ValueError)
+        with pytest.raises(Exception) as caught:
+            vb.reduction_experiment(g, gamma, [0.0], radii, base)
+        assert (type(caught.value), str(caught.value)) == expected

@@ -598,6 +598,22 @@ class TestStackedGramSystem:
                         for g, r in zip(G, rhs)]
             assert [v.hex() for v in signed_sq_norm(stacked)] == expected
 
+    def test_stacks_of_mixed_rank_round_as_one_matrix(self):
+        # the matrices of one rank share a stacked product: each value is the
+        # one-matrix value, bit for bit, whatever the other ranks in the stack
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            m, B = int(rng.integers(1, 11)), int(rng.integers(1, 9))
+            A = rng.normal(size=(B, m, m)) * 10.0 ** rng.integers(-3, 3, size=(B, 1, 1))
+            for b in range(B):
+                A[b, :, rng.integers(0, m + 1):] = 0.0  # rank deficient
+            G = A @ A.swapaxes(1, 2) * rng.choice([-1.0, 1.0], size=(B, 1, 1))
+            rhs = rng.normal(size=(B, m))
+            stacked = make_gram_system(G, rhs, 1e-10)
+            expected = [signed_sq_norm(make_gram_system(g, r, 1e-10)).hex()
+                        for g, r in zip(G, rhs)]
+            assert [v.hex() for v in signed_sq_norm(stacked)] == expected
+
     def test_stacked_checks_name_the_matrix(self):
         G = np.array([np.eye(2)] * 3)
         rhs = np.ones((3, 2))

@@ -271,16 +271,24 @@ _gammaln_vec = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _neg_log_factorial(y) -> np.ndarray:
-    """-log(y!) as -lgamma(y + 1), with lgamma evaluated once per distinct value."""
-    v = np.asarray(y, dtype=float)[..., 0] + 1.0
-    distinct, inverse = np.unique(v, return_inverse=True)
-    return -_gammaln_vec(distinct)[inverse].reshape(v.shape)
+    """-log(y!) as -lgamma(y + 1); -inf where y is not a count, NaN stays NaN."""
+    y = np.asarray(y, dtype=float)[..., 0]
+    on = (y >= 0) & (y == np.floor(y)) & (y < math.inf)
+    if not on.all():
+        out = np.where(np.isnan(y), y, -math.inf)
+        out[on] = _neg_log_factorial(y[on, None])
+        return out
+    lo, hi = (y.min(), y.max()) if y.size else (0.0, -1.0)
+    if hi - lo < y.size:  # lgamma once per integer in [lo, hi], without a sort
+        return -_gammaln_vec(lo + np.arange(hi - lo + 1) + 1.0)[(y - lo).astype(np.intp)]
+    distinct, inverse = np.unique(y + 1.0, return_inverse=True)
+    return -_gammaln_vec(distinct)[inverse].reshape(y.shape)
 
 
 def poisson() -> ExponentialFamilyModel:
     """Poisson counts; natural parameter is the log rate.
 
-    log h uses log-factorial via log-gamma so large counts do not overflow.
+    log h is -lgamma(y + 1), so large counts do not overflow, and -inf off the counts.
     """
     return ExponentialFamilyModel(
         name="poisson",

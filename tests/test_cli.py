@@ -7,6 +7,8 @@ import io
 import math
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import varbounds
 from varbounds.cli import RunConfig, list_models, load_config, main
 from varbounds.errors import ConfigurationError
 
@@ -431,6 +434,35 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, GAUSSIAN_RUN)
         assert main(["validate", "--config", cfg]) == 2
         assert "estimator" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_on_the_first_main_not_at_import(self):
+        src = str(Path(varbounds.__file__).resolve().parent.parent)
+        code = ("import varbounds.cli as cli; n = cli._parser.cache_info().currsize; "
+                "cli.main(['models']); cli.main(['models']); "
+                "print(n, cli._parser.cache_info().misses)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.splitlines()[-1] == "0 1"
+
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "crb"}],
+               "estimator": {"builtin": "suffstat"},
+               "mc": {"samples": 2000, "seed": 21},
+               "output": {"path": str(tmp_path / "config.csv"), "format": "csv"}}
+        cfg = write_config(tmp_path, doc)
+        flagged = tmp_path / "flagged.csv"
+        assert main(["validate", "--config", cfg, "--output", str(flagged),
+                     "--seed", "5"]) == 0
+        assert main(["validate", "--config", cfg]) == 0
+        plain = (tmp_path / "config.csv").read_bytes()
+        assert main(["validate", "--config", cfg, "--output", str(tmp_path / "b.csv")]) == 0
+        assert main(["validate", "--config", cfg, "--seed", "5",
+                     "--output", str(tmp_path / "c.csv")]) == 0
+        # the config's seed and path apply whenever no flag overrides them
+        assert (tmp_path / "b.csv").read_bytes() == plain
+        assert (tmp_path / "c.csv").read_bytes() == flagged.read_bytes() != plain
 
 
 class TestModelsCommand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import varbounds as vb
+from varbounds import models
 from varbounds.calculus import MultiIndex, partial_derivative
 from varbounds.errors import NaturalSpaceError, ReferenceSupportError
 from varbounds.models import _gammaln_vec, log_density_batch, mean_partial
@@ -44,7 +45,8 @@ class TestLogDensity:
         draws = [vb.sample(p, [x], 1, 20_000) for x in (0.0, 3.0)]
         odd = np.array([[0.5], [2.25], [0.5], [1e6], [1e300], [170.0], [2.25]])
         for y in draws + [odd]:
-            expect = -_gammaln_vec(y[..., 0] + 1.0)
+            count = y[..., 0] == np.floor(y[..., 0])  # non-integer y is off the support
+            expect = np.where(count, -_gammaln_vec(y[..., 0] + 1.0), -np.inf)
             assert np.array_equal(p.log_h(y), expect)
 
     def test_rejects_parameter_outside_natural_space(self):
@@ -52,6 +54,86 @@ class TestLogDensity:
         with pytest.raises(NaturalSpaceError) as err:
             vb.log_density(er, [1.0], [0.5])
         assert err.value.point[0] == 0.5
+
+
+def old_neg_log_factorial(y):
+    """Poisson log h as it was computed before the per-count table."""
+    v = np.asarray(y, dtype=float)[..., 0] + 1.0
+    distinct, inverse = np.unique(v, return_inverse=True)
+    return -_gammaln_vec(distinct)[inverse].reshape(v.shape)
+
+
+def lgamma_arguments(monkeypatch):
+    """Record every argument log h hands to lgamma."""
+    seen = []
+
+    def lgamma(v):
+        seen.append(v)
+        return math.lgamma(v)
+
+    monkeypatch.setattr(models, "_gammaln_vec", np.vectorize(lgamma, otypes=[float]))
+    return seen
+
+
+class TestPoissonLogH:
+    @pytest.mark.parametrize("log_rate", [-3.0, 0.0, 3.0, 6.0, 9.0, 12.0])
+    def test_bit_identical_to_the_sorted_formula(self, log_rate):
+        y = vb.sample(vb.poisson(), [log_rate], seed=5, count=50_000)
+        got, want = vb.poisson().log_h(y), old_neg_log_factorial(y)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("y", [
+        np.array([[0.0], [10.0], [1000.0]]),               # wider than the batch
+        np.array([[3.0], [7.0], [1e6], [1e300], [3.0]]),
+        np.array([[0.0], [2.0], [1.0]]),                  # exactly as wide
+        np.array([[2.0**53], [2.0**53 + 2], [2.0**53 + 4], [2.0**53 + 2], [2.0**53]]),
+        np.array([[0.0], [0.0]]),
+    ], ids=["spread", "huge", "tight", "beyond-2^53", "single"])
+    def test_table_and_fallback_match_the_sorted_formula(self, y):
+        assert vb.poisson().log_h(y).tobytes() == old_neg_log_factorial(y).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 1), (3, 4, 1), (0, 1), (2, 0, 1)])
+    def test_batch_shapes(self, shape):
+        y = np.random.default_rng(2).poisson(4.0, size=shape).astype(float)
+        got = vb.poisson().log_h(y)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == old_neg_log_factorial(y).tobytes()
+
+    def test_lgamma_runs_at_most_once_per_integer_in_range(self, monkeypatch):
+        seen = lgamma_arguments(monkeypatch)
+        y = vb.sample(vb.poisson(), [2.0], seed=9, count=20_000)
+        vb.poisson().log_h(y)
+        assert sorted(seen) == [k + 1.0 for k in np.arange(y.min(), y.max() + 1)]
+
+    def test_fallback_runs_lgamma_once_per_distinct_count(self, monkeypatch):
+        seen = lgamma_arguments(monkeypatch)
+        vb.poisson().log_h(np.array([[0.0], [500.0], [0.0], [90.0]]))
+        assert sorted(seen) == [1.0, 91.0, 501.0]
+
+    def test_off_the_support_is_minus_infinity(self):
+        p = vb.poisson()
+        # a negative count used to raise "math domain error", 1.5 used to be finite
+        assert vb.log_density(p, [-1.0], [0.0]) == -math.inf
+        assert vb.log_density(p, [1.5], [0.0]) == -math.inf
+        y = np.array([[-1.0], [1.5], [np.inf], [-np.inf], [-0.5], [np.nan], [2.0]])
+        got = p.log_h(y)
+        assert np.all(got[:5] == -np.inf)
+        assert math.isnan(got[5])
+        assert got[6] == -math.lgamma(3.0)
+
+    def test_off_the_support_reference_density_vanishes(self):
+        with pytest.raises(ReferenceSupportError):
+            vb.likelihood_ratio(vb.poisson(), [1.5], [0.0], [0.0])
+
+    def test_counts_mixed_with_off_support_values(self):
+        y = vb.sample(vb.poisson(), [1.0], seed=4, count=1000)
+        mixed = y.copy()
+        mixed[::7] = 0.5
+        got = vb.poisson().log_h(mixed)
+        assert np.all(got[::7] == -np.inf)
+        keep = np.ones(len(y), bool)
+        keep[::7] = False
+        assert got[keep].tobytes() == old_neg_log_factorial(y[keep]).tobytes()
 
 
 class TestNaturalSpace:

@@ -13,13 +13,10 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
     partial_derivative
-from .errors import ConstraintRankError, DataError, DomainError, KernelEvaluationError, \
-    NaturalSpaceError
-from .kernel import ExpfamKernelEvaluator, GramSystem, KernelEvaluator, \
-    MonteCarloKernelEvaluator, deriv_inner_products, difference_block, make_gram_system, \
-    signed_sq_norm
-from .models import ExponentialFamilyModel, MeanFunction, Model, \
-    as_param, log_density_batch, mean_partial, sample
+from .errors import ConstraintRankError, DomainError, KernelEvaluationError, NaturalSpaceError
+from .kernel import ExpfamKernelEvaluator, KernelEvaluator, MonteCarloKernelEvaluator, \
+    deriv_inner_products, difference_block, make_gram_system, signed_sq_norm
+from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
 MAX_INDEX_ORDER = 4
@@ -76,79 +73,91 @@ def _clamped(value: float, rank: int, condition_number: float,
     return value, diagnostics
 
 
-def _projection(system: GramSystem, offset=0.0) -> tuple[float, dict]:
-    """rhs' G^+ rhs - offset of a one-matrix system, clamped at zero."""
-    d = system.diagnostics
-    return _clamped(signed_sq_norm(system) - offset, d["rank"], d["condition_number"],
-                    d["min_eigenvalue"])
-
-
 def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> BoundResult:
-    value, diagnostics = _projection(make_gram_system(matrix, rhs, pinv_tol), offset)
+    system = make_gram_system(matrix, rhs, pinv_tol)
+    d = system.diagnostics
+    value, diagnostics = _clamped(signed_sq_norm(system) - offset, d["rank"],
+                                  d["condition_number"], d["min_eigenvalue"])
     if extra:
         diagnostics.update(extra)
     return BoundResult(value=value, method=method, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
-# Fisher information and Cramer-Rao
+# Kernel-derivative bounds: Cramer-Rao, constrained Cramer-Rao, Bhattacharyya
 # ---------------------------------------------------------------------------
+
+def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
+    idxs = [as_index(p, dim=N) for p in indices]
+    if not idxs:
+        raise ValueError("at least one multi-index is required")
+    if len(set(idxs)) != len(idxs):
+        raise ValueError("multi-indices must be distinct")
+    for p in idxs:
+        if p.order < min_order:
+            raise ValueError(f"multi-index {tuple(p)} has order below {min_order}")
+        if p.order > MAX_INDEX_ORDER:
+            raise ValueError(f"multi-index {tuple(p)} exceeds the order-{MAX_INDEX_ORDER} cap")
+    return idxs
+
+
+def _unit_indices(N: int) -> list[MultiIndex]:
+    return [MultiIndex.unit(N, k) for k in range(N)]
+
+
+def _deriv_gram(model: Model, x0: np.ndarray, idxs: Sequence[MultiIndex], n_mc: int,
+                seed: int, cfg: FDConfig | None = None) -> tuple[np.ndarray, dict]:
+    """Inner products of the kernel derivative functions r^(p), p in idxs,
+    at x0, and the route tag: exact from moments for an exponential family,
+    or finite differences of its closed-form kernel without closed-form
+    moments (`moment_fd_fallback`); otherwise the Monte Carlo mean of
+    D^p rho * D^q rho, differentiating one evaluator's cached ratio vectors
+    per draw with `partial_derivative` (`mc_samples`).  Over the unit
+    indices this is the Fisher information: rho(x0) = 1, so the score at x0
+    is the gradient of rho.
+    """
+    if isinstance(model, ExponentialFamilyModel):
+        B = deriv_inner_products(model, x0, idxs, cfg)
+        return B, {"moment_fd_fallback": True} if model.closed_moments is None else {}
+    evaluator = MonteCarloKernelEvaluator(model, x0, n_mc, seed)
+    D = np.array([partial_derivative(evaluator._ratios, x0, p, cfg) for p in idxs])
+    return (D @ D.T) / evaluator.mc_samples, {"mc_samples": n_mc}
+
+
+def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=None, *,
+                 n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
+                 cfg: FDConfig | None = None) -> BoundResult:
+    """a' B^+ a with a the mean-function partials and B the derivative Gram
+    at the indices, restricted to the null space of the constraint Jacobian
+    F when F has rows."""
+    x0 = as_param(model, x0)
+    idxs = _validate_indices(indices, model.param_dim)
+    a = np.array([mean_partial(gamma, x0, p) for p in idxs])
+    B, extra = _deriv_gram(model, x0, idxs, n_mc, seed, cfg)
+    if F is not None and np.size(F) != 0:
+        U = null_space_onb(F)
+        B, a, extra = U.T @ B @ U, U.T @ a, {"null_space_dim": U.shape[1], **extra}
+    return _quadratic_bound(B, a, method, pinv_tol, extra=extra)
+
 
 def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
                 cfg: FDConfig | None = None) -> np.ndarray:
-    """Fisher information matrix at x0.
+    """Fisher information matrix at x0: the derivative Gram over the unit
+    indices.
 
-    For a canonical exponential family this is the covariance of the
-    sufficient statistic, computed exactly from moments.  Otherwise the score
-    is formed by central differences of the log density and the matrix is the
-    Monte Carlo mean of its outer products.
+    For a canonical exponential family that is the covariance of the
+    sufficient statistic, exact from moments.  Otherwise it is the Monte
+    Carlo mean of the outer products of the likelihood-ratio gradients.
     """
     x0 = as_param(model, x0)
-    N = model.param_dim
-    if isinstance(model, ExponentialFamilyModel):
-        cap = MultiIndex((2,) * N)
-        mu = moment_table(model, x0, cap, cfg)
-        first = np.array([mu[MultiIndex.unit(N, k)] for k in range(N)])
-        J = np.empty((N, N))
-        for k in range(N):
-            for l in range(k, N):
-                second = mu[MultiIndex.unit(N, k).plus(MultiIndex.unit(N, l))]
-                J[k, l] = J[l, k] = second - first[k] * first[l]
-        return J
-
-    Y = sample(model, x0, seed, n_mc)
-    scores = np.empty((len(Y), N))
-    steps = np.maximum(1.0, np.abs(x0)) * 1e-4
-    for k in range(N):
-        e = np.zeros(N)
-        e[k] = steps[k]
-        scores[:, k] = (log_density_batch(model, Y, x0 + e)
-                        - log_density_batch(model, Y, x0 - e)) / (2 * steps[k])
-    if not np.all(np.isfinite(scores)):
-        bad = np.where(~np.all(np.isfinite(scores), axis=1))[0][:5]
-        raise DataError(f"non-finite score at draws {bad.tolist()}")
-    return (scores.T @ scores) / len(Y)
-
-
-def _crb(method: str, model: Model, gamma: MeanFunction, x0, F=None, *,
-         n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
-         cfg: FDConfig | None = None) -> BoundResult:
-    """b' J^+ b with b the mean-function gradient, restricted to the null
-    space of the constraint Jacobian F when F has rows."""
-    x0 = as_param(model, x0)
-    b = np.array([mean_partial(gamma, x0, MultiIndex.unit(len(x0), k)) for k in range(len(x0))])
-    J = fisher_info(model, x0, n_mc=n_mc, seed=seed, cfg=cfg)
-    if F is None or np.size(F) == 0:
-        return _quadratic_bound(J, b, method, pinv_tol)
-    U = null_space_onb(F)
-    return _quadratic_bound(U.T @ J @ U, U.T @ b, method, pinv_tol,
-                            extra={"null_space_dim": U.shape[1]})
+    return _deriv_gram(model, x0, _unit_indices(model.param_dim), n_mc, seed, cfg)[0]
 
 
 def crb(model: Model, gamma: MeanFunction, x0, *, n_mc: int = 100_000, seed: int = 0,
         pinv_tol: float = 1e-10) -> BoundResult:
     """Cramer-Rao bound b' J^+ b with b the mean-function gradient."""
-    return _crb("crb", model, gamma, x0, n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
+    return _deriv_bound("crb", model, gamma, x0, _unit_indices(model.param_dim),
+                        n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
 
 
 def null_space_onb(F) -> np.ndarray:
@@ -171,35 +180,8 @@ def constrained_crb(model: Model, gamma: MeanFunction, x0, F=None, *,
 
     F=None (or zero rows) means no constraints and reduces to the plain bound.
     """
-    return _crb("constrained_crb", model, gamma, x0, F, n_mc=n_mc, seed=seed,
-                pinv_tol=pinv_tol)
-
-
-# ---------------------------------------------------------------------------
-# Bhattacharyya
-# ---------------------------------------------------------------------------
-
-def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
-    idxs = [as_index(p, dim=N) for p in indices]
-    if not idxs:
-        raise ValueError("at least one multi-index is required")
-    if len(set(idxs)) != len(idxs):
-        raise ValueError("multi-indices must be distinct")
-    for p in idxs:
-        if p.order < min_order:
-            raise ValueError(f"multi-index {tuple(p)} has order below {min_order}")
-        if p.order > MAX_INDEX_ORDER:
-            raise ValueError(f"multi-index {tuple(p)} exceeds the order-{MAX_INDEX_ORDER} cap")
-    return idxs
-
-
-def _mc_deriv_ratio_matrix(model, x0, idxs, n_mc, seed):
-    """Monte Carlo matrix of E{ D^p rho * D^q rho } with the likelihood-ratio
-    derivatives formed per draw by the central-difference stencils of
-    partial_derivative over one evaluator's cached ratio vectors."""
-    evaluator = MonteCarloKernelEvaluator(model, x0, n_mc, seed)
-    D = np.array([partial_derivative(evaluator._ratios, x0, p) for p in idxs])
-    return (D @ D.T) / evaluator.mc_samples
+    return _deriv_bound("constrained_crb", model, gamma, x0, _unit_indices(model.param_dim),
+                        F, n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
 
 
 def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
@@ -213,18 +195,8 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
     estimated by Monte Carlo from finite-difference likelihood-ratio
     derivatives, which caps usable orders at 2 per index.
     """
-    x0 = as_param(model, x0)
-    idxs = _validate_indices(indices, model.param_dim)
-    a = np.array([mean_partial(gamma, x0, p) for p in idxs])
-    extra = {}
-    if isinstance(model, ExponentialFamilyModel):
-        B = deriv_inner_products(model, x0, idxs)
-        if model.closed_moments is None:
-            extra["moment_fd_fallback"] = True
-    else:
-        B = _mc_deriv_ratio_matrix(model, x0, idxs, n_mc, seed)
-        extra["mc_samples"] = n_mc
-    return _quadratic_bound(B, a, "bhattacharyya", pinv_tol, extra=extra)
+    return _deriv_bound("bhattacharyya", model, gamma, x0, indices, n_mc=n_mc, seed=seed,
+                        pinv_tol=pinv_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +639,8 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
     information formed as the covariance of the sufficient statistic."""
     if not isinstance(model, ExponentialFamilyModel):
         raise TypeError("expfam_crb requires an ExponentialFamilyModel")
-    return _crb("expfam_crb", model, gamma, x0, pinv_tol=pinv_tol, cfg=cfg)
+    return _deriv_bound("expfam_crb", model, gamma, x0, _unit_indices(model.param_dim),
+                        pinv_tol=pinv_tol, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

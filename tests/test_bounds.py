@@ -12,7 +12,8 @@ import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
     _quadratic_bound, barankin_search, evaluate_bound, method_options
-from varbounds.errors import ConstraintRankError, DomainError, NaturalSpaceError
+from varbounds.errors import ConstraintRankError, DomainError, NaturalSpaceError, \
+    StencilError
 from varbounds.kernel import deriv_inner_products
 
 
@@ -20,6 +21,41 @@ def hcrb_single_point_oracle(delta: float) -> float:
     """Gaussian unit-variance mean, identity estimand, single test point at
     x0 + delta: bound is delta^2 / (exp(delta^2) - 1)."""
     return delta ** 2 / math.expm1(delta ** 2)
+
+
+@pytest.fixture
+def log_density_calls(monkeypatch) -> list:
+    """The parameter of each log_density_batch call the kernel makes."""
+    calls = []
+    orig = vb_kernel.log_density_batch
+
+    def counted(model, Y, x):
+        calls.append(np.array(x, dtype=float))
+        return orig(model, Y, x)
+    monkeypatch.setattr(vb_kernel, "log_density_batch", counted)
+    return calls
+
+
+def shifted_exponential() -> vb.GenericModel:
+    """y - x standard exponential: the support y >= x moves with x."""
+    return vb.GenericModel(
+        "shifted-exponential", 1, 1,
+        lambda Y, x: np.where(Y[:, 0] >= x[0], x[0] - Y[:, 0], -np.inf),
+        lambda x, seed, count: x[0] + np.random.default_rng(seed).exponential(size=(count, 1)))
+
+
+#: Every built-in family, three without closed-form moments and three
+#: Monte Carlo views, for the one-derivative-Gram oracle.
+DERIV_GRAM_CASES = [
+    (vb.gaussian_mean(), [0.7]), (vb.poisson(), [0.2]), (vb.bernoulli(), [-0.5]),
+    (vb.exponential_rate(), [-1.0]), (vb.gaussian_mean_nd(2), [0.1, -0.6]),
+    (vb.gaussian_iid(3), [0.3]), (vb.gaussian_sum(3), [0.3]),
+    (replace(vb.poisson(), closed_moments=None), [0.2]),
+    (replace(vb.bernoulli(), closed_moments=None), [-0.5]),
+    (replace(vb.gaussian_mean_nd(2), closed_moments=None), [0.1, -0.6]),
+    (vb.as_generic(vb.gaussian_mean()), [0.7]), (vb.as_generic(vb.poisson()), [0.2]),
+    (vb.as_generic(vb.gaussian_mean_nd(2)), [0.1, -0.6]),
+]
 
 
 class TestFisherInfo:
@@ -54,6 +90,47 @@ class TestCRB:
         # gamma(x) = e^x at x0=0: gradient 1, information 1
         res = vb.crb(vb.poisson(), vb.expfam_mean(vb.poisson()), [0.0])
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model, x0", DERIV_GRAM_CASES, ids=[
+        f"{m.name}{'-fd' if getattr(m, 'closed_moments', 0) is None else ''}"
+        for m, _ in DERIV_GRAM_CASES])
+    def test_is_bhattacharyya_over_unit_indices(self, model, x0):
+        # the Fisher matrix is the first-order derivative Gram, on every route
+        gamma = vb.identity_mean(0)
+        units = [tuple(row) for row in np.eye(len(x0), dtype=int)]
+        cr = vb.crb(model, gamma, x0, n_mc=20_000, seed=4)
+        bh = vb.bhattacharyya(model, gamma, x0, units, n_mc=20_000, seed=4)
+        assert cr.value.hex() == bh.value.hex()
+        assert cr.diagnostics["gram_rank"] == bh.diagnostics["gram_rank"]
+        for key in ("condition_number", "min_eigenvalue"):
+            assert float(cr.diagnostics[key]).hex() == float(bh.diagnostics[key]).hex()
+        assert cr.diagnostics == bh.diagnostics  # the route tags too
+
+    @pytest.mark.parametrize("model, calls", [
+        (vb.as_generic(vb.gaussian_mean()), 3), (vb.as_generic(vb.gaussian_mean_nd(2)), 5)],
+        ids=["N=1", "N=2"])
+    def test_monte_carlo_differentiates_the_evaluator_ratios(self, log_density_calls, model,
+                                                             calls):
+        # the draws' log density at x0, then the ratio vectors at x0 -/+ h e_k
+        vb.crb(model, vb.identity_mean(), np.zeros(model.param_dim), n_mc=1000, seed=3)
+        assert len(log_density_calls) == calls
+
+    def test_moving_support_gives_a_zero_ratio(self):
+        # the density vanishes at x0 + h on the draws in [x0, x0 + h): rho is
+        # 0 there, where the log-density score was -inf
+        model, gamma = shifted_exponential(), vb.identity_mean()
+        cr = vb.crb(model, gamma, [0.0], n_mc=20_000, seed=1)
+        bh = vb.bhattacharyya(model, gamma, [0.0], [(1,)], n_mc=20_000, seed=1)
+        assert cr.value.hex() == bh.value.hex()
+        assert cr.value == pytest.approx(1.6e-4, rel=0.01)
+
+    def test_non_finite_log_density_names_the_stencil_point(self):
+        def ld(Y, x):
+            return np.full(len(Y), np.nan) if x[0] > 0.0 else -0.5 * (Y[:, 0] - x[0]) ** 2
+        model = vb.GenericModel("nan-above-zero", 1, 1, ld, vb.gaussian_mean().sampler)
+        with pytest.raises(StencilError) as err:
+            vb.crb(model, vb.identity_mean(), [0.0], n_mc=1000, seed=1)
+        assert np.array_equal(err.value.point, [1e-4])  # x0 + h
 
 
 class TestNullSpaceONB:
@@ -173,20 +250,13 @@ class TestBhattacharyya:
                                n_mc=200_000, seed=1)
         assert res.value == pytest.approx(exact, rel=0.15)
 
-    def test_generic_reuses_reference_ratios(self, monkeypatch):
+    def test_generic_reuses_reference_ratios(self, log_density_calls):
         # draws at x0 plus the ratio vectors at x0 -/+ h; the centre of the
         # order-2 stencil is x0, whose vector the evaluator starts with
-        calls = []
-        orig = vb_kernel.log_density_batch
-
-        def counted(model, Y, x):
-            calls.append(np.array(x, dtype=float))
-            return orig(model, Y, x)
-        monkeypatch.setattr(vb_kernel, "log_density_batch", counted)
         vb.bhattacharyya(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(), [0.5],
                          [(1,), (2,)], n_mc=1000, seed=3)
-        assert len(calls) == 3
-        assert sum(np.array_equal(x, [0.5]) for x in calls) == 1
+        assert len(log_density_calls) == 3
+        assert sum(np.array_equal(x, [0.5]) for x in log_density_calls) == 1
 
 
 class TestHCRB:

@@ -22,9 +22,10 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
     partial_derivative, reciprocal_series, MAX_FD_ORDER
-from .errors import DataError, KernelEvaluationError, NaturalSpaceError
-from .models import ExponentialFamilyModel, MeanFunction, Model, \
-    log_density_batch, mean_partial, natural_space_contains, sample
+from .errors import DataError, KernelEvaluationError, NaturalSpaceError, \
+    ReferenceSupportError
+from .models import ExponentialFamilyModel, MeanFunction, Model, _family_log_density, \
+    as_param, log_density_batch, mean_partial, natural_space_contains, sample
 
 #: exp is finite exactly up to log(max float); NaN exponents fail the test too
 _EXP_MAX = 709.782712893384
@@ -110,6 +111,15 @@ class MonteCarloKernelEvaluator:
     announced by `reserve`.  So a search that moves one test point per
     configuration computes one new vector per configuration, while memory
     stays near twice the ratio matrices of one search step.
+
+    Per draw set it keeps the draws, their reference log densities and, for
+    an exponential family or `as_generic` of one, phi and log h of the
+    draws.  h cancels in the ratio, so a new vector is then
+    exp((phi(Y)'x - A(x)) + log h(Y) - log f(Y;x0)) without re-evaluating
+    log h, which costs one n-vector to keep; phi(Y) is the draws themselves
+    for the scalar families.  Any other model evaluates its log density on
+    the draws for each new vector.  ReferenceSupportError (DataError) names
+    the first draw where the reference log density is -inf (NaN or +inf).
     """
 
     mode = "monte_carlo"
@@ -126,18 +136,42 @@ class MonteCarloKernelEvaluator:
         self.mc_samples = len(self.samples)
         if self.mc_samples < 2:
             raise ValueError("need at least 2 samples")
-        self._ld0 = log_density_batch(model, self.samples, self.x0)
-        ones = np.exp(self._ld0 - self._ld0)
+        self._family = self._phi = self._log_h = None
+        self._ld0 = self._log_density(self.x0)  # no family kept yet: one log_density_batch
+        finite = np.isfinite(self._ld0)
+        if not finite.all():
+            i = int(finite.argmin())  # the first draw where it is not finite
+            value = float(self._ld0[i])
+            error = ReferenceSupportError if value == -math.inf else DataError
+            raise error(f"reference log density {value} at draw {i}, "
+                        f"y={self.samples[i].tolist()}, for x0={self.x0.tolist()}")
+        family = model if isinstance(model, ExponentialFamilyModel) else model.family
+        if family is not None:
+            self._family = family
+            self._phi, self._log_h = family.phi(self.samples), family.log_h(self.samples)
+        ones = np.ones(self.mc_samples)  # exp(ld0 - ld0) for a finite ld0
         ones.flags.writeable = False
         self._cache = {self.x0.tobytes(): ones}
         self._cache_cap = 5
+
+    def _log_density(self, x) -> np.ndarray:
+        """Log density of the draws at x: from the kept phi and log h of a
+        family (a new array), else the model's log_density_batch.  The one
+        place the reference and every new ratio vector are computed."""
+        if self._family is None:
+            return log_density_batch(self.model, self.samples, x)
+        return _family_log_density(self._family, self._phi, self._log_h,
+                                   as_param(self.model, x))
 
     def _ratios(self, x) -> np.ndarray:
         key = np.asarray(x, dtype=float).tobytes()
         r = self._cache.pop(key, None)
         if r is None:
             # raises before anything is stored, so a failing point fails again
-            r = np.exp(log_density_batch(self.model, self.samples, x) - self._ld0)
+            ld = self._log_density(x)
+            # the family formula's array is new; a user model's may be its own
+            r = np.subtract(ld, self._ld0, out=ld if self._family is not None else None)
+            np.exp(r, out=r)
             r.flags.writeable = False
         self._cache[key] = r  # most recently used last
         while len(self._cache) > self._cache_cap:
@@ -152,11 +186,14 @@ class MonteCarloKernelEvaluator:
     def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
         """Evaluators over the first and the second half of the draws, for
         sample-split error estimates.  They slice this evaluator's draws,
-        reference log densities and cached ratio vectors; log densities are
-        per observation, so a slice equals a recomputation on the half."""
+        reference log densities, kept phi and log h, and cached ratio
+        vectors; all are per observation, so a slice equals a recomputation
+        on the half."""
         def view(rows: slice) -> MonteCarloKernelEvaluator:
             sub = copy.copy(self)
             sub.samples, sub._ld0 = self.samples[rows], self._ld0[rows]
+            if self._family is not None:
+                sub._phi, sub._log_h = self._phi[rows], self._log_h[rows]
             sub.mc_samples = len(sub.samples)
             sub._cache = {key: r[rows] for key, r in self._cache.items()}
             return sub

@@ -56,6 +56,11 @@ class GenericModel:
 
     log_density(Y, x) must accept a (count, M) batch and return a (count,)
     array, with -inf marking observations outside the support at x.
+
+    family is the exponential family whose log density this is, recorded by
+    `as_generic` so that a Monte Carlo evaluator can keep phi and log h of
+    its draws; it is None for a user model, whose log_density is the only
+    formula, and must be reset to None on a copy given another log_density.
     """
 
     name: str
@@ -63,6 +68,7 @@ class GenericModel:
     obs_dim: int
     log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.ndarray, int, int], np.ndarray]
+    family: ExponentialFamilyModel | None = None
 
 
 Model = ExponentialFamilyModel | GenericModel
@@ -93,15 +99,35 @@ def natural_space_contains(model: ExponentialFamilyModel, x) -> bool:
     return bool(np.isfinite(model.log_lambda(x)))
 
 
-def log_density_batch(model: Model, Y: np.ndarray, x) -> np.ndarray:
-    """Per-observation log density over a (count, M) batch."""
-    x = as_param(model, x)
-    if isinstance(model, GenericModel):
-        return np.asarray(model.log_density(Y, x), dtype=float)
+def _family_log_density(model: ExponentialFamilyModel, phi_Y: np.ndarray,
+                        log_h_Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(phi(Y)'x - A(x)) + log h(Y) from phi(Y) and log h(Y), in a new array.
+    For N = 1 the product is the elementwise phi(Y)[:, 0] * x[0], the values
+    of the one-term matmul phi(Y) @ x at a fraction of its cost; the matmul
+    writes an exact zero as +0.0, a sign that - A(x) + log h(Y) absorbs for
+    every built-in family."""
     ll = float(model.log_lambda(x))
     if not math.isfinite(ll):
         raise NaturalSpaceError(x)
-    return model.phi(Y) @ x - ll + model.log_h(Y)
+    out = phi_Y[..., 0] * x[0] if len(x) == 1 else phi_Y @ x
+    out -= ll
+    out += log_h_Y
+    return out
+
+
+def log_density_batch(model: Model, Y: np.ndarray, x) -> np.ndarray:
+    """Per-observation log density over a (count, M) batch.
+
+    ValueError, naming the model, when a GenericModel's log_density does not
+    return one value per observation."""
+    x = as_param(model, x)
+    if isinstance(model, GenericModel):
+        out = np.asarray(model.log_density(Y, x), dtype=float)
+        if out.shape != (len(Y),):
+            raise ValueError(f"log_density of model {model.name!r} returned shape "
+                             f"{out.shape}, expected ({len(Y)},)")
+        return out
+    return _family_log_density(model, model.phi(Y), model.log_h(Y), x)
 
 
 def log_density(model: ExponentialFamilyModel, y, x) -> float:
@@ -145,6 +171,7 @@ def as_generic(model: ExponentialFamilyModel) -> GenericModel:
         obs_dim=model.obs_dim,
         log_density=lambda Y, x: log_density_batch(model, Y, x),
         sampler=model.sampler,
+        family=model,
     )
 
 

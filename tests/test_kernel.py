@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from varbounds.bounds import _difference_projection, _quadratic_bound
 from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
     multi_indices_leq, reciprocal_series
 from varbounds.cli import main as cli_main
-from varbounds.errors import DataError, KernelEvaluationError, NaturalSpaceError
+from varbounds.errors import DataError, KernelEvaluationError, NaturalSpaceError, \
+    ReferenceSupportError
 from varbounds.kernel import (
     _exact_deriv_inner,
     _exact_point_deriv,
@@ -154,37 +156,23 @@ class TestKernelMC:
             assert not fine.heavy_tail_warning
 
 
-def count_log_density_rows(monkeypatch) -> list:
-    """Rows of every log-density batch the Monte Carlo evaluator requests."""
-    rows = []
-    original = kernel_module.log_density_batch
-
-    def counting(model, Y, x):
-        rows.append(len(Y))
-        return original(model, Y, x)
-
-    monkeypatch.setattr(kernel_module, "log_density_batch", counting)
-    return rows
-
-
 class TestMonteCarloRatioCache:
-    def test_hcrb_computes_one_vector_per_point_and_none_on_the_halves(self, monkeypatch):
-        rows = count_log_density_rows(monkeypatch)
+    def test_hcrb_computes_one_vector_per_point_and_none_on_the_halves(self, log_density_calls):
         res = vb.hcrb(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(), [0.0],
                       vb.TestPointSet([[0.5]]), mc_samples=20_000, seed=3)
         # x0 at construction, then the test point; the split halves slice both
-        assert rows == [20_000, 20_000]
+        assert [call.rows for call in log_density_calls] == [20_000, 20_000]
         assert res.diagnostics["mc_standard_error"] > 0
 
-    def test_repeated_pairwise_makes_no_new_log_density_call(self, monkeypatch):
+    def test_repeated_pairwise_makes_no_new_log_density_call(self, log_density_calls):
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
                                        mc_samples=5_000, seed=2)
-        rows = count_log_density_rows(monkeypatch)
+        log_density_calls.clear()
         pts = np.array([[0.0], [0.4], [-0.3]])
         first = ev.pairwise(pts)
-        assert len(rows) == 2
+        assert len(log_density_calls) == 2
         again = ev.pairwise(pts)
-        assert len(rows) == 2
+        assert len(log_density_calls) == 2
         assert np.array_equal(first, again)
 
     def test_pairwise_equals_uncached_ratio_products(self):
@@ -258,12 +246,12 @@ class TestMonteCarloRatioCache:
             with pytest.raises(ValueError):
                 r[0] = 2.0
 
-    def test_reference_vector_costs_no_log_density_call(self, monkeypatch):
+    def test_reference_vector_costs_no_log_density_call(self, log_density_calls):
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
                                        mc_samples=1_000, seed=1)
-        rows = count_log_density_rows(monkeypatch)
+        assert len(log_density_calls) == 1  # the reference, at construction
         assert np.array_equal(ev._ratios([0.0]), np.ones(1_000))
-        assert rows == []
+        assert len(log_density_calls) == 1
 
     def test_failing_point_is_not_cached(self):
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.exponential_rate()), [-1.0],
@@ -279,6 +267,122 @@ class TestMonteCarloRatioCache:
         assert ev.effective_sample_size([0.0]) == pytest.approx(1_000, rel=1e-12)
         # Kish ESS / n estimates 1 / E[rho^2] = exp(-delta^2) for a unit Gaussian
         assert ev.effective_sample_size([0.3]) / 1_000 == pytest.approx(math.exp(-0.09), rel=0.05)
+
+
+def old_ratio_vector(model, Y, x, x0) -> np.ndarray:
+    """A family's likelihood ratio over Y as it was computed before the
+    evaluator kept phi(Y) and log h(Y): two matmul log densities."""
+    def ld(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return model.phi(Y) @ x - float(model.log_lambda(x)) + model.log_h(Y)
+    return np.exp(ld(x) - ld(x0))
+
+
+#: Every built-in family, with its reference parameter and probe points
+#: (0 and x0 among them); 0 is outside the exponential-rate natural space.
+FAMILY_PROBES = [
+    (vb.gaussian_mean(), [0.3], [[0.0], [0.3], [0.9], [-1.4]]),
+    (vb.poisson(), [0.2], [[0.0], [0.2], [0.7], [-0.8]]),
+    (vb.bernoulli(), [-0.5], [[0.0], [-0.5], [1.2], [-2.0]]),
+    (vb.exponential_rate(), [-1.0], [[0.0], [-1.0], [-0.6], [-2.5]]),
+    (vb.gaussian_mean_nd(2), [0.1, -0.6], [[0.0, 0.0], [0.1, -0.6], [0.5, 0.2]]),
+    (vb.gaussian_iid(3), [0.3], [[0.0], [0.3], [-0.4]]),
+    (vb.gaussian_sum(3), [0.3], [[0.0], [0.3], [0.8]]),
+]
+
+
+class TestFrozenDrawSets:
+    @pytest.mark.parametrize("generic", [False, True], ids=["family", "generic"])
+    @pytest.mark.parametrize("family, x0, probes", FAMILY_PROBES,
+                             ids=[m.name for m, _, _ in FAMILY_PROBES])
+    def test_ratio_vectors_have_the_bits_of_the_matmul_formula(self, family, x0, probes,
+                                                               generic):
+        model = vb.as_generic(family) if generic else family
+        ev = MonteCarloKernelEvaluator(model, x0, mc_samples=4_001, seed=7)
+        fresh_halves = ev._halves()  # only x0 cached: the halves compute the rest
+        half = ev.mc_samples // 2
+        for x in probes:
+            if not vb.natural_space_contains(family, x):
+                with pytest.raises(NaturalSpaceError):
+                    ev._ratios(x)
+                continue
+            expect = old_ratio_vector(family, ev.samples, x, x0)
+            assert ev._ratios(x).tobytes() == expect.tobytes()
+            for halves in (fresh_halves, ev._halves()):  # computed, then sliced
+                for sub, rows in zip(halves, (slice(None, half), slice(half, None))):
+                    assert sub._ratios(x).tobytes() == expect[rows].tobytes()
+
+    def test_user_model_keeps_its_own_log_density(self, log_density_calls):
+        kept = {}
+
+        def ld(Y, x):  # hands back one array per x, which the evaluator must not write
+            return kept.setdefault(float(x[0]), -0.5 * (Y[:, 0] - x[0]) ** 2)
+
+        model = vb.GenericModel("user-gaussian", 1, 1, ld, vb.gaussian_mean().sampler)
+        ev = MonteCarloKernelEvaluator(model, [0.0], mc_samples=1_000, seed=2)
+        assert ev._family is None
+        at_0, at_x = kept[0.0].copy(), ld(ev.samples, [0.4]).copy()
+        assert ev._ratios([0.4]).tobytes() == np.exp(at_x - at_0).tobytes()
+        assert kept[0.4].tobytes() == at_x.tobytes()
+        assert len(log_density_calls) == 2
+
+
+def truncated_gaussian(value=-np.inf) -> vb.GenericModel:
+    """N(x, 1) whose log density is `value` at y <= -3, with the plain
+    Gaussian sampler, which draws there."""
+    return vb.GenericModel(
+        "truncated-gaussian", 1, 1,
+        lambda Y, x: np.where(Y[:, 0] > -3.0, -0.5 * (Y[:, 0] - x[0]) ** 2, value),
+        vb.gaussian_mean().sampler)
+
+
+class TestReferenceDensity:
+    CALLS = {
+        "hcrb": lambda m: vb.hcrb(m, vb.identity_mean(), [0.0], vb.TestPointSet([[0.5]]),
+                                  mc_samples=20_000, seed=1),
+        "barankin": lambda m: vb.barankin_approx(
+            m, vb.identity_mean(), [0.0],
+            vb.BarankinSearch(restarts=1, halvings=2, max_points=1, seed=1),
+            mc_samples=20_000),
+        "crb": lambda m: vb.crb(m, vb.identity_mean(), [0.0], n_mc=20_000, seed=1),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_vanishing_at_a_draw_is_a_reference_support_error(self, call):
+        # hcrb once raised KernelEvaluationError, barankin_approx returned 0.0
+        # with every configuration skipped, and crb a StencilError at x0 - h
+        model = truncated_gaussian()
+        draws = vb.sample(model, [0.0], 1, 20_000)
+        first = int(np.flatnonzero(draws[:, 0] <= -3.0)[0])
+        with pytest.raises(ReferenceSupportError,
+                           match=re.escape(f"-inf at draw {first}, y=[{draws[first, 0]}]")):
+            self.CALLS[call](model)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_at_a_draw_is_a_data_error(self, value):
+        draws = vb.sample(truncated_gaussian(), [0.0], 4, 5_000)
+        first = int(np.flatnonzero(draws[:, 0] <= -3.0)[0])
+        with pytest.raises(DataError, match=rf"{value} at draw {first}, "):
+            MonteCarloKernelEvaluator(truncated_gaussian(value), [0.0], 5_000, seed=4)
+
+    def test_first_non_finite_draw_decides_the_error(self):
+        # -inf below -3 and +inf above 3: no warning from summing the two
+        model = vb.GenericModel(
+            "two-sided", 1, 1,
+            lambda Y, x: np.select([Y[:, 0] <= -3.0, Y[:, 0] >= 3.0],
+                                   [-np.inf, np.inf], -0.5 * (Y[:, 0] - x[0]) ** 2),
+            vb.gaussian_mean().sampler)
+        y = vb.sample(model, [0.0], 6, 20_000)[:, 0]
+        first = int(np.flatnonzero(np.abs(y) >= 3.0)[0])
+        error = ReferenceSupportError if y[first] < 0 else DataError
+        assert (y <= -3.0).any() and (y >= 3.0).any()
+        with pytest.raises(error, match=f"at draw {first}, "):
+            MonteCarloKernelEvaluator(model, [0.0], 20_000, seed=6)
+
+    def test_reference_vector_is_ones(self):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.4], 1_000, seed=2)
+        ones = np.exp(ev._ld0 - ev._ld0)
+        assert ev._ratios([0.4]).tobytes() == ones.tobytes() == np.ones(1_000).tobytes()
 
 
 class TestDerivativeKernelFunction:

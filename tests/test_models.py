@@ -55,6 +55,43 @@ class TestLogDensity:
             vb.log_density(er, [1.0], [0.5])
         assert err.value.point[0] == 0.5
 
+    @pytest.mark.parametrize("family", ["gaussian-mean", "poisson", "bernoulli",
+                                        "exponential-rate"])
+    def test_scalar_product_has_the_bits_of_the_matmul(self, family):
+        # the N = 1 log density multiplies phi(Y)[:, 0] * x[0] in place of the
+        # one-term matmul phi(Y) @ x: both round one product per element, and
+        # only the matmul's exact zeros differ, always +0.0; the log densities
+        # after - A(x) + log h(Y) have the same bits
+        model = vb.make_model(family)
+        x0 = [-1.0] if family == "exponential-rate" else [0.0]
+        Y = vb.sample(model, x0, 3, 20_000)
+        phi_Y, log_h_Y = model.phi(Y), model.log_h(Y)
+        for x in (0.0, -0.0, 0.3, -1.7, 2.5, 1e-300, -123.456, -1.0):
+            x = np.array([x])
+            product, matmul = phi_Y[:, 0] * x[0], phi_Y @ x
+            assert (product + 0.0).tobytes() == matmul.tobytes()
+            if vb.natural_space_contains(model, x):
+                old = matmul - float(model.log_lambda(x)) + log_h_Y
+                assert log_density_batch(model, Y, x).tobytes() == old.tobytes()
+
+    def test_generic_log_density_of_the_wrong_shape_names_the_model(self):
+        model = vb.GenericModel("column", 1, 1, lambda Y, x: -0.5 * (Y - x[0]) ** 2,
+                                vb.gaussian_mean().sampler)
+        Y = vb.sample(model, [0.0], 1, 7)
+        with pytest.raises(ValueError, match=r"'column' returned shape \(7, 1\), "
+                                             r"expected \(7,\)"):
+            log_density_batch(model, Y, [0.0])
+        with pytest.raises(ValueError, match="'column' returned shape"):
+            vb.hcrb(model, vb.identity_mean(), [0.0], vb.TestPointSet([[0.5]]),
+                    mc_samples=100)
+
+    def test_as_generic_records_its_family(self):
+        p = vb.poisson()
+        assert vb.as_generic(p).family is p
+        user = vb.GenericModel("user", 1, 1, lambda Y, x: -0.5 * (Y[:, 0] - x[0]) ** 2,
+                               vb.gaussian_mean().sampler)
+        assert user.family is None
+
 
 def old_neg_log_factorial(y):
     """Poisson log h as it was computed before the per-count table."""

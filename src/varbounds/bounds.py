@@ -400,14 +400,8 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     DomainError.
     """
     cfg = search if search is not None else BarankinSearch()
-    # `_lockstep` with one problem, without its scheduling
-    steps = _search(model, gamma, x0, cfg if seed is None else replace(cfg, seed=seed),
-                    mc_samples, pinv_tol)
-    try:
-        while True:
-            _solve_stacks([next(steps)], pinv_tol)
-    except StopIteration as stop:
-        return stop.value
+    cfg = cfg if seed is None else replace(cfg, seed=seed)
+    return next(_lockstep(model, gamma, [(x0, cfg)], mc_samples, pinv_tol))
 
 
 #: Most closed-form searches `_lockstep` runs at once; each holds its memo.

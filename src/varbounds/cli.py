@@ -14,8 +14,8 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,50 @@ def _section(name: str, parse, *args):
         raise ConfigurationError(f"{name}: {exc}") from exc
 
 
-def _finite(values, above: float = -math.inf) -> tuple:
+#: The default of a key that must be given
+_REQUIRED = object()
+
+
+def _fields(section, path: str, spec: dict, *context) -> dict:
+    """`section` read against `spec`, {key: (check, default)}: each key's
+    value, or else its default, normalised by check(value, *context), or read
+    against `check` when that is itself such a table.  A key whose default is
+    None may be left out or given as null, and is then left out.  An unknown
+    key, a missing required one, or a check's TypeError or ValueError is a
+    ConfigurationError naming `path.key`."""
+    where = path or "config"
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {type(section).__name__}")
+    unknown = set(section) - set(spec)
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    out = {}
+    for key, (check, default) in spec.items():
+        name = f"{path}.{key}" if path else key
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{name}: required")
+        if value is None and default is None:
+            continue
+        try:
+            out[key] = _fields(value, name, check, *context) if isinstance(check, dict) \
+                else check(value, *context)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{name}: {exc}") from exc
+    return out
+
+
+# Field checks: check(value, *context) returns the value normalised, or raises
+# TypeError or ValueError; the context is the family's dimension.
+
+def _real(value, *_) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _reals(values, *_, above: float = -math.inf) -> tuple:
     """A nonempty list of finite numbers above a bound, as floats."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ValueError(f"expected a nonempty list of numbers, got {values!r}")
@@ -64,6 +107,23 @@ def _finite(values, above: float = -math.inf) -> tuple:
     return out
 
 
+def _integer(low: int):
+    def check(value, *_) -> int:
+        k = operator.index(value)
+        if k < low:
+            raise ValueError(f"must be >= {low}")
+        return k
+    return check
+
+
+def _one_of(*choices):
+    def check(value, *_):
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    return check
+
+
 def _component(value, dim: int) -> int:
     k = operator.index(value)
     if not 0 <= k < dim:
@@ -71,233 +131,124 @@ def _component(value, dim: int) -> int:
     return k
 
 
-def _require_keys(section: dict, allowed: set[str], path: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{path}: expected a mapping, got {type(section).__name__}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+def _model(section) -> dict:
+    """The family and its hyperparameters, each defaulting to the family's own."""
+    family = section.get("family") if isinstance(section, dict) else None
+    hyper = BUILTIN_FAMILIES.get(family, (None, {}))[1] if isinstance(family, str) else {}
+    return _fields(section, "model", {"family": (_one_of(*BUILTIN_FAMILIES), _REQUIRED),
+                                      **{key: (int, v) for key, v in hyper.items()}})
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    family: str
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        _require_keys(d, {"family"} | {k for _, p in BUILTIN_FAMILIES.values() for k in p},
-                      "model")
-        if "family" not in d:
-            raise ConfigurationError("model.family: required")
-        return cls(family=d["family"], params={k: v for k, v in d.items() if k != "family"})
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, **self.params}
-
-    def build(self):
-        """The model; make_model checks the family and its parameters."""
-        return make_model(self.family, **self.params)
+_MEAN = {"builtin": (_one_of("identity", "constant", "expfam-mean"), None),
+         "component": (_component, 0), "constant": (_real, 0.0),
+         "polynomial": (_reals, None)}
 
 
-_MEAN_BUILTINS = ("identity", "constant", "expfam-mean")
+def _mean_function(section, dim: int) -> dict:
+    mean = _fields(section, "mean_function", _MEAN, dim)
+    if "polynomial" not in mean:
+        mean.setdefault("builtin", "identity")
+    elif "builtin" in mean:
+        raise ConfigurationError("mean_function: give either builtin or polynomial, not both")
+    elif dim != 1:
+        raise ConfigurationError("mean_function.polynomial: only available for scalar parameters")
+    return mean
 
 
-@dataclass(frozen=True)
-class MeanConfig:
-    builtin: str | None = "identity"
-    component: int = 0
-    constant: float = 0.0
-    polynomial: tuple | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict, dim: int) -> "MeanConfig":
-        _require_keys(d, {"builtin", "component", "constant", "polynomial"}, "mean_function")
-        poly = d.get("polynomial")
-        builtin = d.get("builtin")
-        if poly is not None and builtin is not None:
-            raise ConfigurationError(
-                "mean_function: give either builtin or polynomial, not both")
-        if poly is None and builtin is None:
-            builtin = "identity"
-        if builtin is not None and builtin not in _MEAN_BUILTINS:
-            raise ConfigurationError(
-                f"mean_function.builtin: unknown {builtin!r}; known: {_MEAN_BUILTINS}")
-        if poly is not None and dim != 1:
-            raise ConfigurationError(
-                "mean_function.polynomial: only available for scalar parameters")
-        return cls(builtin=builtin, component=_component(d.get("component", 0), dim),
-                   constant=float(d.get("constant", 0.0)),
-                   polynomial=_finite(poly) if poly is not None else None)
-
-    def to_dict(self) -> dict:
-        if self.polynomial is not None:
-            d: dict = {"polynomial": list(self.polynomial)}
-        else:
-            d = {"builtin": self.builtin}
-        if self.component:
-            d["component"] = self.component
-        if self.builtin == "constant":
-            d["constant"] = self.constant
-        return d
+_GRID = {"start": (_real, _REQUIRED), "stop": (_real, _REQUIRED),
+         "count": (_integer(2), _REQUIRED)}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    start: float
-    stop: float
-    count: int
-
-    def expand(self) -> list[tuple]:
-        return [(float(v),) for v in np.linspace(self.start, self.stop, self.count)]
-
-
-def _x0_from_raw(raw, dim: int) -> tuple | GridSpec:
-    if isinstance(raw, dict):
-        if dim != 1:
-            raise ConfigurationError("x0.grid: only available for scalar parameters")
-        _require_keys(raw, {"grid"}, "x0")
-        grid = raw.get("grid")
-        _require_keys(grid, {"start", "stop", "count"}, "x0.grid")
-        for key in ("start", "stop", "count"):
-            if key not in grid:
-                raise ConfigurationError(f"x0.grid.{key}: required")
-        count = operator.index(grid["count"])
-        if count < 2:
-            raise ConfigurationError("x0.grid.count: must be >= 2")
-        return GridSpec(*_finite((grid["start"], grid["stop"])), count)
-    x0 = _finite(raw)
-    if len(x0) != dim:
-        raise ConfigurationError(f"x0: length {len(x0)} does not match the family dimension {dim}")
-    return x0
+def _x0(value, dim: int) -> tuple | dict:
+    """A parameter vector, or {"grid": {start, stop, count}} for a scalar one."""
+    if not isinstance(value, dict):
+        x0 = _reals(value)
+        if len(x0) != dim:
+            raise ValueError(f"length {len(x0)} does not match the family dimension {dim}")
+        return x0
+    if dim != 1:
+        raise ConfigurationError("x0.grid: only available for scalar parameters")
+    return _fields(value, "x0", {"grid": (_GRID, _REQUIRED)})
 
 
-@dataclass(frozen=True)
-class MCConfig:
-    samples: int = 100_000
-    seed: int = 1234
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ConfigurationError("mc.samples: must be >= 2")
-        if self.seed < 0:
-            raise ConfigurationError("mc.seed: must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MCConfig":
-        _require_keys(d, {"samples", "seed"}, "mc")
-        return cls(samples=operator.index(d.get("samples", 100_000)),
-                   seed=operator.index(d.get("seed", 1234)))
-
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    path: str | None = None
-    format: str = "pretty"
-
-    def __post_init__(self):
-        # checked here so that the --output override is checked too, and
-        # before any bound is computed
-        folder = os.path.dirname(self.path) if self.path else ""
-        if folder and not os.path.isdir(folder):
-            raise ConfigurationError(
-                f"output.path: {self.path!r} lies in {folder!r}, which is not an "
-                f"existing directory")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputConfig":
-        _require_keys(d, {"path", "format"}, "output")
-        fmt = d.get("format", "pretty")
-        if fmt not in ("pretty", "csv"):
-            raise ConfigurationError(f"output.format: must be csv or pretty, got {fmt!r}")
-        if not isinstance(d.get("path", ""), (str, type(None))):
-            raise ConfigurationError("output.path: expected a file name")
-        return cls(path=d.get("path"), format=fmt)
-
-    def to_dict(self) -> dict:
-        d: dict = {"format": self.format}
-        if self.path is not None:
-            d["path"] = self.path
-        return d
-
-
-def _method_from_dict(d: dict, pos: int, dim: int) -> MethodSpec:
-    path = f"methods[{pos}]"
+def _method(d, dim: int) -> MethodSpec:
     if not isinstance(d, dict) or "name" not in d:
-        raise ConfigurationError(f"{path}: expected a mapping with a name")
+        raise ValueError("expected a mapping with a name")
     options = {k: v for k, v in d.items() if k != "name"}
-    return _section(path, lambda: MethodSpec(d["name"], method_options(d["name"], options, dim)))
+    return MethodSpec(d["name"], method_options(d["name"], options, dim))
 
 
-def _estimator_from_dict(d: dict, dim: int) -> dict:
-    _require_keys(d, {"builtin", "component", "value"}, "estimator")
-    if d.get("builtin") not in ("suffstat", "constant"):
-        raise ConfigurationError("estimator.builtin: must be 'suffstat' or 'constant'")
-    return {"builtin": d["builtin"], "component": _component(d.get("component", 0), dim),
-            "value": float(d.get("value", 0.0))}
+def _methods(value, dim: int) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError("expected a list")
+    return tuple(_section(f"methods[{i}]", _method, m, dim) for i, m in enumerate(value))
+
+
+def _output_path(path, *_) -> str:
+    # checked at load, so that the --output override is checked too, and
+    # before any bound is computed
+    if not isinstance(path, str):
+        raise TypeError("expected a file name")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"{path!r} lies in {folder!r}, which is not an existing directory")
+    return path
+
+
+#: Every section but `model`, checked against the family's dimension
+_CONFIG = {
+    "mean_function": (_mean_function, {}),
+    "x0": (_x0, [0.0]),
+    "methods": (_methods, []),
+    "mc": ({"samples": (_integer(2), 100_000), "seed": (_integer(0), 1234)}, {}),
+    "output": ({"path": (_output_path, None),
+                "format": (_one_of("pretty", "csv"), "pretty")}, {}),
+    "radii": (partial(_reals, above=0.0), None),
+    "estimator": ({"builtin": (_one_of("suffstat", "constant"), _REQUIRED),
+                   "component": (_component, 0), "value": (_real, 0.0)}, None),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration document.  Unknown keys are rejected everywhere
-    and to_dict/from_dict round-trips to the identity."""
+    """Parsed configuration document: each field holds its section's
+    normalised document.  Unknown keys are rejected everywhere and
+    to_dict/from_dict round-trips to the identity."""
 
-    model: ModelConfig
-    mean_function: MeanConfig = MeanConfig()
-    x0: tuple | GridSpec = (0.0,)
-    methods: tuple = ()
-    mc: MCConfig = MCConfig()
-    output: OutputConfig = OutputConfig()
+    model: dict
+    mean_function: dict
+    x0: tuple | dict
+    methods: tuple
+    mc: dict
+    output: dict
     radii: tuple | None = None
     estimator: dict | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _require_keys(d, {"model", "mean_function", "x0", "methods", "mc", "output",
-                          "radii", "estimator"}, "config")
-        if "model" not in d:
-            raise ConfigurationError("model: required section")
-        model = _section("model", ModelConfig.from_dict, d["model"])
-        dim = _section("model", model.build).param_dim
-        mean = _section("mean_function", MeanConfig.from_dict,
-                        d.get("mean_function", {"builtin": "identity"}), dim)
-        x0 = _section("x0", _x0_from_raw, d.get("x0", [0.0]), dim)
-        raw_methods = d.get("methods", [])
-        if not isinstance(raw_methods, list):
-            raise ConfigurationError("methods: expected a list")
-        methods = tuple(_method_from_dict(m, i, dim) for i, m in enumerate(raw_methods))
-        for i, spec in enumerate(methods):
+        # the model first: the other sections are checked against its dimension
+        model = _fields(d, "", {"model": (_model, _REQUIRED),
+                                **dict.fromkeys(_CONFIG, (lambda v: v, None))})["model"]
+        dim = _section("model", lambda: make_model(**model)).param_dim
+        cfg = cls(**_fields(d, "", {"model": (lambda *_: model, _REQUIRED), **_CONFIG}, dim))
+        for i, spec in enumerate(cfg.methods):
             if spec.name == "barankin_approx" and spec.options.get("initial_points"):
                 search = barankin_search(spec.options)
-                for point in x0.expand() if isinstance(x0, GridSpec) else [x0]:
+                for point in cfg.points():
                     _section(f"methods[{i}]", search.region, np.asarray(point, dtype=float))
-        mc = _section("mc", MCConfig.from_dict, d.get("mc", {}))
-        output = _section("output", OutputConfig.from_dict, d.get("output", {}))
-        radii = None if d.get("radii") is None else _section("radii", _finite, d["radii"], 0.0)
-        estimator = None if d.get("estimator") is None else \
-            _section("estimator", _estimator_from_dict, d["estimator"], dim)
-        return cls(model=model, mean_function=mean, x0=x0, methods=methods, mc=mc,
-                   output=output, radii=radii, estimator=estimator)
+        return cfg
 
     def to_dict(self) -> dict:
-        d: dict = {"model": self.model.to_dict(),
-                   "mean_function": self.mean_function.to_dict()}
-        if isinstance(self.x0, GridSpec):
-            d["x0"] = {"grid": {"start": self.x0.start, "stop": self.x0.stop,
-                                "count": self.x0.count}}
-        else:
-            d["x0"] = list(self.x0)
+        d = {key: value for key, value in vars(self).items() if value is not None}
         d["methods"] = [{"name": m.name, **m.options} for m in self.methods]
-        d["mc"] = self.mc.to_dict()
-        d["output"] = self.output.to_dict()
-        if self.radii is not None:
-            d["radii"] = list(self.radii)
-        if self.estimator is not None:
-            d["estimator"] = dict(self.estimator)
         return d
+
+    def points(self) -> list[tuple]:
+        """The reference parameters: x0, or the points of its grid."""
+        if isinstance(self.x0, tuple):
+            return [self.x0]
+        grid = self.x0["grid"]
+        return [(float(v),) for v in np.linspace(grid["start"], grid["stop"], grid["count"])]
 
 
 def load_config(path: str) -> RunConfig:
@@ -316,14 +267,14 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_mean(cfg: RunConfig, model) -> MeanFunction:
-    mc = cfg.mean_function
-    if mc.polynomial is not None:
-        return polynomial_mean(mc.polynomial)
-    if mc.builtin == "identity":
-        return identity_mean(mc.component)
-    if mc.builtin == "constant":
-        return constant_mean(mc.constant)
-    return expfam_mean(model, mc.component)
+    mean = cfg.mean_function
+    if "polynomial" in mean:
+        return polynomial_mean(mean["polynomial"])
+    if mean["builtin"] == "identity":
+        return identity_mean(mean["component"])
+    if mean["builtin"] == "constant":
+        return constant_mean(mean["constant"])
+    return expfam_mean(model, mean["component"])
 
 
 def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -336,20 +287,16 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _write(path: str, write, *args) -> None:
-    """write(path, *args); a file-system failure is an error naming the path."""
-    try:
-        write(path, *args)
-    except OSError as exc:
-        raise VarBoundsError(f"cannot write output.path {path!r}: {exc}") from exc
-
-
 def _emit(cfg: RunConfig, header, rows) -> None:
-    if cfg.output.path:
-        _write(cfg.output.path, write_csv, header, rows)
-    if cfg.output.format == "pretty":
+    path = cfg.output.get("path")
+    if path:
+        try:
+            write_csv(path, header, rows)
+        except OSError as exc:
+            raise VarBoundsError(f"cannot write output.path {path!r}: {exc}") from exc
+    if cfg.output["format"] == "pretty":
         _print_table(header, rows)
-    elif not cfg.output.path:
+    elif not path:
         # csv format with no path: write csv text to stdout
         print(",".join(header))
         for row in rows:
@@ -361,21 +308,17 @@ def _emit(cfg: RunConfig, header, rows) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_run(cfg: RunConfig) -> int:
-    model = cfg.model.build()
-    gamma = build_mean(cfg, model)
+def _cmd_run(cfg: RunConfig, model, gamma: MeanFunction) -> int:
     if not cfg.methods:
         raise ConfigurationError("methods: at least one method is required for run")
-    points = cfg.x0.expand() if isinstance(cfg.x0, GridSpec) else [cfg.x0]
-    dim = model.param_dim
-    header = [f"x{k}" for k in range(dim)] + ["method", "value", "gram_rank",
-                                              "condition_number", "mc_standard_error"]
+    header = [f"x{k}" for k in range(model.param_dim)] + \
+        ["method", "value", "gram_rank", "condition_number", "mc_standard_error"]
     rows = []
-    for x0 in points:
+    for x0 in cfg.points():
         for spec in cfg.methods:
             res = _numerically(f"in method {spec.name!r} at x0={list(x0)}", evaluate_bound,
                                model, gamma, np.asarray(x0), spec,
-                               mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
+                               mc_samples=cfg.mc["samples"], seed=cfg.mc["seed"])
             rows.append(list(x0) + [spec.name, res.value,
                                     res.diagnostics.get("gram_rank", ""),
                                     res.diagnostics.get("condition_number", ""),
@@ -384,57 +327,50 @@ def _cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    model = cfg.model.build()
-    gamma = build_mean(cfg, model)
-    if not isinstance(cfg.x0, GridSpec):
+def _single_method(cfg: RunConfig, command: str, only: str | None = None) -> MethodSpec:
+    """The one method `command` evaluates (barankin_approx when none is
+    given); a method it would leave out is a configuration error."""
+    for i, spec in enumerate(cfg.methods):
+        if i or only not in (None, spec.name):
+            raise ConfigurationError(f"methods[{i}]: {command} evaluates one "
+                                     f"{only or 'bound'} method, not also {spec.name!r}")
+    return cfg.methods[0] if cfg.methods else MethodSpec("barankin_approx", {})
+
+
+def _cmd_scan(cfg: RunConfig, model, gamma: MeanFunction) -> int:
+    if not isinstance(cfg.x0, dict):
         raise ConfigurationError("x0: scan requires a grid spec")
-    spec = cfg.methods[0] if cfg.methods else MethodSpec("barankin_approx", {})
-    grid = [np.asarray(x) for x in cfg.x0.expand()]
+    spec = _single_method(cfg, "scan")
     report = _numerically(f"in method {spec.name!r} during scan", semicontinuity_scan,
-                          model, gamma, grid, spec.name, spec.options,
-                          mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
-    if cfg.output.path:
-        _write(cfg.output.path, report.write_csv)
-    header = ["x0", "value"]
-    rows = [[x[0], v] for x, v in zip(report.grid, report.values)]
-    if cfg.output.format == "pretty":
-        _print_table(header, rows)
+                          model, gamma, [np.asarray(x) for x in cfg.points()], spec.name,
+                          spec.options, mc_samples=cfg.mc["samples"], seed=cfg.mc["seed"])
+    _emit(cfg, *report.table())
     print(f"largest downward jump: {report.largest_downward_jump:.6g}")
     return 0
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    model = cfg.model.build()
-    gamma = build_mean(cfg, model)
+def _cmd_reduce(cfg: RunConfig, model, gamma: MeanFunction) -> int:
     if cfg.radii is None:
         raise ConfigurationError("radii: required for reduce")
-    if isinstance(cfg.x0, GridSpec):
+    if isinstance(cfg.x0, dict):
         raise ConfigurationError("x0: reduce requires a single parameter vector")
-    options = next((spec.options for spec in cfg.methods
-                    if spec.name == "barankin_approx"), {})
-    search = barankin_search(options)
+    search = barankin_search(_single_method(cfg, "reduce", "barankin_approx").options)
     # each radius must leave room for test points beyond min_distance, and
     # hold the initial points
     x0 = np.asarray(cfg.x0, dtype=float)
     _section("radii", lambda: [replace(search, radius=r).region(x0) for r in cfg.radii])
     report = _numerically(f"in method 'barankin_approx' at x0={list(cfg.x0)}",
-                          reduction_experiment, model, gamma, x0, cfg.radii,
-                          search, mc_samples=cfg.mc.samples, seed=cfg.mc.seed)
-    if cfg.output.path:
-        _write(cfg.output.path, report.write_csv)
-    if cfg.output.format == "pretty":
-        _print_table(["radius", "value"], [[r, v] for r, v in
-                                           zip(report.radii, report.values)])
+                          reduction_experiment, model, gamma, x0, cfg.radii, search,
+                          mc_samples=cfg.mc["samples"], seed=cfg.mc["seed"])
+    _emit(cfg, *report.table())
     print(f"spread across radii: {report.spread:.6g}")
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    model = cfg.model.build()
+def _cmd_validate(cfg: RunConfig, model, _gamma: MeanFunction) -> int:
     if cfg.estimator is None:
         raise ConfigurationError("estimator: required for validate")
-    if cfg.mc.samples < MIN_DRAWS:
+    if cfg.mc["samples"] < MIN_DRAWS:
         raise ConfigurationError(f"mc.samples: validate needs at least {MIN_DRAWS} draws")
     if cfg.estimator["builtin"] == "suffstat":
         est = phi_estimator(model, cfg.estimator["component"])
@@ -442,15 +378,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
         est = constant_estimator(cfg.estimator["value"])
     if not cfg.methods:
         raise ConfigurationError("methods: at least one method is required for validate")
-    points = cfg.x0.expand() if isinstance(cfg.x0, GridSpec) else [cfg.x0]
     header = [f"x{k}" for k in range(model.param_dim)] + \
         ["method", "bound", "variance", "se_variance", "margin", "satisfied"]
     rows = []
     ok = True
-    for x0 in points:
+    for x0 in cfg.points():
         report = _numerically(f"during validate at x0={list(x0)}", validate_bounds, model,
-                              est, np.asarray(x0), cfg.methods, n=cfg.mc.samples,
-                              seed=cfg.mc.seed)
+                              est, np.asarray(x0), cfg.methods, n=cfg.mc["samples"],
+                              seed=cfg.mc["seed"])
         ok = ok and report.all_satisfied
         for r in report.rows():
             rows.append(list(x0) + [r["method"], r["bound"], r["variance"],
@@ -502,15 +437,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
-        if args.output is not None:
-            cfg = replace(cfg, output=replace(cfg.output, path=args.output))
-        if args.format is not None:
-            cfg = replace(cfg, output=replace(cfg.output, format=args.format))
+        flags = {("mc", "seed"): args.seed, ("output", "path"): args.output,
+                 ("output", "format"): args.format}
+        if any(value is not None for value in flags.values()):
+            # the config again with the flags' values, checked as the file's are
+            d = cfg.to_dict()
+            for (section, key), value in flags.items():
+                if value is not None:
+                    d[section] = {**d[section], key: value}
+            cfg = RunConfig.from_dict(d)
         handler = {"run": _cmd_run, "scan": _cmd_scan, "reduce": _cmd_reduce,
                    "validate": _cmd_validate}[args.command]
-        return handler(cfg)
+        model = make_model(**cfg.model)
+        return handler(cfg, model, build_mean(cfg, model))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

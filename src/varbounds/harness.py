@@ -190,12 +190,15 @@ class ScanReport:
         drops = [self.values[i] - self.values[i + 1] for i in range(len(self.values) - 1)]
         return max([0.0] + drops)
 
-    def write_csv(self, path) -> None:
+    def table(self) -> tuple[list, list]:
+        """The CSV header and rows."""
         dim = len(self.grid[0]) if self.grid else 1
         header = [f"x{k}" for k in range(dim)] + ["value", *_DIAG_COLUMNS]
-        rows = [list(x) + [v] + _diag_cells(d)
-                for x, v, d in zip(self.grid, self.values, self.diagnostics)]
-        write_csv(path, header, rows)
+        return header, [list(x) + [v] + _diag_cells(d)
+                        for x, v, d in zip(self.grid, self.values, self.diagnostics)]
+
+    def write_csv(self, path) -> None:
+        write_csv(path, *self.table())
 
 
 def semicontinuity_scan(model: Model, gamma: MeanFunction, grid: Sequence,
@@ -250,11 +253,14 @@ class ReductionReport:
     def spread(self) -> float:
         return max(self.values) - min(self.values) if self.values else 0.0
 
+    def table(self) -> tuple[list, list]:
+        """The CSV header and rows."""
+        return ["radius", "value", *_DIAG_COLUMNS], [
+            [r, v] + _diag_cells(d)
+            for r, v, d in zip(self.radii, self.values, self.diagnostics)]
+
     def write_csv(self, path) -> None:
-        header = ["radius", "value", *_DIAG_COLUMNS]
-        rows = [[r, v] + _diag_cells(d)
-                for r, v, d in zip(self.radii, self.values, self.diagnostics)]
-        write_csv(path, header, rows)
+        write_csv(path, *self.table())
 
 
 def reduction_experiment(model: Model, gamma: MeanFunction, x0,

@@ -73,7 +73,7 @@ class TestConfigParsing:
         cfg = RunConfig.from_dict(doc)
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
-        assert len(cfg.x0.expand()) == 41
+        assert len(cfg.points()) == 41
 
     def test_missing_model_rejected(self):
         with pytest.raises(ConfigurationError, match="model"):
@@ -266,6 +266,10 @@ class TestRunCommand:
         ("validate", {"estimator": {"builtin": "suffstat"}, "mc": {"samples": 50}},
          "mc.samples"),
         ("run", {"output": {"path": 5}}, "output.path"),
+        ("run", {"mean_function": {"builtin": "constant", "constant": float("nan")}},
+         "mean_function.constant"),
+        ("validate", {"estimator": {"builtin": "constant", "value": float("inf")}},
+         "estimator.value"),
     ])
     def test_bad_scalar_fields_exit_2(self, tmp_path, capsys, command, overrides,
                                       section):
@@ -415,6 +419,41 @@ class TestReduceCommand:
         cfg = write_config(tmp_path, GAUSSIAN_RUN)
         assert main(["reduce", "--config", cfg]) == 2
         assert "radii" in capsys.readouterr().err
+
+
+_SEARCH = {"name": "barankin_approx", "restarts": 1, "halvings": 4}
+SCAN = {**GAUSSIAN_RUN, "x0": {"grid": {"start": -1.0, "stop": 1.0, "count": 3}},
+        "methods": [_SEARCH]}
+REDUCE = {**GAUSSIAN_RUN, "methods": [_SEARCH], "radii": [0.25, 1.0]}
+
+
+class TestOneMethodCommands:
+    @pytest.mark.parametrize("command, doc", [("scan", SCAN), ("reduce", REDUCE)])
+    def test_csv_format_without_path_streams_the_file_to_stdout(self, tmp_path, capsys,
+                                                                 command, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--output", str(out), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1  # the summary line alone
+        assert main([command, "--config", cfg, "--format", "csv"]) == 0
+        *printed, summary = capsys.readouterr().out.splitlines()
+        assert printed == out.read_text(encoding="utf-8").splitlines()
+        assert summary.startswith(("largest downward jump", "spread across radii"))
+
+    @pytest.mark.parametrize("command, doc, where, dropped", [
+        ("scan", {**SCAN, "methods": [_SEARCH, {"name": "crb"}]}, "methods[1]", "crb"),
+        ("reduce", {**REDUCE, "methods": [_SEARCH, {"name": "crb"}]}, "methods[1]", "crb"),
+        ("reduce", {**REDUCE, "methods": [{"name": "crb"}, _SEARCH]}, "methods[0]", "crb"),
+        ("reduce", {**REDUCE, "methods": [_SEARCH, _SEARCH]}, "methods[1]",
+         "barankin_approx"),
+    ], ids=["scan-second", "reduce-second", "reduce-not-a-search", "reduce-second-search"])
+    def test_a_method_left_out_exits_2(self, tmp_path, capsys, command, doc, where, dropped):
+        # such a method used to be dropped without a word, with exit 0
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {where}")
+        assert repr(dropped) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestValidateCommand:

@@ -24,7 +24,7 @@ import yaml
 from .bounds import MethodSpec, barankin_search, evaluate_bound, method_options
 from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
-from .harness import MIN_DRAWS, format_float, phi_estimator, constant_estimator, \
+from .harness import MIN_DRAWS, phi_estimator, constant_estimator, \
     reduction_experiment, semicontinuity_scan, validate_bounds, write_csv
 from .models import BUILTIN_FAMILIES, MeanFunction, constant_mean, expfam_mean, \
     identity_mean, make_model, polynomial_mean
@@ -297,11 +297,7 @@ def _emit(cfg: RunConfig, header, rows) -> None:
     if cfg.output["format"] == "pretty":
         _print_table(header, rows)
     elif not path:
-        # csv format with no path: write csv text to stdout
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_float(v) if isinstance(v, (int, float))
-                           and not isinstance(v, bool) else str(v) for v in row))
+        write_csv(sys.stdout, header, rows)
 
 
 # ---------------------------------------------------------------------------

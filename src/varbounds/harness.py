@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -78,7 +79,8 @@ def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
         bad = np.where(~np.isfinite(g))[0][:10]
         raise DataError(f"non-finite estimator output at draws {bad.tolist()}")
 
-    m = float(g.mean())
+    # equal outputs: their float mean need not be their value
+    m = float(g[0]) if g.min() == g.max() else float(g.mean())
     dev = g - m
     ss = float(dev @ dev)
     variance = ss / (n - 1)
@@ -156,8 +158,10 @@ def format_float(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """UTF-8 CSV with a header row, '.' decimal separator, '\\n' line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """UTF-8 CSV with a header row, '.' decimal separator, '\\n' line ends,
+    to a file path or an open text stream (left open)."""
+    with nullcontext(path) if hasattr(path, "write") else \
+            open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

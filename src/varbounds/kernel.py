@@ -112,6 +112,11 @@ class MonteCarloKernelEvaluator:
     configuration computes one new vector per configuration, while memory
     stays near twice the ratio matrices of one search step.
 
+    A pairwise entry is one `np.dot` of two ratio vectors over n, mirrored,
+    so K is exactly symmetric and K(x0, x0) = 1.  A dot is kept while both
+    its vectors are cached (at most cap (cap + 1) / 2 dots): moving one of m
+    points computes m + 1 dots.  It rounds unlike a stacked R @ R.T / n.
+
     Per draw set it keeps the draws, their reference log densities and, for
     an exponential family or `as_generic` of one, phi and log h of the
     draws.  h cancels in the ratio, so a new vector is then
@@ -153,6 +158,7 @@ class MonteCarloKernelEvaluator:
         ones.flags.writeable = False
         self._cache = {self.x0.tobytes(): ones}
         self._cache_cap = 5
+        self._dots: dict[tuple[bytes, bytes], float] = {}
 
     def _log_density(self, x) -> np.ndarray:
         """Log density of the draws at x: from the kept phi and log h of a
@@ -175,7 +181,8 @@ class MonteCarloKernelEvaluator:
             r.flags.writeable = False
         self._cache[key] = r  # most recently used last
         while len(self._cache) > self._cache_cap:
-            del self._cache[next(iter(self._cache))]
+            self._cache.pop(old := next(iter(self._cache)))
+            self._dots = {pair: d for pair, d in self._dots.items() if old not in pair}
         return r
 
     def reserve(self, rows: int) -> None:
@@ -196,6 +203,7 @@ class MonteCarloKernelEvaluator:
                 sub._phi, sub._log_h = self._phi[rows], self._log_h[rows]
             sub.mc_samples = len(sub.samples)
             sub._cache = {key: r[rows] for key, r in self._cache.items()}
+            sub._dots = {}  # other draws, other dots
             return sub
 
         half = self.mc_samples // 2
@@ -230,8 +238,14 @@ class MonteCarloKernelEvaluator:
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
         self.reserve(len(P))
-        R = np.stack([self._ratios(p) for p in P])
-        K = (R @ R.T) / R.shape[1]
+        rows = [(p.tobytes(), self._ratios(p)) for p in P]
+        K = np.empty((len(P), len(P)))
+        for i, (key, r) in enumerate(rows):
+            for j, (other, s) in enumerate(rows[i:], i):
+                pair = (key, other) if key <= other else (other, key)
+                if (dot := self._dots.get(pair)) is None:
+                    dot = self._dots[pair] = float(np.dot(r, s))
+                K[i, j] = K[j, i] = dot / self.mc_samples
         if not np.all(np.isfinite(K)):
             raise KernelEvaluationError("Monte Carlo kernel produced non-finite values")
         return K

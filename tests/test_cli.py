@@ -456,6 +456,21 @@ class TestOneMethodCommands:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_csv_on_stdout_is_the_file_the_config_writes(tmp_path, capsys, monkeypatch, path):
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    command = {"gaussian_scan.yaml": "scan", "gaussian_reduce.yaml": "reduce",
+               "poisson_validate.yaml": "validate"}.get(path.name, "run")
+    monkeypatch.chdir(tmp_path)  # the config's relative output path lands here
+    assert main([command, "--config", str(path), "--format", "csv"]) == 0
+    written = (tmp_path / doc["output"]["path"]).read_text(encoding="utf-8")
+    doc["output"] = {"format": "csv"}
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert out[:len(written)] == written and out[len(written):].count("\n") <= 1
+
+
 class TestValidateCommand:
     def test_suffstat_estimator_dominates(self, tmp_path, capsys):
         doc = {**GAUSSIAN_RUN,
@@ -468,6 +483,18 @@ class TestValidateCommand:
         assert "all bounds dominated" in capsys.readouterr().out
         rows = read_rows(out)
         assert all(r["satisfied"] == "True" for r in rows)
+
+    def test_constant_estimator_at_a_large_value_dominates(self, tmp_path, capsys):
+        doc = {"model": {"family": "bernoulli"}, "mean_function": {"builtin": "identity"},
+               "x0": [0.2], "estimator": {"builtin": "constant", "value": 1.0e300},
+               "methods": [{"name": "bhattacharyya", "indices": [[1]]}],
+               "mc": {"samples": 200, "seed": 1}, "output": {"format": "csv"}}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "x0,method,bound,variance,se_variance,margin,satisfied",
+            "0.20000000000000001,bhattacharyya,0,0,0,0,True", "all bounds dominated"]
+        assert captured.err == ""
 
     def test_validate_requires_estimator(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GAUSSIAN_RUN)

@@ -30,6 +30,15 @@ class TestEstimatorVarianceMC:
                                     [0.0], n=1000, seed=1)
         assert out.variance == 0.0 and out.mean == 2.0
 
+    @pytest.mark.parametrize("value", [1e300, -1e300, 0.1, 5e-324])
+    def test_constant_estimator_at_any_value_has_exact_zero_spread(self, value):
+        # the float mean of 200 draws of 1e300 is not 1e300: its deviations
+        # squared overflowed to an infinite variance and a NaN error
+        out = estimator_variance_mc(vb.bernoulli(), vb.constant_estimator(value), [0.2],
+                                    n=200, seed=1)
+        assert out.mean == value
+        assert out.variance == out.se_mean == out.se_variance == 0.0
+
     def test_jackknife_se_matches_delta_method(self):
         # for the sample variance, jackknife and the asymptotic (m4 - s^4)/n
         # formula agree to a few percent

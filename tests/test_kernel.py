@@ -180,9 +180,14 @@ class TestMonteCarloRatioCache:
         ev = MonteCarloKernelEvaluator(gm, [0.0], mc_samples=5_000, seed=2)
         pts = np.array([[0.0], [0.4], [-0.3]])
         ld0 = log_density_batch(gm, ev.samples, [0.0])
-        R = np.stack([np.exp(log_density_batch(gm, ev.samples, p) - ld0) for p in pts])
+        R = [np.exp(log_density_batch(gm, ev.samples, p) - ld0) for p in pts]
         ev.pairwise(pts[:2])
-        assert np.array_equal(ev.pairwise(pts), (R @ R.T) / R.shape[1])
+        K = ev.pairwise(pts)
+        for i in range(len(pts)):
+            for j in range(i, len(pts)):
+                expect = float(np.dot(R[i], R[j]) / ev.mc_samples).hex()
+                assert K[i, j].hex() == K[j, i].hex() == expect
+        assert K[0, 0] == 1.0
 
     @pytest.mark.parametrize("family", ["poisson", "gaussian-mean", "exponential-rate"])
     @pytest.mark.parametrize("n", [4_000, 4_001])
@@ -289,6 +294,75 @@ FAMILY_PROBES = [
     (vb.gaussian_iid(3), [0.3], [[0.0], [0.3], [-0.4]]),
     (vb.gaussian_sum(3), [0.3], [[0.0], [0.3], [0.8]]),
 ]
+
+
+def counted_dots(monkeypatch) -> list:
+    """Patches np.dot to record the length of each pair it multiplies."""
+    calls, dot = [], np.dot
+
+    def counted(a, b, *args):
+        calls.append(len(a))
+        return dot(a, b, *args)
+
+    monkeypatch.setattr(np, "dot", counted)
+    return calls
+
+
+class TestMonteCarloDotCache:
+    @pytest.mark.parametrize("family, x0, probes", FAMILY_PROBES,
+                             ids=[m.name for m, _, _ in FAMILY_PROBES])
+    def test_pairwise_agrees_with_the_stacked_product(self, family, x0, probes):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(family), x0, mc_samples=20_000, seed=3)
+        pts = np.array([x0] + [x for x in probes
+                               if x != x0 and vb.natural_space_contains(family, x)])
+        R = np.stack([ev._ratios(p) for p in pts])
+        stacked = (R @ R.T) / R.shape[1]
+        K = ev.pairwise(pts)
+        assert np.array_equal(K, K.T) and K[0, 0] == 1.0
+        assert np.all(np.abs(K - stacked) <= 1e-14 * np.abs(stacked))
+
+    def test_moving_one_point_computes_m_plus_1_dots(self, monkeypatch):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
+                                       mc_samples=2_000, seed=1)
+        dots = counted_dots(monkeypatch)
+        ev.pairwise(np.array([[0.0], [0.3], [-0.2], [0.6]]))
+        assert len(dots) == 10  # (m + 1)(m + 2) / 2 for m = 3
+        ev.pairwise(np.array([[0.0], [0.3], [-0.5], [0.6]]))
+        assert len(dots) == 14
+        ev.pairwise(np.array([[0.0], [0.3], [-0.5], [0.6]]))
+        assert len(dots) == 14
+        assert set(dots) == {2_000}
+
+    def test_halves_compute_their_own_dots(self, monkeypatch):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
+                                       mc_samples=2_001, seed=1)
+        pts = np.array([[0.0], [0.3]])
+        ev.pairwise(pts)
+        dots = counted_dots(monkeypatch)
+        for sub, n in zip(ev._halves(), (1_000, 1_001)):
+            assert sub.pairwise(pts)[0, 0] == 1.0
+            assert dots[-3:] == [n] * 3
+        assert ev.pairwise(pts)[0, 0] == 1.0 and len(dots) == 6
+
+    def test_dot_cache_stays_within_its_cap_during_a_search(self, monkeypatch):
+        sizes, computed = [], counted_dots(monkeypatch)
+        pairwise = MonteCarloKernelEvaluator.pairwise
+
+        def tracked_pairwise(self, points):
+            out = pairwise(self, points)
+            cap = self._cache_cap
+            sizes.append(len(self._dots))
+            assert len(self._dots) <= cap * (cap + 1) // 2
+            assert all(a in self._cache and b in self._cache for a, b in self._dots)
+            return out
+
+        monkeypatch.setattr(MonteCarloKernelEvaluator, "pairwise", tracked_pairwise)
+        p = vb.poisson()
+        vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+                           vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
+                           mc_samples=5_000)
+        # the search computes far more dots than the cache keeps
+        assert len(computed) > 2 * max(sizes)
 
 
 class TestFrozenDrawSets:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
     partial_derivative
-from .errors import ConstraintRankError, DomainError, KernelEvaluationError, NaturalSpaceError
+from .errors import ConfigurationError, ConstraintRankError, DomainError, \
+    KernelEvaluationError, NaturalSpaceError
 from .kernel import ExpfamKernelEvaluator, KernelEvaluator, MonteCarloKernelEvaluator, \
     deriv_inner_products, difference_block, make_gram_system, signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
@@ -296,8 +297,9 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
                               f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
-    ((value, diagnostics),) = _difference_projection(evaluator, gamma, [tps.points],
-                                                     pinv_tol, skip_undefined=False)
+    with np.errstate(over="ignore"):  # a point outside the natural space raises below
+        ((value, diagnostics),) = _difference_projection(evaluator, gamma, [tps.points],
+                                                         pinv_tol, skip_undefined=False)
     diagnostics["n_test_points"] = len(tps)
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
@@ -352,12 +354,13 @@ class BarankinSearch:
                         or lower is not None and (pt < lower).any()
                         or upper is not None and (pt > upper).any())
 
-        for p in self.initial_points.points if self.initial_points else ():
-            if not in_domain(p):
-                raise DomainError(
-                    f"barankin_approx: initial point {p.tolist()} lies outside the search region "
-                    f"(min_distance {min_distance}, radius {radius}, lower {self.lower}, upper "
-                    f"{self.upper}) at x0={x0.tolist()}")
+        with np.errstate(over="ignore"):  # a distance too large to measure is beyond any radius
+            for p in self.initial_points.points if self.initial_points else ():
+                if not in_domain(p):
+                    raise DomainError(
+                        f"barankin_approx: initial point {p.tolist()} lies outside the search "
+                        f"region (min_distance {min_distance}, radius {radius}, lower "
+                        f"{self.lower}, upper {self.upper}) at x0={x0.tolist()}")
         return in_domain
 
 
@@ -475,6 +478,10 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
         f" within radius {cfg.radius}" if cfg.radius is not None else "")
     if np.any(lo > hi):
         raise DomainError(f"barankin_approx: empty {region} at x0={x0.tolist()}")
+    # `in_domain` must measure the squared distance of each point drawn without overflow
+    reach = [max(x - a, b - x) for x, a, b in zip(x0.tolist(), lo.tolist(), hi.tolist())]
+    if math.isinf(sum(r * r for r in reach)):
+        raise DomainError(f"barankin_approx: {region} too wide to measure at x0={x0.tolist()}")
 
     def random_points(rng) -> np.ndarray | None:
         pts = np.empty((cfg.max_points, len(x0)))
@@ -638,18 +645,59 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
 
 
 # ---------------------------------------------------------------------------
-# Method table shared by the harness and the CLI
+# Input tables: method options here, config sections in the CLI
 # ---------------------------------------------------------------------------
 
-# Option checks: check(value, dim) returns the value normalised for a family
-# with dim parameters, or raises TypeError or ValueError.
+#: The default of a key that must be given
+_REQUIRED = object()
 
-def _number(kind: type, low: float, strict: bool = False):
-    def check(value, dim):
+
+def _named(name: str, check, *args):
+    """check(*args); a TypeError or ValueError is a ConfigurationError naming
+    `name`, unless it is a ConfigurationError naming `name` or a field under it."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ConfigurationError) and str(exc).startswith(name):
+            raise
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
+
+def _fields(section, path: str, spec: dict, *context) -> dict:
+    """`section` read against `spec`, {key: (check, default)}: each key's
+    value, or else its default, normalised by check(value, *context), or read
+    against `check` when that is itself such a table.  A key whose default is
+    None may be left out or given as null, and is then left out.  An unknown
+    key, a missing required one, or a check's TypeError or ValueError is a
+    ConfigurationError naming `path.key`."""
+    where = path or "config"
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {type(section).__name__}")
+    unknown = set(section) - set(spec)
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    out = {}
+    for key, (check, default) in spec.items():
+        name = f"{path}.{key}" if path else key
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{name}: required")
+        if value is None and default is None:
+            continue
+        out[key] = _fields(value, name, check, *context) if isinstance(check, dict) \
+            else _named(name, check, value, *context)
+    return out
+
+
+# Checks: check(value, *context) returns the value normalised, or raises
+# TypeError or ValueError; a method option's context is the family's dimension.
+
+def _number(kind: type, low: float = -math.inf, strict: bool = False):
+    bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+    def check(value, *_):
         x = operator.index(value) if kind is int else float(value)
         if not (math.isfinite(x) and (x > low if strict else x >= low)):
-            raise ValueError(f"expected a finite {kind.__name__} {'>' if strict else '>='} "
-                             f"{low}, got {value!r}")
+            raise ValueError(f"expected a finite {kind.__name__}{bound}, got {value!r}")
         return x
     return check
 
@@ -678,17 +726,17 @@ def _indices(min_order: int):
     return lambda value, dim: tuple(map(tuple, _validate_indices(value, dim, min_order)))
 
 
-def _optional(check):
-    return lambda value, dim: None if value is None else check(value, dim)
-
+_positive = _number(float, 0, strict=True)
 
 _SEARCH_OPTIONS = {
-    "initial_points": _optional(_points), "max_points": _number(int, 1),
-    "restarts": _number(int, 0), "initial_step": _number(float, 0, strict=True),
-    "halvings": _number(int, 0), "max_sweeps_per_level": _number(int, 0),
-    "seed": _number(int, 0), "radius": _optional(_number(float, 0, strict=True)),
-    "lower": _optional(_vector), "upper": _optional(_vector),
-    "min_distance": _number(float, 0),
+    "initial_points": (_points, None), "max_points": (_number(int, 1), None),
+    "restarts": (_number(int, 0), None), "initial_step": (_positive, None),
+    "halvings": (_number(int, 0), None), "max_sweeps_per_level": (_number(int, 0), None),
+    "lower": (_vector, None), "upper": (_vector, None), "min_distance": (_number(float, 0), None),
+    # left out unless given, so that the seed of `barankin_search(options, seed)` applies
+    "seed": (_number(int, 0), None),
+    # null is an unbounded search, and only a radius left out is the default one
+    "radius": (lambda v, _: v if v is None else _positive(v), BarankinSearch.radius),
 }
 
 
@@ -702,11 +750,10 @@ def barankin_search(options: dict, seed: int = 0) -> BarankinSearch:
 
 class _Method(NamedTuple):
     """call(model, gamma, x0, options, mc_samples, seed, pinv_tol) evaluates
-    the bound; required and optional map option names to their checks."""
+    the bound; options is its {option: (check, default)} table."""
 
     call: Callable[..., BoundResult]
-    required: dict = {}
-    optional: dict = {}
+    options: dict = {}
 
 
 #: The one table of bound methods.  Each call looks its bound up by module
@@ -715,41 +762,30 @@ METHODS: dict[str, _Method] = {
     "crb": _Method(lambda m, g, x, o, n, s, t: crb(m, g, x, n_mc=n, seed=s, pinv_tol=t)),
     "constrained_crb": _Method(lambda m, g, x, o, n, s, t: constrained_crb(
         m, g, x, o.get("constraint"), n_mc=n, seed=s, pinv_tol=t),
-        optional={"constraint": _constraint}),
+        {"constraint": (_constraint, None)}),
     "bhattacharyya": _Method(lambda m, g, x, o, n, s, t: bhattacharyya(
-        m, g, x, o["indices"], n_mc=n, seed=s, pinv_tol=t), {"indices": _indices(1)}),
+        m, g, x, o["indices"], n_mc=n, seed=s, pinv_tol=t),
+        {"indices": (_indices(1), _REQUIRED)}),
     "hcrb": _Method(lambda m, g, x, o, n, s, t: hcrb(
         m, g, x, TestPointSet(o["points"]), mc_samples=n, seed=s, pinv_tol=t),
-        {"points": _points}),
+        {"points": (_points, _REQUIRED)}),
     "barankin_approx": _Method(lambda m, g, x, o, n, s, t: barankin_approx(
-        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), optional=_SEARCH_OPTIONS),
+        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), _SEARCH_OPTIONS),
     "expfam_moment": _Method(lambda m, g, x, o, n, s, t: expfam_bound(
-        m, g, x, o["indices"], pinv_tol=t), {"indices": _indices(0)}),
+        m, g, x, o["indices"], pinv_tol=t), {"indices": (_indices(0), _REQUIRED)}),
     "expfam_crb": _Method(lambda m, g, x, o, n, s, t: expfam_crb(m, g, x, pinv_tol=t)),
 }
 
 
 def method_options(name: str, options: dict, dim: int) -> dict:
     """The options of the named method, checked against a family with `dim`
-    parameters and normalised.  A ValueError names the method."""
+    parameters and normalised.  A ConfigurationError (a ValueError) names
+    `method.option`."""
     if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; known: {tuple(METHODS)}")
-    checks = {**METHODS[name].required, **METHODS[name].optional}
-    for problem, keys in (("not valid", set(options) - set(checks)),
-                          ("required", set(METHODS[name].required) - set(options))):
-        if keys:
-            raise ValueError(f"options {sorted(keys, key=str)} {problem} for {name!r}")
-    out = {}
-    for key, value in options.items():
-        try:
-            out[key] = checks[key](value, dim)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{key}: {exc} for {name!r}") from exc
-    if name == "barankin_approx":
-        try:  # restarts, initial_points, radius and min_distance together
-            barankin_search(out)
-        except ValueError as exc:
-            raise ValueError(f"{exc} for {name!r}") from exc
+        raise ConfigurationError(f"unknown method {name!r}; known: {tuple(METHODS)}")
+    out = _fields(options, name, METHODS[name].options, dim)
+    if name == "barankin_approx":  # restarts, initial_points, radius and min_distance together
+        _named(name, barankin_search, out)
     return out
 
 

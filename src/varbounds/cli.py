@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .bounds import MethodSpec, barankin_search, evaluate_bound, method_options
+from .bounds import _REQUIRED, MethodSpec, _fields, _named, _number, _vector, \
+    barankin_search, evaluate_bound, method_options
 from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
 from .harness import MIN_DRAWS, phi_estimator, constant_estimator, \
@@ -35,7 +36,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _NUMERICAL_ERRORS = (NaturalSpaceError, KernelEvaluationError, StencilError,
                      ConstraintRankError, DataError, DomainError, np.linalg.LinAlgError,
-                     FloatingPointError)
+                     ArithmeticError)
 
 
 def _numerically(where: str, call, *args, **kwargs):
@@ -46,74 +47,13 @@ def _numerically(where: str, call, *args, **kwargs):
         raise VarBoundsError(f"numerical failure {where}: {exc}") from exc
 
 
-def _section(name: str, parse, *args):
-    """parse(*args); a TypeError or ValueError is a configuration error in `name`."""
-    try:
-        return parse(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
-
-
-#: The default of a key that must be given
-_REQUIRED = object()
-
-
-def _fields(section, path: str, spec: dict, *context) -> dict:
-    """`section` read against `spec`, {key: (check, default)}: each key's
-    value, or else its default, normalised by check(value, *context), or read
-    against `check` when that is itself such a table.  A key whose default is
-    None may be left out or given as null, and is then left out.  An unknown
-    key, a missing required one, or a check's TypeError or ValueError is a
-    ConfigurationError naming `path.key`."""
-    where = path or "config"
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where}: expected a mapping, got {type(section).__name__}")
-    unknown = set(section) - set(spec)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    out = {}
-    for key, (check, default) in spec.items():
-        name = f"{path}.{key}" if path else key
-        value = section.get(key, default)
-        if value is _REQUIRED:
-            raise ConfigurationError(f"{name}: required")
-        if value is None and default is None:
-            continue
-        try:
-            out[key] = _fields(value, name, check, *context) if isinstance(check, dict) \
-                else check(value, *context)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"{name}: {exc}") from exc
-    return out
-
-
-# Field checks: check(value, *context) returns the value normalised, or raises
-# TypeError or ValueError; the context is the family's dimension.
-
-def _real(value, *_) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return x
-
+# Config checks beside those of `bounds`, with the family's dimension as context
 
 def _reals(values, *_, above: float = -math.inf) -> tuple:
     """A nonempty list of finite numbers above a bound, as floats."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ValueError(f"expected a nonempty list of numbers, got {values!r}")
-    out = tuple(float(v) for v in values)
-    if not all(above < v < math.inf for v in out):
-        raise ValueError(f"expected finite numbers above {above}, got {values!r}")
-    return out
-
-
-def _integer(low: int):
-    def check(value, *_) -> int:
-        k = operator.index(value)
-        if k < low:
-            raise ValueError(f"must be >= {low}")
-        return k
-    return check
+    return tuple(map(_number(float, above, strict=True), values))
 
 
 def _one_of(*choices):
@@ -140,7 +80,7 @@ def _model(section) -> dict:
 
 
 _MEAN = {"builtin": (_one_of("identity", "constant", "expfam-mean"), None),
-         "component": (_component, 0), "constant": (_real, 0.0),
+         "component": (_component, 0), "constant": (_number(float), 0.0),
          "polynomial": (_reals, None)}
 
 
@@ -155,17 +95,14 @@ def _mean_function(section, dim: int) -> dict:
     return mean
 
 
-_GRID = {"start": (_real, _REQUIRED), "stop": (_real, _REQUIRED),
-         "count": (_integer(2), _REQUIRED)}
+_GRID = {"start": (_number(float), _REQUIRED), "stop": (_number(float), _REQUIRED),
+         "count": (_number(int, 2), _REQUIRED)}
 
 
 def _x0(value, dim: int) -> tuple | dict:
-    """A parameter vector, or {"grid": {start, stop, count}} for a scalar one."""
+    """A list of `dim` numbers, or {"grid": {start, stop, count}} for a scalar parameter."""
     if not isinstance(value, dict):
-        x0 = _reals(value)
-        if len(x0) != dim:
-            raise ValueError(f"length {len(x0)} does not match the family dimension {dim}")
-        return x0
+        return _vector(_reals(value), dim)
     if dim != 1:
         raise ConfigurationError("x0.grid: only available for scalar parameters")
     return _fields(value, "x0", {"grid": (_GRID, _REQUIRED)})
@@ -181,7 +118,7 @@ def _method(d, dim: int) -> MethodSpec:
 def _methods(value, dim: int) -> tuple:
     if not isinstance(value, list):
         raise ValueError("expected a list")
-    return tuple(_section(f"methods[{i}]", _method, m, dim) for i, m in enumerate(value))
+    return tuple(_named(f"methods[{i}]", _method, m, dim) for i, m in enumerate(value))
 
 
 def _output_path(path, *_) -> str:
@@ -200,12 +137,12 @@ _CONFIG = {
     "mean_function": (_mean_function, {}),
     "x0": (_x0, [0.0]),
     "methods": (_methods, []),
-    "mc": ({"samples": (_integer(2), 100_000), "seed": (_integer(0), 1234)}, {}),
+    "mc": ({"samples": (_number(int, 2), 100_000), "seed": (_number(int, 0), 1234)}, {}),
     "output": ({"path": (_output_path, None),
                 "format": (_one_of("pretty", "csv"), "pretty")}, {}),
     "radii": (partial(_reals, above=0.0), None),
     "estimator": ({"builtin": (_one_of("suffstat", "constant"), _REQUIRED),
-                   "component": (_component, 0), "value": (_real, 0.0)}, None),
+                   "component": (_component, 0), "value": (_number(float), 0.0)}, None),
 }
 
 
@@ -229,13 +166,13 @@ class RunConfig:
         # the model first: the other sections are checked against its dimension
         model = _fields(d, "", {"model": (_model, _REQUIRED),
                                 **dict.fromkeys(_CONFIG, (lambda v: v, None))})["model"]
-        dim = _section("model", lambda: make_model(**model)).param_dim
+        dim = _named("model", lambda: make_model(**model)).param_dim
         cfg = cls(**_fields(d, "", {"model": (lambda *_: model, _REQUIRED), **_CONFIG}, dim))
         for i, spec in enumerate(cfg.methods):
             if spec.name == "barankin_approx" and spec.options.get("initial_points"):
                 search = barankin_search(spec.options)
                 for point in cfg.points():
-                    _section(f"methods[{i}]", search.region, np.asarray(point, dtype=float))
+                    _named(f"methods[{i}]", search.region, np.asarray(point, dtype=float))
         return cfg
 
     def to_dict(self) -> dict:
@@ -354,7 +291,7 @@ def _cmd_reduce(cfg: RunConfig, model, gamma: MeanFunction) -> int:
     # each radius must leave room for test points beyond min_distance, and
     # hold the initial points
     x0 = np.asarray(cfg.x0, dtype=float)
-    _section("radii", lambda: [replace(search, radius=r).region(x0) for r in cfg.radii])
+    _named("radii", lambda: [replace(search, radius=r).region(x0) for r in cfg.radii])
     report = _numerically(f"in method 'barankin_approx' at x0={list(cfg.x0)}",
                           reduction_experiment, model, gamma, x0, cfg.radii, search,
                           mc_samples=cfg.mc["samples"], seed=cfg.mc["seed"])

@@ -44,8 +44,8 @@ class ConstraintRankError(VarBoundsError):
     """A constraint Jacobian is rank deficient, i.e. the constraints are redundant."""
 
 
-class ConfigurationError(VarBoundsError):
-    """A run configuration is invalid; the message names the offending field."""
+class ConfigurationError(VarBoundsError, ValueError):
+    """A config field or method option is invalid; the message names the field."""
 
 
 class DataError(VarBoundsError):

@@ -96,7 +96,8 @@ def _as_obs_batch(model, y) -> np.ndarray:
 def natural_space_contains(model: ExponentialFamilyModel, x) -> bool:
     """True iff the log moment-generating function is finite at x."""
     x = as_param(model, x)
-    return bool(np.isfinite(model.log_lambda(x)))
+    with np.errstate(over="ignore"):  # an overflow to inf means outside
+        return bool(np.isfinite(model.log_lambda(x)))
 
 
 def _family_log_density(model: ExponentialFamilyModel, phi_Y: np.ndarray,

@@ -7,13 +7,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import yaml
+
 import varbounds as vb
 import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
     _quadratic_bound, barankin_search, evaluate_bound, method_options
-from varbounds.errors import ConstraintRankError, DomainError, NaturalSpaceError, \
-    StencilError
+from varbounds.cli import main
+from varbounds.errors import ConfigurationError, ConstraintRankError, DomainError, \
+    NaturalSpaceError, StencilError, VarBoundsError
 from varbounds.kernel import deriv_inner_products
 
 
@@ -304,6 +307,16 @@ class TestHCRB:
             TestPointSet([[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("model, x0, point", [
+    (vb.gaussian_mean(), 0.0, 1e300), (vb.gaussian_mean(), 0.0, 1e154),
+    (vb.poisson(), 0.0, 400.0)])
+def test_hcrb_point_overflowing_the_log_mgf_raises_without_a_warning(model, x0, point):
+    # the point itself, or its sum x1 + x2 - x0 with itself, overflows log_lambda;
+    # the overflow used to reach stderr as a RuntimeWarning (an error here)
+    with pytest.raises(NaturalSpaceError):
+        vb.hcrb(model, vb.identity_mean(), [x0], TestPointSet([[point]]))
+
+
 class TestBarankin:
     def test_fixed_single_point_equals_hcrb_exactly(self):
         g, gamma = vb.gaussian_mean(), vb.identity_mean()
@@ -357,6 +370,16 @@ class TestBarankin:
             with pytest.raises(ValueError, match=match):
                 BarankinSearch(initial_points=TestPointSet([]), **options)
 
+    @pytest.mark.parametrize("options", [{"radius": 1e300}, {"radius": None, "upper": [1e300]},
+                                         {"lower": [-1e200], "upper": [1e200]}])
+    def test_box_too_wide_to_measure_is_a_domain_error(self, options):
+        # its draws used to overflow the squared distance with a RuntimeWarning
+        # (an error here) before no start was drawn
+        with pytest.raises(DomainError, match=r"sampling box .* too wide to measure at "
+                                              r"x0=\[0.0\]"):
+            vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0],
+                               BarankinSearch(restarts=1, **options))
+
     def test_search_that_draws_no_start_is_a_domain_error(self):
         search = BarankinSearch(restarts=2, radius=1.0, lower=(0.99999,), upper=(10.0,))
         with pytest.raises(DomainError, match=r"no start drawn in the sampling box .* "
@@ -378,6 +401,12 @@ class TestBarankin:
                                               r"the search region .* at x0=\[0.0\]"):
             vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0], search)
         with pytest.raises(DomainError):
+            search.region(np.array([0.0]))
+
+    def test_initial_point_too_far_to_measure_is_outside_without_a_warning(self):
+        # its squared distance used to overflow with a RuntimeWarning (an error here)
+        search = BarankinSearch(initial_points=TestPointSet([[1e300]]), restarts=0, halvings=0)
+        with pytest.raises(DomainError, match=r"initial point \[1e\+300\] lies outside"):
             search.region(np.array([0.0]))
 
     def test_initial_points_inside_the_region_are_searched_from(self):
@@ -901,12 +930,29 @@ _TABLE_CASES = {
 }
 
 
+_BAD_OPTIONS = [
+    ("bhattacharyya", {}, "indices"),
+    ("bhattacharyya", {"indices": [[1.5]]}, "indices"),
+    ("bhattacharyya", {"indices": []}, "indices"),
+    ("expfam_moment", {"indices": [[1, 0]]}, "indices"),
+    ("hcrb", {"points": []}, "points"),
+    ("hcrb", {"points": [[1.0, 2.0]]}, "points"),
+    ("hcrb", {"points": [[1.0], [1.0]]}, "points"),
+    ("constrained_crb", {"constraint": [[1.0, 2.0]]}, "constraint"),
+    ("barankin_approx", {"max_points": 0}, "max_points"),
+    ("barankin_approx", {"initial_step": 0}, "initial_step"),
+    ("barankin_approx", {"restarts": 1.5}, "restarts"),
+    ("barankin_approx", {"lower": [0.0, 1.0]}, "lower"),
+    ("crb", {"points": [[1.0]]}, "points"),
+]
+
+
 class TestMethodTable:
     def test_cases_cover_the_table(self):
         assert set(_TABLE_CASES) == set(METHODS)
 
     def test_search_options_are_the_search_fields(self):
-        assert set(METHODS["barankin_approx"].optional) == \
+        assert set(METHODS["barankin_approx"].options) == \
             {f.name for f in fields(BarankinSearch)}
 
     @pytest.mark.parametrize("name", list(_TABLE_CASES))
@@ -925,25 +971,37 @@ class TestMethodTable:
         once = method_options(name, _TABLE_CASES[name][0], 2)
         assert method_options(name, once, 2) == once
 
-    @pytest.mark.parametrize("name, options, field", [
-        ("bhattacharyya", {}, "indices"),
-        ("bhattacharyya", {"indices": [[1.5]]}, "indices"),
-        ("bhattacharyya", {"indices": []}, "indices"),
-        ("expfam_moment", {"indices": [[1, 0]]}, "indices"),
-        ("hcrb", {"points": []}, "points"),
-        ("hcrb", {"points": [[1.0, 2.0]]}, "points"),
-        ("hcrb", {"points": [[1.0], [1.0]]}, "points"),
-        ("constrained_crb", {"constraint": [[1.0, 2.0]]}, "constraint"),
-        ("barankin_approx", {"max_points": 0}, "max_points"),
-        ("barankin_approx", {"initial_step": 0}, "initial_step"),
-        ("barankin_approx", {"restarts": 1.5}, "restarts"),
-        ("barankin_approx", {"lower": [0.0, 1.0]}, "lower"),
-        ("crb", {"points": [[1.0]]}, "points"),
-    ])
+    @pytest.mark.parametrize("name, options, field", _BAD_OPTIONS)
     def test_bad_options_name_the_method(self, name, options, field):
         with pytest.raises(ValueError) as err:
             method_options(name, options, 1)
         assert name in str(err.value) and field in str(err.value)
+
+    @pytest.mark.parametrize("name, options", [case[:2] for case in _BAD_OPTIONS])
+    def test_bad_options_exit_2_naming_the_method_entry(self, tmp_path, capsys, name, options):
+        with pytest.raises(ConfigurationError) as err:
+            method_options(name, options, 1)
+        doc = {"model": {"family": "gaussian-mean"}, "methods": [{"name": name, **options}]}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: methods[0]: {err.value}\n"
+
+    def test_configuration_error_is_a_value_error(self):
+        assert issubclass(ConfigurationError, ValueError)
+        assert issubclass(ConfigurationError, VarBoundsError)
+
+    def test_null_option_is_left_out(self):
+        # a null restarts used to be rejected; a null seed leaves the given one
+        options = method_options("barankin_approx", {"restarts": None, "seed": None}, 1)
+        assert barankin_search(options, seed=7) == BarankinSearch(seed=7)
+        assert method_options("constrained_crb", {"constraint": None}, 1) == {}
+
+    def test_null_radius_is_an_unbounded_search(self):
+        assert barankin_search(method_options(
+            "barankin_approx", {"radius": None}, 1)).radius is None
+        assert barankin_search(method_options(
+            "barankin_approx", {}, 1)).radius == BarankinSearch.radius
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="newton"):

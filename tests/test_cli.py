@@ -296,6 +296,52 @@ class TestRunCommand:
                                    vb.BarankinSearch(**search)).value
         assert float(read_rows(out)[0]["value"]) == exact
 
+    def test_null_radius_is_an_unbounded_search(self, tmp_path):
+        search = {"restarts": 1, "halvings": 2}
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "radius": None,
+                                            **search}]}
+        cfg = write_config(tmp_path, doc)
+        assert load_config(cfg).methods[0].options["radius"] is None
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        unbounded = varbounds.BarankinSearch(radius=None, seed=1234, **search)
+        exact = varbounds.barankin_approx(varbounds.gaussian_mean(), varbounds.identity_mean(),
+                                          [0.0], unbounded).value
+        assert float(read_rows(out)[0]["value"]) == exact
+
+    @pytest.mark.parametrize("command, doc, where", [
+        # math.exp and rate ** k overflow, rate ** p underflows to 0
+        ("run", {"model": {"family": "poisson"}, "x0": [800.0], "methods": [{"name": "crb"}]},
+         "in method 'crb' at x0=[800.0]"),
+        ("run", {"model": {"family": "poisson"}, "x0": [200.0],
+                 "methods": [{"name": "expfam_moment", "indices": [[0], [1], [2], [3]]}]},
+         "in method 'expfam_moment' at x0=[200.0]"),
+        ("run", {"model": {"family": "exponential-rate"}, "x0": [-1e-320],
+                 "methods": [{"name": "crb"}]}, "in method 'crb' at x0=[-1e-320]"),
+        ("run", {"model": {"family": "exponential-rate"}, "x0": [-1e-200],
+                 "methods": [{"name": "bhattacharyya", "indices": [[1], [2]]}]},
+         "in method 'bhattacharyya' at x0=[-1e-200]"),
+        # numpy overflows in log_lambda and in the search's squared distance
+        ("reduce", {"model": {"family": "gaussian-mean"}, "x0": [1e300], "radii": [1.0]},
+         "in method 'barankin_approx' at x0=[1e+300]"),
+        ("run", {"model": {"family": "gaussian-mean"},
+                 "methods": [{"name": "hcrb", "points": [[1e300]]}]},
+         "in method 'hcrb' at x0=[0.0]"),
+        ("reduce", {"model": {"family": "gaussian-mean"}, "radii": [1e300]},
+         "in method 'barankin_approx' at x0=[0.0]"),
+        ("run", {"model": {"family": "poisson"}, "x0": [800.0],
+                 "methods": [{"name": "hcrb", "points": [[1.0]]}]},
+         "in method 'hcrb' at x0=[800.0]"),
+    ], ids=["poisson-crb", "poisson-moments", "exponential-crb", "exponential-bhattacharyya",
+            "gaussian-reduce-x0", "gaussian-hcrb-point", "reduce-radius", "poisson-hcrb"])
+    def test_overflow_at_extreme_parameters_exits_3_with_one_line(self, tmp_path, capsys,
+                                                                   command, doc, where):
+        # these ended in an OverflowError or ZeroDivisionError traceback (exit 1),
+        # or printed a numpy RuntimeWarning (an error here) ahead of the error line
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: numerical failure {where}: ") and err.count("\n") == 1
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"familly": "gaussian-mean"}})
         assert main(["run", "--config", cfg]) == 2
@@ -459,8 +505,9 @@ class TestOneMethodCommands:
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_csv_on_stdout_is_the_file_the_config_writes(tmp_path, capsys, monkeypatch, path):
     doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    command = {"gaussian_scan.yaml": "scan", "gaussian_reduce.yaml": "reduce",
-               "poisson_validate.yaml": "validate"}.get(path.name, "run")
+    # the command is the file name's last part: ..._scan.yaml runs scan
+    command = path.stem.rpartition("_")[2]
+    command = command if command in ("scan", "reduce", "validate") else "run"
     monkeypatch.chdir(tmp_path)  # the config's relative output path lands here
     assert main([command, "--config", str(path), "--format", "csv"]) == 0
     written = (tmp_path / doc["output"]["path"]).read_text(encoding="utf-8")

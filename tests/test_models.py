@@ -182,6 +182,12 @@ class TestNaturalSpace:
         assert vb.natural_space_contains(er, [-1.0])
         assert not vb.natural_space_contains(er, [0.0])
 
+    @pytest.mark.parametrize("model, x", [(vb.gaussian_mean(), 1e300), (vb.poisson(), 800.0),
+                                          (vb.gaussian_iid(3), 1e200)])
+    def test_overflowing_log_mgf_is_outside_without_a_warning(self, model, x):
+        # the overflow used to reach stderr as a RuntimeWarning (an error here)
+        assert not vb.natural_space_contains(model, [x])
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-30, max_value=30, allow_nan=False))
     def test_membership_iff_finite_log_mgf(self, x):

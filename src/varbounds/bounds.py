@@ -11,12 +11,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
-    partial_derivative
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
-from .kernel import ExpfamKernelEvaluator, KernelEvaluator, MonteCarloKernelEvaluator, \
-    deriv_inner_products, difference_block, make_gram_system, signed_sq_norm
+from .kernel import DerivBasis, DiffBasis, ExpfamKernelEvaluator, KernelEvaluator, \
+    MonteCarloKernelEvaluator, difference_block, gram, gram_rhs, make_gram_system, \
+    signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -84,6 +84,13 @@ def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> B
     return BoundResult(value=value, method=method, diagnostics=diagnostics)
 
 
+def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
+    """The one route choice: closed form for an exponential family, else Monte Carlo."""
+    if isinstance(model, ExponentialFamilyModel):
+        return ExpfamKernelEvaluator(model, x0)
+    return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
+
+
 # ---------------------------------------------------------------------------
 # Kernel-derivative bounds: Cramer-Rao, constrained Cramer-Rao, Bhattacharyya
 # ---------------------------------------------------------------------------
@@ -106,35 +113,18 @@ def _unit_indices(N: int) -> list[MultiIndex]:
     return [MultiIndex.unit(N, k) for k in range(N)]
 
 
-def _deriv_gram(model: Model, x0: np.ndarray, idxs: Sequence[MultiIndex], n_mc: int,
-                seed: int, cfg: FDConfig | None = None) -> tuple[np.ndarray, dict]:
-    """Inner products of the kernel derivative functions r^(p), p in idxs,
-    at x0, and the route tag: exact from moments for an exponential family,
-    or finite differences of its closed-form kernel without closed-form
-    moments (`moment_fd_fallback`); otherwise the Monte Carlo mean of
-    D^p rho * D^q rho, differentiating one evaluator's cached ratio vectors
-    per draw with `partial_derivative` (`mc_samples`).  Over the unit
-    indices this is the Fisher information: rho(x0) = 1, so the score at x0
-    is the gradient of rho.
-    """
-    if isinstance(model, ExponentialFamilyModel):
-        B = deriv_inner_products(model, x0, idxs, cfg)
-        return B, {"moment_fd_fallback": True} if model.closed_moments is None else {}
-    evaluator = MonteCarloKernelEvaluator(model, x0, n_mc, seed)
-    D = np.array([partial_derivative(evaluator._ratios, x0, p, cfg) for p in idxs])
-    return (D @ D.T) / evaluator.mc_samples, {"mc_samples": n_mc}
-
-
 def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=None, *,
                  n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
                  cfg: FDConfig | None = None) -> BoundResult:
-    """a' B^+ a with a the mean-function partials and B the derivative Gram
-    at the indices, restricted to the null space of the constraint Jacobian
-    F when F has rows."""
+    """a' B^+ a with a the mean-function partials and B the `gram` of the
+    derivative basis at the indices, restricted to the null space of the
+    constraint Jacobian F when F has rows; tagged with the evaluator's route."""
     x0 = as_param(model, x0)
-    idxs = _validate_indices(indices, model.param_dim)
-    a = np.array([mean_partial(gamma, x0, p) for p in idxs])
-    B, extra = _deriv_gram(model, x0, idxs, n_mc, seed, cfg)
+    basis = [DerivBasis(p) for p in _validate_indices(indices, model.param_dim)]
+    evaluator = _make_evaluator(model, x0, n_mc, seed)
+    a, B = gram_rhs(evaluator, basis, gamma), gram(evaluator, basis, cfg)
+    extra = {"mc_samples": evaluator.mc_samples} if evaluator.mode == "monte_carlo" else \
+        {"moment_fd_fallback": True} if model.closed_moments is None else {}
     if F is not None and np.size(F) != 0:
         U = null_space_onb(F)
         B, a, extra = U.T @ B @ U, U.T @ a, {"null_space_dim": U.shape[1], **extra}
@@ -150,8 +140,8 @@ def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
     sufficient statistic, exact from moments.  Otherwise it is the Monte
     Carlo mean of the outer products of the likelihood-ratio gradients.
     """
-    x0 = as_param(model, x0)
-    return _deriv_gram(model, x0, _unit_indices(model.param_dim), n_mc, seed, cfg)[0]
+    evaluator = _make_evaluator(model, as_param(model, x0), n_mc, seed)
+    return gram(evaluator, [DerivBasis(p) for p in _unit_indices(model.param_dim)], cfg)
 
 
 def crb(model: Model, gamma: MeanFunction, x0, *, n_mc: int = 100_000, seed: int = 0,
@@ -204,40 +194,34 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
 # Hammersley-Chapman-Robbins and Barankin
 # ---------------------------------------------------------------------------
 
-def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
-    if isinstance(model, ExponentialFamilyModel):
-        return ExpfamKernelEvaluator(model, x0)
-    return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
-
-
 def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
-                   configurations: Sequence, skip_undefined: bool = True) -> tuple[list, dict]:
+                   configurations: Sequence) -> tuple[list, dict]:
     """The projection of the centered mean onto the kernel differences
     R(., x) - R(., x0) at the rows x of each configuration, up to its solve:
     one `pairwise` each, stacked by point count m as `{m: (slots, kernels,
     rhs rows)}` with a slot (results, i) per row, and the results list that
-    `_solve_stacks` fills.  Where kernel
-    or gamma is undefined (NaturalSpaceError, KernelEvaluationError) the
-    result stays None, or with skip_undefined=False the error propagates."""
-    undefined = (NaturalSpaceError, KernelEvaluationError) if skip_undefined else ()
+    `_solve_stacks` fills.  Where kernel or gamma is undefined
+    (NaturalSpaceError, KernelEvaluationError) the result stays None; an
+    overflow on the way to that answer is not warned about."""
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
     x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
     results = [None] * len(configurations)
     stacks: dict[int, tuple[list, list, list]] = {}
-    for i, points in enumerate(configurations):
-        points = np.asarray(points, dtype=float)
-        try:
-            K = evaluator.pairwise(np.concatenate((first, points)))
-            if g0 is None:
-                g0 = float(gamma.value(x0))
-            rhs = [float(gamma.value(x)) - g0 for x in points]
-        except undefined:
-            continue
-        slots, kernels, rows = stacks.setdefault(len(points), ([], [], []))
-        slots.append((results, i))
-        kernels.append(K)
-        rows.append(rhs)
+    with np.errstate(over="ignore"):
+        for i, points in enumerate(configurations):
+            points = np.asarray(points, dtype=float)
+            try:
+                K = evaluator.pairwise(np.concatenate((first, points)))
+                if g0 is None:
+                    g0 = float(gamma.value(x0))
+                rhs = [float(gamma.value(x)) - g0 for x in points]
+            except (NaturalSpaceError, KernelEvaluationError):
+                continue
+            slots, kernels, rows = stacks.setdefault(len(points), ([], [], []))
+            slots.append((results, i))
+            kernels.append(K)
+            rows.append(rhs)
     return results, stacks
 
 
@@ -259,30 +243,19 @@ def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
             results[i] = value, rank, condition, smallest
 
 
-def _difference_projection(evaluator: KernelEvaluator, gamma: MeanFunction,
-                           configurations: Sequence, pinv_tol: float, *,
-                           skip_undefined: bool = True) -> list:
-    """`(value, diagnostics)` of each configuration, clamped at zero (None
-    where undefined), from `_kernel_stacks` and `_solve_stacks`."""
-    results, stacks = _kernel_stacks(evaluator, gamma, configurations, skip_undefined)
-    _solve_stacks([stacks], pinv_tol)
-    return [None if result is None else _clamped(*result) for result in results]
-
-
 def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
                     points: Sequence[np.ndarray], pinv_tol: float) -> dict:
     """Sample count, Kish effective sample size per point (first: a point the
     ratio cache evicted is recomputed once, and the halves slice it) and the
-    two-fold sample-split Monte Carlo error of the projection at `points`."""
+    two-fold sample-split Monte Carlo error of the projection at `points`.
+    The ratios are nonnegative, so each half's kernel is bounded by the
+    whole one's and is defined where that is."""
     diagnostics = {"mc_samples": evaluator.mc_samples, "mc_effective_sample_size": [
-        evaluator.effective_sample_size(p) for p in points], "mc_standard_error": math.inf}
-    values = []
-    for sub in evaluator._halves():
-        (result,) = _difference_projection(sub, gamma, [points], pinv_tol)
-        if result is None:
-            return diagnostics
-        values.append(result[0])
-    diagnostics["mc_standard_error"] = abs(values[0] - values[1]) / 2.0
+        evaluator.effective_sample_size(p) for p in points]}
+    basis = [DiffBasis(p) for p in points]
+    low, high = (_quadratic_bound(gram(sub, basis), gram_rhs(sub, basis, gamma), "hcrb",
+                                  pinv_tol).value for sub in evaluator._halves())
+    diagnostics["mc_standard_error"] = abs(low - high) / 2.0
     return diagnostics
 
 
@@ -297,13 +270,13 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
                               f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
+    basis = [DiffBasis(p) for p in tps.points]
     with np.errstate(over="ignore"):  # a point outside the natural space raises below
-        ((value, diagnostics),) = _difference_projection(evaluator, gamma, [tps.points],
-                                                         pinv_tol, skip_undefined=False)
-    diagnostics["n_test_points"] = len(tps)
-    if isinstance(evaluator, MonteCarloKernelEvaluator):
-        diagnostics.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
-    return BoundResult(value=value, method="hcrb", diagnostics=diagnostics)
+        G, rhs = gram(evaluator, basis), gram_rhs(evaluator, basis, gamma)
+        extra = {"n_test_points": len(tps)}
+        if isinstance(evaluator, MonteCarloKernelEvaluator):
+            extra.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
+        return _quadratic_bound(G, rhs, "hcrb", pinv_tol, extra)
 
 
 @dataclass(frozen=True)
@@ -478,10 +451,13 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
         f" within radius {cfg.radius}" if cfg.radius is not None else "")
     if np.any(lo > hi):
         raise DomainError(f"barankin_approx: empty {region} at x0={x0.tolist()}")
-    # `in_domain` must measure the squared distance of each point drawn without overflow
-    reach = [max(x - a, b - x) for x, a, b in zip(x0.tolist(), lo.tolist(), hi.tolist())]
+    # `in_domain` must measure the squared distance of each point drawn, and of
+    # each proposal one step from a point of a bounded region, without overflow
+    reach = [max(x - a, b - x) + cfg.initial_step
+             for x, a, b in zip(x0.tolist(), lo.tolist(), hi.tolist())]
     if math.isinf(sum(r * r for r in reach)):
-        raise DomainError(f"barankin_approx: {region} too wide to measure at x0={x0.tolist()}")
+        raise DomainError(f"barankin_approx: {region} with initial_step {cfg.initial_step} "
+                          f"too wide to measure at x0={x0.tolist()}")
 
     def random_points(rng) -> np.ndarray | None:
         pts = np.empty((cfg.max_points, len(x0)))
@@ -586,6 +562,9 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
                 if nxt is not None:
                     pending[i] = nxt
 
+    if all(result is None for result in seen.values()):
+        raise DomainError(f"barankin_approx: kernel or mean undefined at all {evaluations} "
+                          f"configurations computed in the {region} at x0={x0.tolist()}")
     trace = [{"start": i, "best_value": v if math.isfinite(v) else None}
              for i, v in enumerate(finals)]
     # the best is a positive, hence unclamped, projection

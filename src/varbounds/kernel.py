@@ -60,10 +60,11 @@ class ExpfamKernelEvaluator:
         if not isinstance(model, ExponentialFamilyModel):
             raise TypeError("closed-form kernel evaluation needs an ExponentialFamilyModel")
         self.model = model
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if not natural_space_contains(model, self.x0):
+        self.x0 = as_param(model, x0)
+        with np.errstate(over="ignore"):  # an overflow to inf means outside
+            self._ll0 = float(model.log_lambda(self.x0))
+        if not math.isfinite(self._ll0):
             raise NaturalSpaceError(self.x0)
-        self._ll0 = float(model.log_lambda(self.x0))
 
     def evaluate(self, x1, x2) -> float:
         return kernel_expfam(self.model, self.x0, x1, x2)
@@ -482,16 +483,25 @@ def difference_block(K: np.ndarray, d=None) -> np.ndarray:
     return ((K[..., 1:, 1:] - Ki0 * d) - dcol * K0j) + dcol * (d * K00)
 
 
-def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
+def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = None) -> np.ndarray:
     """Gram matrix of inner products among basis functions, assembled from
     kernel values and kernel derivatives via the reproducing property.
 
     Point and difference entries are the `difference_block` of one pairwise
-    kernel matrix over [x0, x_1, ..., x_m].
+    kernel matrix over [x0, x_1, ..., x_m].  Derivatives alone are
+    `deriv_inner_products` in closed form, and by Monte Carlo the mean of
+    D^p rho * D^q rho over the draws, by `partial_derivative` (step `cfg`) of
+    the cached ratio vectors.  Mixed with points they need the closed form.
     """
-    x0 = evaluator.x0
+    x0, model = evaluator.x0, evaluator.model
     deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
     points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
+    idxs = [as_index(basis[i].p, dim=model.param_dim) for i in deriv]
+    if idxs and not points:
+        if evaluator.mode == "expfam_closed_form":
+            return deriv_inner_products(model, x0, idxs, cfg)
+        D = np.array([partial_derivative(evaluator._ratios, x0, p, cfg) for p in idxs])
+        return (D @ D.T) / evaluator.mc_samples
     P = np.array([x0] + [basis[i].x for i in points], dtype=float)
     d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
     block = difference_block(evaluator.pairwise(P), d)
@@ -500,8 +510,6 @@ def gram(evaluator: KernelEvaluator, basis: Sequence) -> np.ndarray:
 
     if evaluator.mode != "expfam_closed_form":
         raise ValueError("derivative basis functions require the closed-form evaluator")
-    model = evaluator.model
-    idxs = [as_index(basis[i].p, dim=model.param_dim) for i in deriv]
     if _has_closed_moments(model):
         _, nu = _exact_tables(model, x0, idxs)
         D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
@@ -521,7 +529,7 @@ def gram_rhs(evaluator: KernelEvaluator, basis: Sequence, gamma: MeanFunction) -
     by the reproducing property: evaluation for point bases, differences for
     difference bases, partial derivatives for derivative bases."""
     x0 = evaluator.x0
-    g0 = float(gamma.value(x0))
+    g0 = float(gamma.value(x0)) if any(isinstance(b, DiffBasis) for b in basis) else 0.0
     out = np.empty(len(basis))
     for i, b in enumerate(basis):
         if isinstance(b, DerivBasis):

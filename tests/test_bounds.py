@@ -14,10 +14,12 @@ import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
     _quadratic_bound, barankin_search, evaluate_bound, method_options
+from varbounds.calculus import as_index
 from varbounds.cli import main
 from varbounds.errors import ConfigurationError, ConstraintRankError, DomainError, \
-    NaturalSpaceError, StencilError, VarBoundsError
-from varbounds.kernel import deriv_inner_products
+    KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
+from varbounds.kernel import DiffBasis, deriv_inner_products, gram, gram_rhs
+from varbounds.models import ExponentialFamilyModel
 
 
 def hcrb_single_point_oracle(delta: float) -> float:
@@ -380,6 +382,31 @@ class TestBarankin:
             vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0],
                                BarankinSearch(restarts=1, **options))
 
+    def test_huge_initial_step_is_a_domain_error(self):
+        # each proposal beyond the box used to overflow the squared distance
+        # with a RuntimeWarning (an error here), and the value was reported
+        with pytest.raises(DomainError, match=r"within radius 3.0 with initial_step 1e\+300 "
+                                              r"too wide to measure at x0=\[0.0\]"):
+            vb.barankin_approx(vb.gaussian_mean(), vb.identity_mean(), [0.0],
+                               BarankinSearch(restarts=1, halvings=2, initial_step=1e300))
+
+    def test_search_with_no_defined_configuration_is_a_domain_error(self):
+        # every configuration drawn in the box of radius 500 leaves Poisson's
+        # natural space on the way to its kernel: the value used to be 0
+        p = vb.poisson()
+        with pytest.raises(DomainError, match=r"kernel or mean undefined at all 34 configurations"
+                                              r" computed in the sampling box from \[-500.0\] "
+                                              r"to \[500.0\] within radius 500.0 at x0=\[0.0\]"):
+            vb.reduction_experiment(p, vb.expfam_mean(p), [0.0], [500.0],
+                                    BarankinSearch(restarts=2, halvings=2))
+
+    def test_search_with_only_zero_projections_reports_zero(self):
+        # a constant mean projects to 0 on every defined configuration
+        res = vb.barankin_approx(vb.gaussian_mean(), vb.constant_mean(2.0), [0.0],
+                                 BarankinSearch(restarts=2, halvings=2))
+        assert res.value == 0.0 and res.diagnostics["evaluations"] > 0
+        assert "best_points" not in res.diagnostics
+
     def test_search_that_draws_no_start_is_a_domain_error(self):
         search = BarankinSearch(restarts=2, radius=1.0, lower=(0.99999,), upper=(10.0,))
         with pytest.raises(DomainError, match=r"no start drawn in the sampling box .* "
@@ -616,10 +643,17 @@ def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10
             work["revisits"] += 1
             return seen[key]
         work["evaluations"] += 1
-        [result] = bounds_module._difference_projection(evaluator, gamma, [pts], pinv_tol)
-        value = None if result is None else result[0]
+        basis = [DiffBasis(p) for p in pts]
+        try:
+            with np.errstate(over="ignore"):  # as the search, which answers 'undefined'
+                result = _quadratic_bound(gram(evaluator, basis),
+                                          gram_rhs(evaluator, basis, gamma),
+                                          "barankin_approx", pinv_tol)
+        except (NaturalSpaceError, KernelEvaluationError):
+            result = None
+        value = None if result is None else result.value
         if value is not None and value > best[0]:
-            best[:] = [value, result[1], pts]
+            best[:] = [value, result.diagnostics, pts]
         seen[key] = value
         return value
 
@@ -767,10 +801,16 @@ class TestLockstepSearch:
         model, gamma = vb.as_generic(vb.exponential_rate()), _fd_mean_exponential_rate()
         evaluator = bounds_module._make_evaluator(model, np.array([-1.0]), 2_000, 1)
         configurations = [np.array([[-0.3]]), np.array([[-3e-5]]), np.array([[-0.5]])]
-        results = bounds_module._difference_projection(evaluator, gamma, configurations, 1e-10)
+
+        def projections(configurations):
+            results, stacks = bounds_module._kernel_stacks(evaluator, gamma, configurations)
+            bounds_module._solve_stacks([stacks], 1e-10)
+            return results
+
+        results = projections(configurations)
         assert results[1] is None
         for points, result in zip(configurations[::2], results[::2]):
-            [alone] = bounds_module._difference_projection(evaluator, gamma, [points], 1e-10)
+            [alone] = projections([points])
             assert _hexed(list(result)) == _hexed(list(alone))
         with pytest.raises(NaturalSpaceError, match="finite-difference stencil point"):
             vb.hcrb(model, gamma, [-1.0], TestPointSet([[-3e-5]]), mc_samples=2_000)
@@ -886,6 +926,106 @@ class TestOrderingInvariants:
         ]
         for res in results:
             assert res.value >= 0.0
+
+
+def _sin_mean(a: float = 0.0, b: float = 1.0) -> vb.MeanFunction:
+    """gamma(x) = sin(a + b x) with the exact derivatives b^k sin(a + b x + k pi/2)."""
+    def deriv(x, p):
+        k = as_index(p, dim=1)[0]
+        return b ** k * math.sin(a + b * float(x[0]) + k * math.pi / 2)
+
+    return vb.MeanFunction(lambda x: math.sin(a + b * float(np.atleast_1d(x)[0])), deriv)
+
+
+def _affine_gaussian_mean() -> ExponentialFamilyModel:
+    """gaussian-mean in the parameter t with x = 1 + 2t, as a canonical family:
+    y x - x^2 / 2 = (2y) t - (1 + 2t)^2 / 2 + y, so phi = 2y, log h gains y,
+    log lambda(t) = log lambda(1 + 2t) and E_t{phi^p} = 2^p E_x{y^p}."""
+    g = vb.gaussian_mean()
+    return ExponentialFamilyModel(
+        name="gaussian-mean-affine", param_dim=1, obs_dim=1,
+        phi=lambda y: 2.0 * np.asarray(y, dtype=float),
+        log_h=lambda y: g.log_h(y) + np.asarray(y, dtype=float)[..., 0],
+        log_lambda=lambda t: g.log_lambda(1.0 + 2.0 * np.asarray(t, dtype=float)),
+        sampler=lambda t, seed, count: g.sampler(1.0 + 2.0 * np.asarray(t), seed, count),
+        closed_moments=lambda t, p: 2.0 ** p[0] * g.closed_moments(1.0 + 2.0 * t, p))
+
+
+class TestInvariance:
+    """The paper's two invariance results on every single-configuration bound:
+    a sufficient statistic and an affine reparametrisation leave them unchanged."""
+
+    def test_sufficient_statistic_gives_equal_bounds(self):
+        gamma, x0 = _sin_mean(), [0.3]
+        search = BarankinSearch(restarts=2, halvings=3, max_points=2, seed=4)
+
+        def bounds(model):
+            return [vb.crb(model, gamma, x0),
+                    vb.bhattacharyya(model, gamma, x0, [(1,), (2,), (3,)]),
+                    vb.hcrb(model, gamma, x0, TestPointSet([[0.8], [-0.2]])),
+                    vb.expfam_bound(model, gamma, x0, [(0,), (1,), (2,)]),
+                    vb.barankin_approx(model, gamma, x0, search)]
+
+        for iid, total in zip(bounds(vb.gaussian_iid(3)), bounds(vb.gaussian_sum(3))):
+            assert iid.value > 0.0
+            assert total.value == pytest.approx(iid.value, rel=1e-12), iid.method
+
+    @pytest.mark.parametrize("gamma, gamma_t", [
+        (vb.identity_mean(), vb.polynomial_mean([1.0, 2.0])),
+        (_sin_mean(), _sin_mean(1.0, 2.0)),
+    ], ids=["identity", "sin"])
+    def test_affine_reparametrisation_gives_equal_bounds(self, gamma, gamma_t):
+        g, affine, t0, ts = vb.gaussian_mean(), _affine_gaussian_mean(), 0.1, [[0.5], [-0.4]]
+        x0, xs = [1.0 + 2.0 * t0], [[1.0 + 2.0 * t] for [t] in ts]
+        pairs = [(vb.crb(affine, gamma_t, [t0]), vb.crb(g, gamma, x0)),
+                 (vb.hcrb(affine, gamma_t, [t0], TestPointSet(ts)),
+                  vb.hcrb(g, gamma, x0, TestPointSet(xs)))]
+        for order in (1, 2, 3):
+            indices = [(k,) for k in range(1, order + 1)]
+            pairs.append((vb.bhattacharyya(affine, gamma_t, [t0], indices),
+                          vb.bhattacharyya(g, gamma, x0, indices)))
+        for in_t, in_x in pairs:
+            assert in_x.value > 0.0
+            assert in_t.value == pytest.approx(in_x.value, rel=1e-9), in_x.method
+
+
+def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatch):
+    # one `gram` per matrix, two more for the Monte Carlo split halves; the
+    # search's configurations are stacked apart from it
+    calls = []
+
+    def counted(evaluator, basis, *args):
+        calls.append((evaluator.mode, type(basis[0]).__name__, len(basis)))
+        return gram(evaluator, basis, *args)
+
+    monkeypatch.setattr(bounds_module, "gram", counted)
+    p, nd = vb.poisson(), vb.make_model("gaussian-mean-nd")
+    gamma, generic = vb.expfam_mean(p), vb.as_generic(p)
+    closed, mc = "expfam_closed_form", "monte_carlo"
+    cases = [
+        (lambda: vb.crb(p, gamma, [0.2]), [(closed, "DerivBasis", 1)]),
+        (lambda: vb.constrained_crb(nd, vb.expfam_mean(nd), [0.2, -0.1], [[1.0, 1.0]]),
+         [(closed, "DerivBasis", 2)]),
+        (lambda: vb.bhattacharyya(p, gamma, [0.2], [(1,), (2,), (3,)]),
+         [(closed, "DerivBasis", 3)]),
+        (lambda: vb.expfam_crb(p, gamma, [0.2]), [(closed, "DerivBasis", 1)]),
+        (lambda: vb.fisher_info(nd, [0.2, -0.1]), [(closed, "DerivBasis", 2)]),
+        (lambda: vb.hcrb(p, gamma, [0.2], TestPointSet([[0.5], [-0.1]])),
+         [(closed, "DiffBasis", 2)]),
+        (lambda: vb.crb(generic, gamma, [0.2], n_mc=2_000), [(mc, "DerivBasis", 1)]),
+        (lambda: vb.fisher_info(generic, [0.2], n_mc=2_000), [(mc, "DerivBasis", 1)]),
+        (lambda: vb.hcrb(generic, gamma, [0.2], TestPointSet([[0.5]]), mc_samples=2_000),
+         [(mc, "DiffBasis", 1)] * 3),
+        (lambda: vb.barankin_approx(generic, gamma, [0.2], BarankinSearch(
+            restarts=1, halvings=2, max_points=2), mc_samples=2_000), [(mc, "DiffBasis", 2)] * 2),
+    ]
+    for bound, expected in cases:
+        calls.clear()
+        bound()
+        assert calls == expected
+    for name in ("_deriv_gram", "_difference_projection", "deriv_inner_products",
+                 "partial_derivative"):
+        assert not hasattr(bounds_module, name)
 
 
 class TestEvaluateBound:

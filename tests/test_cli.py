@@ -342,6 +342,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: numerical failure {where}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("reduce", {"model": {"family": "poisson"}, "mean_function": {"builtin": "expfam-mean"},
+                    "methods": [{"name": "barankin_approx", "restarts": 2, "halvings": 2}],
+                    "radii": [500.0]}, "kernel or mean undefined at all 34 configurations"),
+        ("run", {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 1,
+                                              "halvings": 2, "initial_step": 1e300}]},
+         "with initial_step 1e+300 too wide to measure"),
+    ], ids=["no-defined-configuration", "huge-initial-step"])
+    def test_search_without_an_answer_exits_3_with_one_line(self, tmp_path, capsys,
+                                                            command, doc, message):
+        # both exited 0 with a numpy RuntimeWarning on stderr, the first with
+        # the value 0
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure in method 'barankin_approx' at "
+                              "x0=[0.0]: ") and err.count("\n") == 1 and message in err
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"familly": "gaussian-mean"}})
         assert main(["run", "--config", cfg]) == 2

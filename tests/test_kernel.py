@@ -15,7 +15,7 @@ import varbounds as vb
 from varbounds import calculus as calculus_module
 from varbounds import kernel as kernel_module
 from varbounds import models as models_module
-from varbounds.bounds import _difference_projection, _quadratic_bound
+from varbounds.bounds import _clamped, _kernel_stacks, _quadratic_bound, _solve_stacks
 from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
     multi_indices_leq, reciprocal_series
 from varbounds.cli import main as cli_main
@@ -35,6 +35,7 @@ from varbounds.kernel import (
     deriv_inner_products,
     difference_block,
     gram,
+    gram_rhs,
     gram_system,
     kernel_expfam,
     kernel_mc,
@@ -532,6 +533,19 @@ class TestGram:
         assert G[0, 0] == pytest.approx(math.expm1(a * a), rel=1e-12)
         assert G[1, 1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_monte_carlo_derivative_basis(self):
+        # the mean over the draws of D^p rho * D^q rho, by the stencil of the
+        # cached ratio vectors; mixed with points it needs the closed form
+        p = vb.poisson()
+        ev = MonteCarloKernelEvaluator(vb.as_generic(p), [0.2], 20_000, 1)
+        idxs = [MultiIndex((1,)), MultiIndex((2,))]
+        D = np.array([calculus_module.partial_derivative(ev._ratios, ev.x0, q) for q in idxs])
+        G = gram(ev, [DerivBasis(tuple(q)) for q in idxs])
+        assert np.array_equal(G, D @ D.T / ev.mc_samples)
+        assert G == pytest.approx(deriv_inner_products(p, [0.2], idxs), rel=0.05)
+        with pytest.raises(ValueError, match="closed-form evaluator"):
+            gram(ev, [PointBasis(np.array([0.5])), DerivBasis((1,))])
+
 
 def scalar_inner_gram(ev, basis):
     """The entry-by-entry inner-product dispatch gram() was built on, kept as
@@ -937,6 +951,14 @@ def _oracle_cases():
     yield "kernel-overflow", g, [0.0], np.array([[30.0], [1.0]])
 
 
+def _searched_projection(ev, gamma, points):
+    """The search's projection of one configuration, clamped as a bound is:
+    `_kernel_stacks` and `_solve_stacks`; None where it is undefined."""
+    results, stacks = _kernel_stacks(ev, gamma, [points])
+    _solve_stacks([stacks], 1e-10)
+    return results[0] if results[0] is None else _clamped(*results[0])
+
+
 class TestDifferenceProjectionOracle:
     """The projection the Barankin search and hcrb compute is bit for bit the
     parent sequence, value and diagnostics, and fails the same way."""
@@ -949,19 +971,26 @@ class TestDifferenceProjectionOracle:
         try:
             expected = parent_difference_projection(model, x0, points, gamma)
         except (NaturalSpaceError, KernelEvaluationError) as exc:
-            # the projection marks the configuration undefined, and hcrb
-            # raises the error the parent raised
-            assert _difference_projection(ev, gamma, [points], 1e-10) == [None]
+            # the search marks the configuration undefined, and hcrb raises
+            # the error the parent raised
+            assert _searched_projection(ev, gamma, points) is None
             with pytest.raises(type(exc)) as got:
                 vb.hcrb(model, gamma, x0, vb.TestPointSet(points))
             if isinstance(exc, NaturalSpaceError):
                 assert np.array_equal(got.value.point, exc.point)
                 assert got.value.context == exc.context
             return
-        for given_points in (points, tuple(points)):  # search array, hcrb tuple
-            [(value, diagnostics)] = _difference_projection(ev, gamma, [given_points], 1e-10)
+        basis = [DiffBasis(p) for p in points]
+        single = _quadratic_bound(gram(ev, basis), gram_rhs(ev, basis, gamma), "hcrb", 1e-10)
+        for value, diagnostics in (_searched_projection(ev, gamma, points),  # search array
+                                   _searched_projection(ev, gamma, tuple(points)),
+                                   (single.value, single.diagnostics)):  # hcrb's system
             assert value.hex() == expected[0].hex()
             assert _hex(diagnostics) == _hex(expected[1])
+        if name != "rank-deficient-repeated-point":  # a TestPointSet rejects duplicates
+            res = vb.hcrb(model, gamma, x0, vb.TestPointSet(points))
+            assert _hex(res.diagnostics) == {**_hex(expected[1]), "n_test_points": len(points)}
+            assert res.value.hex() == expected[0].hex()
         K = ev.pairwise(np.concatenate((np.atleast_2d(x0), points)))
         assert np.array_equal(difference_block(K[None])[0],
                               gram(ev, [DiffBasis(p) for p in points]))

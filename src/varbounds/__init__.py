@@ -62,6 +62,7 @@ from .kernel import (
     MonteCarloKernelEvaluator,
     PointBasis,
     SufficientStatistic,
+    SummationKernelEvaluator,
     derivative_kernel_function,
     gram,
     gram_system,

@@ -15,8 +15,8 @@ from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_tab
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
 from .kernel import DerivBasis, DiffBasis, ExpfamKernelEvaluator, KernelEvaluator, \
-    MonteCarloKernelEvaluator, difference_block, gram, gram_rhs, make_gram_system, \
-    signed_sq_norm
+    MonteCarloKernelEvaluator, SummationKernelEvaluator, difference_block, gram, gram_rhs, \
+    make_gram_system, signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -85,9 +85,12 @@ def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> B
 
 
 def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
-    """The one route choice: closed form for an exponential family, else Monte Carlo."""
+    """The one route choice: closed form for an exponential family, a sum over
+    the support for a model that declares one, else Monte Carlo."""
     if isinstance(model, ExponentialFamilyModel):
         return ExpfamKernelEvaluator(model, x0)
+    if model.support is not None:
+        return SummationKernelEvaluator(model, x0)
     return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
 
 
@@ -124,6 +127,7 @@ def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=
     evaluator = _make_evaluator(model, x0, n_mc, seed)
     a, B = gram_rhs(evaluator, basis, gamma), gram(evaluator, basis, cfg)
     extra = {"mc_samples": evaluator.mc_samples} if evaluator.mode == "monte_carlo" else \
+        evaluator.diagnostics() if evaluator.mode == "summation" else \
         {"moment_fd_fallback": True} if model.closed_moments is None else {}
     if F is not None and np.size(F) != 0:
         U = null_space_onb(F)
@@ -276,6 +280,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
         extra = {"n_test_points": len(tps)}
         if isinstance(evaluator, MonteCarloKernelEvaluator):
             extra.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
+        elif isinstance(evaluator, SummationKernelEvaluator):
+            extra.update(evaluator.diagnostics())
         return _quadratic_bound(G, rhs, "hcrb", pinv_tol, extra)
 
 
@@ -577,6 +583,8 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
     if isinstance(evaluator, MonteCarloKernelEvaluator):
         diagnostics.update(_mc_diagnostics(evaluator, gamma, best_points, pinv_tol)
                            if best_points is not None else {"mc_samples": evaluator.mc_samples})
+    elif isinstance(evaluator, SummationKernelEvaluator):
+        diagnostics.update(evaluator.diagnostics())
     return BoundResult(value=max(best_value, 0.0), method="barankin_approx",
                        diagnostics=diagnostics)
 

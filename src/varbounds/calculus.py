@@ -190,6 +190,21 @@ def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x0, p,
     return total
 
 
+def _log_partition(model, x, context: str = "") -> float:
+    """A(x) = log lambda(x) as a float.  NaturalSpaceError where it is not
+    finite: outside the natural space (log_lambda gives +inf or NaN without
+    overflowing), or with `overflow` set where log_lambda overflows float64
+    at a point inside it, such as Poisson's e^x at x = 800."""
+    try:
+        with np.errstate(over="raise"):
+            ll = float(model.log_lambda(x))
+    except (FloatingPointError, OverflowError):
+        raise NaturalSpaceError(x, context, overflow=True) from None
+    if not math.isfinite(ll):
+        raise NaturalSpaceError(x, context)
+    return ll
+
+
 def moment(model, x, p, cfg: FDConfig | None = None) -> float:
     """E_x{phi^p(y)}, the raw moment of the sufficient statistic.
 
@@ -205,15 +220,10 @@ def moment(model, x, p, cfg: FDConfig | None = None) -> float:
     if model.closed_moments is not None:
         return float(model.closed_moments(x, p))
 
-    ll0 = float(model.log_lambda(x))
-    if not math.isfinite(ll0):
-        raise NaturalSpaceError(x)
+    ll0 = _log_partition(model, x)
 
     def normalized_mgf(z: np.ndarray) -> float:
-        llz = float(model.log_lambda(z))
-        if not math.isfinite(llz):
-            raise NaturalSpaceError(z, context="finite-difference stencil point")
-        return math.exp(llz - ll0)
+        return math.exp(_log_partition(model, z, "finite-difference stencil point") - ll0)
 
     return partial_derivative(normalized_mgf, x, p, cfg)
 

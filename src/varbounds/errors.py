@@ -8,16 +8,20 @@ class VarBoundsError(Exception):
 
 
 class NaturalSpaceError(VarBoundsError):
-    """A parameter vector lies outside the natural parameter space.
+    """The log moment-generating function is not finite at a parameter vector:
+    the vector lies outside the natural parameter space, or, with `overflow`
+    set, inside it where the log-partition overflows float64.
 
     Carries the offending point so callers can report where the
     moment-generating function became infinite.
     """
 
-    def __init__(self, point, context: str = ""):
+    def __init__(self, point, context: str = "", overflow: bool = False):
         self.point = point
         self.context = context
-        msg = f"parameter {point!r} outside the natural parameter space"
+        self.overflow = overflow
+        msg = f"log-partition overflowed at parameter {point!r}" if overflow \
+            else f"parameter {point!r} outside the natural parameter space"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

@@ -5,13 +5,16 @@ For a canonical exponential family the kernel has the closed form
 
     R(x1, x2) = lambda(x1 + x2 - x0) * lambda(x0) / (lambda(x1) * lambda(x2)),
 
-valid whenever x1 + x2 - x0 lies in the natural parameter space.  For any
-other model it is estimated by Monte Carlo as the mean of products of
-likelihood ratios over draws from the reference parameter x0.
+valid whenever x1 + x2 - x0 lies in the natural parameter space.  For a
+model whose observation is one integer with a declared support it is the sum
+over the support of f(y;x1) f(y;x2) / f(y;x0).  For any other model it is
+estimated by Monte Carlo as the mean of products of likelihood ratios over
+draws from the reference parameter x0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import operator
@@ -20,15 +23,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table, \
-    partial_derivative, reciprocal_series, MAX_FD_ORDER
-from .errors import DataError, KernelEvaluationError, NaturalSpaceError, \
-    ReferenceSupportError
-from .models import ExponentialFamilyModel, MeanFunction, Model, _family_log_density, \
-    as_param, log_density_batch, mean_partial, natural_space_contains, sample
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, as_index, \
+    moment_table, partial_derivative, reciprocal_series, MAX_FD_ORDER
+from .errors import DataError, KernelEvaluationError, ReferenceSupportError
+from .models import ExponentialFamilyModel, GenericModel, MeanFunction, Model, \
+    _family_log_density, as_param, log_density_batch, mean_partial, sample
 
 #: exp is finite exactly up to log(max float); NaN exponents fail the test too
 _EXP_MAX = 709.782712893384
+
+_SUM_CONTEXT = "x1 + x2 - x0 must lie in the natural space"
 
 
 def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
@@ -36,16 +40,10 @@ def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    for x in (x0, x1, x2):
-        if not natural_space_contains(model, x):
-            raise NaturalSpaceError(x)
-    s = x1 + x2 - x0
-    lls = float(model.log_lambda(s))
-    if not math.isfinite(lls):
-        raise NaturalSpaceError(s, context="x1 + x2 - x0 must lie in the natural space")
+    ll0, ll1, ll2 = (_log_partition(model, x) for x in (x0, x1, x2))
+    lls = _log_partition(model, x1 + x2 - x0, _SUM_CONTEXT)
     # grouping keeps the result bitwise symmetric in (x1, x2)
-    expo = lls + float(model.log_lambda(x0)) \
-        - (float(model.log_lambda(x1)) + float(model.log_lambda(x2)))
+    expo = lls + ll0 - (ll1 + ll2)
     if not expo <= _EXP_MAX:
         raise KernelEvaluationError("kernel value overflowed for a point pair")
     return math.exp(expo)
@@ -61,10 +59,7 @@ class ExpfamKernelEvaluator:
             raise TypeError("closed-form kernel evaluation needs an ExponentialFamilyModel")
         self.model = model
         self.x0 = as_param(model, x0)
-        with np.errstate(over="ignore"):  # an overflow to inf means outside
-            self._ll0 = float(model.log_lambda(self.x0))
-        if not math.isfinite(self._ll0):
-            raise NaturalSpaceError(self.x0)
+        self._ll0 = _log_partition(model, self.x0)
 
     def evaluate(self, x1, x2) -> float:
         return kernel_expfam(self.model, self.x0, x1, x2)
@@ -81,10 +76,9 @@ class ExpfamKernelEvaluator:
         # one test of every entry: the sum is finite unless one is not or it overflows
         if not math.isfinite(lls.sum() + ll_sums.sum()):
             if not np.isfinite(lls).all():
-                raise NaturalSpaceError(P[~np.isfinite(lls)][0])
+                _log_partition(self.model, P[~np.isfinite(lls)][0])
             if not np.isfinite(ll_sums).all():
-                raise NaturalSpaceError(sums[~np.isfinite(ll_sums)][0],
-                                        context="x1 + x2 - x0 must lie in the natural space")
+                _log_partition(self.model, sums[~np.isfinite(ll_sums)][0], _SUM_CONTEXT)
         expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
         if not expo.max() <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
@@ -98,87 +92,67 @@ class MCKernelEstimate:
     heavy_tail_warning: bool = False
 
 
-class MonteCarloKernelEvaluator:
-    """Kernel estimates from one frozen sample set drawn at x0.
+class _RowKernelEvaluator:
+    """Kernel entries as dot products of one row per point over a fixed set
+    of observations, `samples`: draws at x0 for Monte Carlo, points of the
+    support for an exact sum.
 
-    Reusing the same draws for all point pairs makes every empirical Gram
-    matrix positive semidefinite by construction and keeps results
-    reproducible.
+    Each row is computed once and kept, read-only, in a least-recently-used
+    cache that starts with x0's row.  The cache holds at most 2 * n + 1
+    rows, and never fewer than 5, where n is the most rows of any pairwise
+    call or of any batch of calls announced by `reserve`.  So a search that
+    moves one test point per configuration computes one new row per
+    configuration, while memory stays near twice the row matrices of one
+    search step.
 
-    Each likelihood-ratio vector over the draws is computed once and kept,
-    read-only, in a least-recently-used cache that starts with x0's vector.
-    The cache holds at most 2 * n + 1 vectors, and never fewer than 5, where
-    n is the most rows of any pairwise call or of any batch of calls
-    announced by `reserve`.  So a search that moves one test point per
-    configuration computes one new vector per configuration, while memory
-    stays near twice the ratio matrices of one search step.
+    A pairwise entry is one `np.dot` of two rows divided by `_divisor`,
+    mirrored, so K is exactly symmetric.  A dot is kept while both its rows
+    are cached (at most cap (cap + 1) / 2 dots): moving one of m points
+    computes m + 1 dots.  It rounds unlike a stacked R @ R.T.
 
-    A pairwise entry is one `np.dot` of two ratio vectors over n, mirrored,
-    so K is exactly symmetric and K(x0, x0) = 1.  A dot is kept while both
-    its vectors are cached (at most cap (cap + 1) / 2 dots): moving one of m
-    points computes m + 1 dots.  It rounds unlike a stacked R @ R.T / n.
-
-    Per draw set it keeps the draws, their reference log densities and, for
-    an exponential family or `as_generic` of one, phi and log h of the
-    draws.  h cancels in the ratio, so a new vector is then
-    exp((phi(Y)'x - A(x)) + log h(Y) - log f(Y;x0)) without re-evaluating
-    log h, which costs one n-vector to keep; phi(Y) is the draws themselves
-    for the scalar families.  Any other model evaluates its log density on
-    the draws for each new vector.  ReferenceSupportError (DataError) names
-    the first draw where the reference log density is -inf (NaN or +inf).
+    For an exponential family, or `as_generic` of one, phi and log h of the
+    observations are kept, so a new row's log density is
+    (phi(Y)'x - A(x)) + log h(Y) without re-evaluating log h; phi(Y) is the
+    observations themselves for the scalar families.  Any other model
+    evaluates its log density on the observations for each new row.
     """
 
-    mode = "monte_carlo"
-
-    def __init__(self, model: Model, x0, mc_samples: int = 100_000, seed: int = 0,
-                 samples: np.ndarray | None = None):
-        if mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
+    def __init__(self, model: Model, x0):
         self.model = model
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        self.seed = int(seed)
-        self.samples = sample(model, self.x0, seed, mc_samples) if samples is None \
-            else np.asarray(samples, dtype=float)
-        self.mc_samples = len(self.samples)
-        if self.mc_samples < 2:
-            raise ValueError("need at least 2 samples")
-        self._family = self._phi = self._log_h = None
-        self._ld0 = self._log_density(self.x0)  # no family kept yet: one log_density_batch
-        finite = np.isfinite(self._ld0)
-        if not finite.all():
-            i = int(finite.argmin())  # the first draw where it is not finite
-            value = float(self._ld0[i])
-            error = ReferenceSupportError if value == -math.inf else DataError
-            raise error(f"reference log density {value} at draw {i}, "
-                        f"y={self.samples[i].tolist()}, for x0={self.x0.tolist()}")
-        family = model if isinstance(model, ExponentialFamilyModel) else model.family
-        if family is not None:
-            self._family = family
-            self._phi, self._log_h = family.phi(self.samples), family.log_h(self.samples)
-        ones = np.ones(self.mc_samples)  # exp(ld0 - ld0) for a finite ld0
-        ones.flags.writeable = False
-        self._cache = {self.x0.tobytes(): ones}
+        self._cache: dict[bytes, np.ndarray] = {}
         self._cache_cap = 5
         self._dots: dict[tuple[bytes, bytes], float] = {}
 
+    def _observe(self, Y: np.ndarray) -> np.ndarray:
+        """Make Y the observations and return their log density at x0, one
+        log_density_batch; a family's phi and log h of Y are kept after it."""
+        self.samples = Y
+        self._family = self._phi = self._log_h = None
+        ld0 = self._log_density(self.x0)
+        model = self.model
+        family = model if isinstance(model, ExponentialFamilyModel) else model.family
+        if family is not None:
+            self._family = family
+            self._phi, self._log_h = family.phi(Y), family.log_h(Y)
+        return ld0
+
     def _log_density(self, x) -> np.ndarray:
-        """Log density of the draws at x: from the kept phi and log h of a
-        family (a new array), else the model's log_density_batch.  The one
-        place the reference and every new ratio vector are computed."""
+        """Log density of the observations at x: from the kept phi and log h
+        of a family (a new array), else the model's log_density_batch.  The
+        one place the reference and every new row are computed."""
         if self._family is None:
             return log_density_batch(self.model, self.samples, x)
         return _family_log_density(self._family, self._phi, self._log_h,
                                    as_param(self.model, x))
 
     def _ratios(self, x) -> np.ndarray:
+        """The row of x, from the cache or else `_row` (which raises before
+        anything is stored, so a failing point fails again)."""
         key = np.asarray(x, dtype=float).tobytes()
         r = self._cache.pop(key, None)
         if r is None:
-            # raises before anything is stored, so a failing point fails again
-            ld = self._log_density(x)
-            # the family formula's array is new; a user model's may be its own
-            r = np.subtract(ld, self._ld0, out=ld if self._family is not None else None)
-            np.exp(r, out=r)
+            r = self._row(x)
             r.flags.writeable = False
         self._cache[key] = r  # most recently used last
         while len(self._cache) > self._cache_cap:
@@ -187,9 +161,77 @@ class MonteCarloKernelEvaluator:
         return r
 
     def reserve(self, rows: int) -> None:
-        """Size the ratio cache for a batch of pairwise calls over `rows` rows
+        """Size the row cache for a batch of pairwise calls over `rows` rows
         in all, such as the configurations of one lockstep search step."""
         self._cache_cap = max(self._cache_cap, 2 * rows + 1)
+
+    def _kernel_matrix(self, P: np.ndarray) -> np.ndarray:
+        self.reserve(len(P))
+        rows = [(p.tobytes(), self._ratios(p)) for p in P]
+        K = np.empty((len(P), len(P)))
+        for i, (key, r) in enumerate(rows):
+            for j, (other, s) in enumerate(rows[i:], i):
+                pair = (key, other) if key <= other else (other, key)
+                if (dot := self._dots.get(pair)) is None:
+                    dot = self._dots[pair] = float(np.dot(r, s))
+                K[i, j] = K[j, i] = dot / self._divisor
+        if not np.all(np.isfinite(K)):
+            raise KernelEvaluationError("kernel produced non-finite values")
+        return K
+
+
+class MonteCarloKernelEvaluator(_RowKernelEvaluator):
+    """Kernel estimates from one frozen sample set drawn at x0.
+
+    Reusing the same draws for all point pairs makes every empirical Gram
+    matrix positive semidefinite by construction and keeps results
+    reproducible.
+
+    A row is the likelihood-ratio vector over the draws, cached and
+    multiplied as `_RowKernelEvaluator` says; a pairwise entry is the mean
+    of a product of two rows, and K(x0, x0) = 1.  Per draw set it keeps the
+    draws, their reference log densities and, for an exponential family or
+    `as_generic` of one, phi and log h of the draws: h cancels in the ratio,
+    so a new vector is exp((phi(Y)'x - A(x)) + log h(Y) - log f(Y;x0)),
+    which costs one n-vector of log h to keep.  ReferenceSupportError names
+    the first draw where the reference log density is -inf, DataError one
+    where it is NaN or +inf.
+    """
+
+    mode = "monte_carlo"
+
+    def __init__(self, model: Model, x0, mc_samples: int = 100_000, seed: int = 0,
+                 samples: np.ndarray | None = None):
+        if mc_samples < 2:
+            raise ValueError("mc_samples must be >= 2")
+        super().__init__(model, x0)
+        self.seed = int(seed)
+        Y = sample(model, self.x0, seed, mc_samples) if samples is None \
+            else np.asarray(samples, dtype=float)
+        self.mc_samples = len(Y)
+        if self.mc_samples < 2:
+            raise ValueError("need at least 2 samples")
+        self._ld0 = self._observe(Y)
+        finite = np.isfinite(self._ld0)
+        if not finite.all():
+            i = int(finite.argmin())  # the first draw where it is not finite
+            value = float(self._ld0[i])
+            error = ReferenceSupportError if value == -math.inf else DataError
+            raise error(f"reference log density {value} at draw {i}, "
+                        f"y={self.samples[i].tolist()}, for x0={self.x0.tolist()}")
+        ones = np.ones(self.mc_samples)  # exp(ld0 - ld0) for a finite ld0
+        ones.flags.writeable = False
+        self._cache[self.x0.tobytes()] = ones
+
+    @property
+    def _divisor(self) -> int:
+        return self.mc_samples
+
+    def _row(self, x) -> np.ndarray:
+        ld = self._log_density(x)
+        # the family formula's array is new; a user model's may be its own
+        r = np.subtract(ld, self._ld0, out=ld if self._family is not None else None)
+        return np.exp(r, out=r)
 
     def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
         """Evaluators over the first and the second half of the draws, for
@@ -237,22 +279,137 @@ class MonteCarloKernelEvaluator:
         return MCKernelEstimate(value=value, stderr=stderr, heavy_tail_warning=heavy)
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
+        return self._kernel_matrix(np.atleast_2d(np.asarray(points, dtype=float)))
+
+
+#: Most terms the summation route sums, 2^17 = 131,072: a row then holds
+#: about as many floats as one Monte Carlo ratio vector at the default 10^5
+#: draws, so the exact route never keeps more memory than the route it
+#: replaces.  For Poisson at x0 = 0 that covers test points up to about
+#: x = 5.8, where the terms of K(x, x) centre on y = e^(2x) = 10^5.
+SUMMATION_MAX_TERMS = 2 ** 17
+
+#: Terms of an unbounded support summed at first; the count doubles from here.
+_FIRST_TERMS = 64
+
+#: A row s is long enough when its last term of K(x, x), s(y)^2, lies 50
+#: nats below the largest: s(last) <= e^-25 max s.
+_TAIL = math.exp(-25.0)
+
+
+class SummationKernelEvaluator(_RowKernelEvaluator):
+    """Exact kernel of a GenericModel whose observation is one integer with a
+    declared `support`: a sum over the support, no draws.
+
+    With s_x(y) = f(y;x) / sqrt(f(y;x0)), the kernel is
+    R(x1, x2) = sum_y s_x1(y) s_x2(y), so the row of a point is s_x over the
+    support points summed so far, cached and multiplied as
+    `_RowKernelEvaluator` says.  Derivative bases use the same rows: the
+    `partial_derivative` stencil of s at x0 gives
+    <r^(p), r^(q)> = sum_y D^p s(y) D^q s(y).
+
+    A bounded support (lo, hi) is summed in full.  An unbounded one starts
+    with the first 64 points from lo, and a pairwise call doubles the count
+    until each of its rows ends 50 nats down: the last term of K(x, x) lies
+    that far below its largest (x0's row is settled at construction;
+    derivative stencils stay near x0 and use the current count).  Each
+    doubling recomputes the cached rows over the longer support, one log
+    density each, and forgets the dots.  The rule assumes terms that rise
+    and then fall; DataError names the first row that rises again after it
+    fell.  KernelEvaluationError when the count would pass
+    SUMMATION_MAX_TERMS, or a row overflows float64; a Barankin search
+    skips such a configuration as undefined.  ReferenceSupportError names a
+    support point where the reference density vanishes and a row's does
+    not; DataError a NaN or +inf log density.
+    """
+
+    mode = "summation"
+    _divisor = 1
+
+    def __init__(self, model: GenericModel, x0):
+        lo, hi = model.support or (0, -1)
+        if model.obs_dim != 1 or hi is not None and hi < lo:
+            raise ValueError(f"model {model.name!r}: an exact sum needs one integer "
+                             f"observation with a declared support (lo, hi), lo <= hi")
+        super().__init__(model, as_param(model, x0))
+        self._unbounded = hi is None
+        self._sum_over(_FIRST_TERMS if self._unbounded else hi - lo + 1, self.x0)
+        while not self._settled(self._ratios(self.x0)):
+            self._grow(self.x0)
+
+    def _sum_over(self, n: int, x: np.ndarray) -> None:
+        """Make the first n support points the observations, with their
+        reference log density checked; x is the point that needs them."""
+        if n > SUMMATION_MAX_TERMS:
+            raise KernelEvaluationError(
+                f"summing the support of model {self.model.name!r} at x={x.tolist()} "
+                f"needs more than {SUMMATION_MAX_TERMS} terms (x0={self.x0.tolist()})")
+        ld0 = self._observe((self.model.support[0] + np.arange(n, dtype=float))[:, None])
+        bad = np.isnan(ld0) | (ld0 == math.inf)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"reference log density {ld0[i]} at y={self.samples[i, 0]:g} "
+                            f"for x0={self.x0.tolist()}")
+        off = ld0 == -math.inf
+        self._ld0, self._off = ld0, off if off.any() else None
+        self._half = np.where(off, 0.0, 0.5 * ld0)
+
+    def _row(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        ld = self._ld0 if x.tobytes() == self.x0.tobytes() else self._log_density(x)
+        if self._off is not None and (ld[self._off] != -math.inf).any():
+            i = int(np.flatnonzero(self._off & (ld != -math.inf))[0])
+            raise ReferenceSupportError(
+                f"reference density vanishes at y={self.samples[i, 0]:g} for "
+                f"x0={self.x0.tolist()}, where the log density at x={x.tolist()} is {ld[i]}")
+        t = ld - self._half  # -inf where the density at x vanishes
+        top = t.max()
+        if not top <= _EXP_MAX:
+            if math.isnan(top):
+                raise DataError(f"log density NaN at y={self.samples[np.isnan(t).argmax(), 0]:g} "
+                                f"for x={x.tolist()}")
+            raise KernelEvaluationError(f"summation term overflowed at x={x.tolist()}")
+        r = np.exp(t, out=t)
+        if self._unbounded:
+            d = np.diff(r)
+            tol = 1e-12 * r.max()  # rounding of equal neighbours is no turn
+            falls = np.flatnonzero(d < -tol)
+            rises = np.flatnonzero(d[falls[0]:] > tol) if len(falls) else ()
+            if len(rises):
+                raise DataError(
+                    f"summation terms of model {self.model.name!r} at x={x.tolist()} rise "
+                    f"again at y={self.samples[falls[0] + rises[0] + 1, 0]:g} after falling; "
+                    f"the stopping rule needs terms that rise and then fall")
+        return r
+
+    def _settled(self, row: np.ndarray) -> bool:
+        return not self._unbounded or 0.0 < (top := row.max()) and row[-1] <= _TAIL * top
+
+    def _grow(self, x: np.ndarray) -> None:
+        """Double the support points for the row of x and recompute the
+        cached rows over them.  A row that overflows on the longer support is
+        dropped, so that its point fails when it is next asked for."""
+        keys = list(self._cache)
+        self._sum_over(2 * len(self.samples), x)
+        self._cache, self._dots = {}, {}
+        for key in keys:
+            with contextlib.suppress(KernelEvaluationError):
+                self._ratios(np.frombuffer(key))
+
+    def diagnostics(self) -> dict:
+        """The route and the number of terms summed so far."""
+        return {"route": "summation", "summation_terms": len(self.samples)}
+
+    def pairwise(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
         self.reserve(len(P))
-        rows = [(p.tobytes(), self._ratios(p)) for p in P]
-        K = np.empty((len(P), len(P)))
-        for i, (key, r) in enumerate(rows):
-            for j, (other, s) in enumerate(rows[i:], i):
-                pair = (key, other) if key <= other else (other, key)
-                if (dot := self._dots.get(pair)) is None:
-                    dot = self._dots[pair] = float(np.dot(r, s))
-                K[i, j] = K[j, i] = dot / self.mc_samples
-        if not np.all(np.isfinite(K)):
-            raise KernelEvaluationError("Monte Carlo kernel produced non-finite values")
-        return K
+        while (x := next((p for p in P if not self._settled(self._ratios(p))), None)) \
+                is not None:
+            self._grow(x)
+        return self._kernel_matrix(P)
 
 
-KernelEvaluator = ExpfamKernelEvaluator | MonteCarloKernelEvaluator
+KernelEvaluator = ExpfamKernelEvaluator | MonteCarloKernelEvaluator | SummationKernelEvaluator
 
 
 def kernel_mc(model: Model, x0, x1, x2, n: int = 100_000, seed: int = 0) -> MCKernelEstimate:
@@ -489,9 +646,11 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
 
     Point and difference entries are the `difference_block` of one pairwise
     kernel matrix over [x0, x_1, ..., x_m].  Derivatives alone are
-    `deriv_inner_products` in closed form, and by Monte Carlo the mean of
-    D^p rho * D^q rho over the draws, by `partial_derivative` (step `cfg`) of
-    the cached ratio vectors.  Mixed with points they need the closed form.
+    `deriv_inner_products` in closed form, and otherwise the dot products of
+    the `partial_derivative` stencils (step `cfg`) of the evaluator's cached
+    rows: by Monte Carlo the mean of D^p rho * D^q rho over the draws, on a
+    summed support the sum of D^p s * D^q s.  Mixed with points they need
+    the closed form.
     """
     x0, model = evaluator.x0, evaluator.model
     deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
@@ -501,7 +660,7 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
         if evaluator.mode == "expfam_closed_form":
             return deriv_inner_products(model, x0, idxs, cfg)
         D = np.array([partial_derivative(evaluator._ratios, x0, p, cfg) for p in idxs])
-        return (D @ D.T) / evaluator.mc_samples
+        return (D @ D.T) / evaluator._divisor
     P = np.array([x0] + [basis[i].x for i in points], dtype=float)
     d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
     block = difference_block(evaluator.pairwise(P), d)

@@ -8,8 +8,8 @@ Parameters are float arrays of shape (N,); batches stack along the leading
 axis.  Observations are arrays of shape (count, M).  Model callables (phi,
 log_h, log_lambda, log_density) must be vectorized over the leading axis;
 every built-in family complies.  log_lambda returns +inf outside the natural
-parameter space, and callers are expected to guard with
-natural_space_contains before doing arithmetic on it.
+parameter space, and callers read it through `_log_partition`, which tells
+that apart from an overflow inside it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment, \
-    moment_table, partial_derivative, reciprocal_series
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, as_index, \
+    moment, moment_table, partial_derivative, reciprocal_series
 from .errors import NaturalSpaceError, ReferenceSupportError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -36,6 +36,8 @@ class ExponentialFamilyModel:
     log_lambda is the log moment-generating function, equal to the cumulant
     A(x) where finite and +inf outside the natural parameter space.
     closed_moments, when present, maps (x, multi-index p) to E_x{phi^p(y)}.
+    support, for a family whose observation is one integer, is its range
+    (lo, hi), hi None when unbounded above; `as_generic` passes it on.
     """
 
     name: str
@@ -48,6 +50,7 @@ class ExponentialFamilyModel:
     closed_moments: Callable[[np.ndarray, MultiIndex], float] | None = None
     natural_space_desc: str = "all of R^N"
     hyperparams: dict = field(default_factory=dict)
+    support: tuple[int, int | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,15 @@ class GenericModel:
     family is the exponential family whose log density this is, recorded by
     `as_generic` so that a Monte Carlo evaluator can keep phi and log h of
     its draws; it is None for a user model, whose log_density is the only
-    formula, and must be reset to None on a copy given another log_density.
+    formula.
+
+    support declares an observation that is one integer in the range
+    (lo, hi), hi None when unbounded above; kernels are then exact sums over
+    it instead of Monte Carlo means.  None declares nothing.  It is model
+    metadata, not a tuning option.
+
+    A copy given another log_density must reset family, and support too
+    unless the new density lives on the same integers, to None.
     """
 
     name: str
@@ -69,6 +80,7 @@ class GenericModel:
     log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.ndarray, int, int], np.ndarray]
     family: ExponentialFamilyModel | None = None
+    support: tuple[int, int | None] | None = None
 
 
 Model = ExponentialFamilyModel | GenericModel
@@ -94,10 +106,13 @@ def _as_obs_batch(model, y) -> np.ndarray:
 
 
 def natural_space_contains(model: ExponentialFamilyModel, x) -> bool:
-    """True iff the log moment-generating function is finite at x."""
-    x = as_param(model, x)
-    with np.errstate(over="ignore"):  # an overflow to inf means outside
-        return bool(np.isfinite(model.log_lambda(x)))
+    """True iff the log moment-generating function is finite at x, also
+    where its float64 value overflows."""
+    try:
+        _log_partition(model, as_param(model, x))
+    except NaturalSpaceError as exc:
+        return exc.overflow
+    return True
 
 
 def _family_log_density(model: ExponentialFamilyModel, phi_Y: np.ndarray,
@@ -107,9 +122,7 @@ def _family_log_density(model: ExponentialFamilyModel, phi_Y: np.ndarray,
     of the one-term matmul phi(Y) @ x at a fraction of its cost; the matmul
     writes an exact zero as +0.0, a sign that - A(x) + log h(Y) absorbs for
     every built-in family."""
-    ll = float(model.log_lambda(x))
-    if not math.isfinite(ll):
-        raise NaturalSpaceError(x)
+    ll = _log_partition(model, x)
     out = phi_Y[..., 0] * x[0] if len(x) == 1 else phi_Y @ x
     out -= ll
     out += log_h_Y
@@ -157,15 +170,16 @@ def likelihood_ratio(model: Model, y, x, x0) -> float:
 def sample(model: Model, x, seed: int, count: int) -> np.ndarray:
     """Deterministic i.i.d. draws: identical (x, seed, count) give identical output."""
     x = as_param(model, x)
-    if isinstance(model, ExponentialFamilyModel) and not natural_space_contains(model, x):
-        raise NaturalSpaceError(x)
+    if isinstance(model, ExponentialFamilyModel):
+        _log_partition(model, x)
     if count == 0:
         return np.empty((0, model.obs_dim))
     return model.sampler(x, int(seed), int(count))
 
 
 def as_generic(model: ExponentialFamilyModel) -> GenericModel:
-    """View an exponential family through the generic log-density interface."""
+    """View an exponential family through the generic log-density interface,
+    with the family's declared support."""
     return GenericModel(
         name=f"{model.name}-generic",
         param_dim=model.param_dim,
@@ -173,6 +187,7 @@ def as_generic(model: ExponentialFamilyModel) -> GenericModel:
         log_density=lambda Y, x: log_density_batch(model, Y, x),
         sampler=model.sampler,
         family=model,
+        support=model.support,
     )
 
 
@@ -329,6 +344,7 @@ def poisson() -> ExponentialFamilyModel:
             lam=math.exp(float(x[0])), size=(count, 1)).astype(float),
         closed_moments=lambda x, p: _poisson_raw_moment(math.exp(float(x[0])), p[0]),
         natural_space_desc="all of R",
+        support=(0, None),
     )
 
 
@@ -346,6 +362,7 @@ def bernoulli() -> ExponentialFamilyModel:
         ).astype(float),
         closed_moments=lambda x, p: 1.0 if p[0] == 0 else _sigmoid(float(x[0])),
         natural_space_desc="all of R",
+        support=(0, 1),
     )
 
 

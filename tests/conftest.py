@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from varbounds.kernel import MonteCarloKernelEvaluator
+from varbounds.kernel import _RowKernelEvaluator
 
 
 class LogDensityCall(NamedTuple):
@@ -15,15 +15,15 @@ class LogDensityCall(NamedTuple):
 
 @pytest.fixture
 def log_density_calls(monkeypatch) -> list:
-    """Each log density a Monte Carlo evaluator computes over its draws, the
-    reference at construction and every new ratio vector, as (rows, x): all
-    pass through `MonteCarloKernelEvaluator._log_density`."""
+    """Each log density a Monte Carlo or summation evaluator computes over
+    its draws or support points, the reference at construction and every new
+    row, as (rows, x): all pass through `_RowKernelEvaluator._log_density`."""
     calls = []
-    original = MonteCarloKernelEvaluator._log_density
+    original = _RowKernelEvaluator._log_density
 
     def counted(self, x):
         calls.append(LogDensityCall(len(self.samples), np.array(x, dtype=float)))
         return original(self, x)
 
-    monkeypatch.setattr(MonteCarloKernelEvaluator, "_log_density", counted)
+    monkeypatch.setattr(_RowKernelEvaluator, "_log_density", counted)
     return calls

@@ -16,8 +16,9 @@ from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, 
     _quadratic_bound, barankin_search, evaluate_bound, method_options
 from varbounds.calculus import as_index
 from varbounds.cli import main
-from varbounds.errors import ConfigurationError, ConstraintRankError, DomainError, \
-    KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
+from varbounds.errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
+    KernelEvaluationError, NaturalSpaceError, ReferenceSupportError, StencilError, \
+    VarBoundsError
 from varbounds.kernel import DiffBasis, deriv_inner_products, gram, gram_rhs
 from varbounds.models import ExponentialFamilyModel
 
@@ -26,6 +27,12 @@ def hcrb_single_point_oracle(delta: float) -> float:
     """Gaussian unit-variance mean, identity estimand, single test point at
     x0 + delta: bound is delta^2 / (exp(delta^2) - 1)."""
     return delta ** 2 / math.expm1(delta ** 2)
+
+
+def mc_poisson() -> vb.GenericModel:
+    """as_generic(poisson()) without its declared support: the Monte Carlo
+    route's Poisson testbed."""
+    return replace(vb.as_generic(vb.poisson()), support=None)
 
 
 def shifted_exponential() -> vb.GenericModel:
@@ -47,6 +54,7 @@ DERIV_GRAM_CASES = [
     (replace(vb.gaussian_mean_nd(2), closed_moments=None), [0.1, -0.6]),
     (vb.as_generic(vb.gaussian_mean()), [0.7]), (vb.as_generic(vb.poisson()), [0.2]),
     (vb.as_generic(vb.gaussian_mean_nd(2)), [0.1, -0.6]),
+    (replace(vb.as_generic(vb.poisson()), support=None), [0.2]),
 ]
 
 
@@ -291,7 +299,7 @@ class TestHCRB:
     def test_mc_effective_sample_size_per_test_point(self):
         p = vb.poisson()
         n = 20_000
-        res = vb.hcrb(vb.as_generic(p), vb.expfam_mean(p), [0.0], TestPointSet([[3.0], [0.05]]),
+        res = vb.hcrb(mc_poisson(), vb.expfam_mean(p), [0.0], TestPointSet([[3.0], [0.05]]),
                       mc_samples=n, seed=1)
         far, near = res.diagnostics["mc_effective_sample_size"]
         # Kish ESS / n estimates 1 / E[rho^2] = exp(-(e^delta - 1)^2) here
@@ -317,6 +325,24 @@ def test_hcrb_point_overflowing_the_log_mgf_raises_without_a_warning(model, x0, 
     # the overflow used to reach stderr as a RuntimeWarning (an error here)
     with pytest.raises(NaturalSpaceError):
         vb.hcrb(model, vb.identity_mean(), [x0], TestPointSet([[point]]))
+
+
+@pytest.mark.parametrize("bound", [
+    lambda p: vb.crb(p, vb.expfam_mean(p), [800.0]),
+    lambda p: vb.hcrb(p, vb.identity_mean(), [800.0], TestPointSet([[1.0]])),
+    lambda p: vb.hcrb(p, vb.identity_mean(), [0.0], TestPointSet([[400.0]])),
+    lambda p: vb.crb(vb.as_generic(p), vb.identity_mean(), [800.0]),
+    lambda p: vb.expfam_bound(replace(p, closed_moments=None), vb.identity_mean(), [800.0],
+                              [(1,)]),
+], ids=["crb", "hcrb", "hcrb-pair-sum", "summation", "moment-fd"])
+def test_poisson_log_partition_overflow_is_not_outside_the_natural_space(bound):
+    # e^800 overflows inside Poisson's natural space, all of R; the error
+    # used to say the parameter lies outside it (the finite-difference
+    # moments also warned first)
+    with pytest.raises(NaturalSpaceError, match=r"log-partition overflowed at parameter "
+                                                 r"array\(\[800\.\]\)") as info:
+        bound(vb.poisson())
+    assert info.value.overflow and "outside" not in str(info.value).split("(")[0]
 
 
 class TestBarankin:
@@ -446,7 +472,7 @@ class TestBarankin:
 
     def test_monte_carlo_search_reports_effective_sample_sizes(self):
         p = vb.poisson()
-        res = vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+        res = vb.barankin_approx(mc_poisson(), vb.expfam_mean(p), [0.0],
                                  BarankinSearch(restarts=1, halvings=2, max_points=2, seed=1),
                                  mc_samples=5_000)
         ess = res.diagnostics["mc_effective_sample_size"]
@@ -464,7 +490,7 @@ def _search_case(name):
                 BarankinSearch(max_points=2, restarts=2, halvings=5, radius=1.5, seed=7), {})
     if name == "generic-poisson":
         p = vb.poisson()
-        return (vb.as_generic(p), vb.expfam_mean(p), [0.0],
+        return (mc_poisson(), vb.expfam_mean(p), [0.0],
                 BarankinSearch(restarts=1, halvings=3, max_points=2, seed=1),
                 {"mc_samples": 2_000})
     x0, box = {"gaussian-mean": (0.3, {}), "poisson": (-0.2, {}), "bernoulli": (0.4, {}),
@@ -729,7 +755,7 @@ def _lockstep_case(name):
             [[-p[0]] for p in _restart_draw(search)])), {})
     if name == "generic-poisson-two-restarts":
         p = vb.poisson()
-        return (vb.as_generic(p), vb.expfam_mean(p), [0.0],
+        return (mc_poisson(), vb.expfam_mean(p), [0.0],
                 BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                 {"mc_samples": 2_000})
     if name == "generic-boundary-fd-mean":
@@ -820,7 +846,7 @@ class TestLockstepSearch:
         # default five starts side by side recomputes no more likelihood-ratio
         # vectors than running them one after the other
         p = vb.poisson()
-        model, gamma, search = vb.as_generic(p), vb.expfam_mean(p), BarankinSearch(seed=1)
+        model, gamma, search = mc_poisson(), vb.expfam_mean(p), BarankinSearch(seed=1)
         counts = []
         for run in (serial_barankin, vb.barankin_approx):
             log_density_calls.clear()
@@ -1000,7 +1026,7 @@ def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatc
 
     monkeypatch.setattr(bounds_module, "gram", counted)
     p, nd = vb.poisson(), vb.make_model("gaussian-mean-nd")
-    gamma, generic = vb.expfam_mean(p), vb.as_generic(p)
+    gamma, generic = vb.expfam_mean(p), mc_poisson()
     closed, mc = "expfam_closed_form", "monte_carlo"
     cases = [
         (lambda: vb.crb(p, gamma, [0.2]), [(closed, "DerivBasis", 1)]),
@@ -1018,6 +1044,11 @@ def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatc
          [(mc, "DiffBasis", 1)] * 3),
         (lambda: vb.barankin_approx(generic, gamma, [0.2], BarankinSearch(
             restarts=1, halvings=2, max_points=2), mc_samples=2_000), [(mc, "DiffBasis", 2)] * 2),
+        (lambda: vb.crb(vb.as_generic(p), gamma, [0.2]), [("summation", "DerivBasis", 1)]),
+        (lambda: vb.hcrb(vb.as_generic(p), gamma, [0.2], TestPointSet([[0.5]])),
+         [("summation", "DiffBasis", 1)]),
+        (lambda: vb.barankin_approx(vb.as_generic(p), gamma, [0.2], BarankinSearch(
+            restarts=1, halvings=2, max_points=2)), []),
     ]
     for bound, expected in cases:
         calls.clear()
@@ -1168,3 +1199,186 @@ def test_one_decomposition_per_quadratic_bound(monkeypatch):
     res = _quadratic_bound(G, np.array([1.0, 0.5, 0.0]), "crb", 1e-10)
     assert decompositions == ["eigh"]
     assert res.diagnostics["gram_rank"] == 2
+
+
+def geometric(support=(0, None)) -> vb.GenericModel:
+    """Counts y >= 0 with P(y) = (1 - q) q^y, q = sigmoid(x).  The terms of
+    K(x, x) are a geometric series of ratio q(x)^2 / q(x0), which does not
+    fall when q(x)^2 >= q(x0)."""
+    def ld(Y, x):
+        log_q = -np.logaddexp(0.0, -x[0])
+        return np.log1p(-np.exp(log_q)) + Y[:, 0] * log_q
+    return vb.GenericModel("geometric", 1, 1, ld, vb.poisson().sampler, support=support)
+
+
+def two_humped() -> vb.GenericModel:
+    """An even mixture of Poisson counts of rates e^x and 60 e^x."""
+    p = vb.poisson()
+
+    def ld(Y, x):
+        return np.logaddexp(vb.models.log_density_batch(p, Y, x),
+                            vb.models.log_density_batch(p, Y, x + math.log(60.0))) \
+            - math.log(2.0)
+    return vb.GenericModel("two-humped", 1, 1, ld, p.sampler, support=(0, None))
+
+
+#: x with q(x)^2 / q(0) = 1 - 1e-6: the terms of K(x, x) fall by 1e-6 a
+#: count, 0.13 nats over the largest support summed
+_Q = math.sqrt(0.5 * (1.0 - 1e-6))
+SLOW_GEOMETRIC_X = math.log(_Q / (1.0 - _Q))
+
+#: (family, x0, test points) of well-conditioned test-point bounds
+SUMMATION_HCRB_CASES = [
+    ("poisson", 0.0, [[3.0]]), ("poisson", 0.0, [[0.5]]), ("poisson", 0.0, [[0.5], [-0.7]]),
+    ("poisson", 0.0, [[1.3], [-1.3]]), ("poisson", 0.2, [[3.2]]),
+    ("poisson", -0.5, [[0.0], [-1.2]]), ("bernoulli", -0.5, [[2.5]]),
+    ("bernoulli", -0.5, [[0.8], [-1.8]]), ("bernoulli", 0.4, [[0.9], [-0.3]]),
+]
+
+
+class TestSummationRoute:
+    """as_generic of Poisson and Bernoulli declares its support, and its
+    kernel is a sum over it: the closed-form values, with no sampling."""
+
+    @pytest.mark.parametrize("family, x0, points", SUMMATION_HCRB_CASES)
+    def test_hcrb_matches_the_closed_form(self, family, x0, points):
+        model = vb.make_model(family)
+        gamma = vb.expfam_mean(model)
+        exact = vb.hcrb(model, gamma, [x0], TestPointSet(points)).value
+        res = vb.hcrb(vb.as_generic(model), gamma, [x0], TestPointSet(points))
+        assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert res.diagnostics["route"] == "summation"
+        if family == "bernoulli":
+            assert res.diagnostics["summation_terms"] == 2
+        assert not [key for key in res.diagnostics if key.startswith("mc_")]
+
+    def test_far_test_point_is_exact_where_monte_carlo_is_not(self):
+        # the mass of f(.;3)^2 / f(.;0) sits near y = e^6, far from any draw at 0
+        p = vb.poisson()
+        res = vb.hcrb(vb.as_generic(p), vb.expfam_mean(p), [0.0], TestPointSet([[3.0]]))
+        assert res.value == pytest.approx(2.324294376101979e-156, rel=1e-12)
+        assert res.diagnostics["summation_terms"] == 1024
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    @pytest.mark.parametrize("x0", [0.0, 0.2, -0.5])
+    def test_barankin_matches_the_closed_form(self, family, x0):
+        # one test point at least 0.25 from x0 keeps the difference Gram well
+        # conditioned on both routes; nearer points lose about eps / d^2 of
+        # the value to cancellation in the kernel differences, closed form too
+        model = vb.make_model(family)
+        gamma = vb.expfam_mean(model)
+        search = BarankinSearch(restarts=3, halvings=5, max_points=1, min_distance=0.25,
+                                seed=1)
+        exact = vb.barankin_approx(model, gamma, [x0], search)
+        res = vb.barankin_approx(vb.as_generic(model), gamma, [x0], search)
+        assert res.value == pytest.approx(exact.value, rel=1e-12, abs=0.0)
+        if family == "poisson":
+            assert res.diagnostics["best_points"] == exact.diagnostics["best_points"]
+        else:  # every Bernoulli test point gives p (1 - p): ties go either way
+            at_best = vb.hcrb(model, gamma, [x0], TestPointSet(res.diagnostics["best_points"]))
+            assert res.value == pytest.approx(at_best.value, rel=1e-12, abs=0.0)
+        assert res.diagnostics["route"] == "summation"
+        assert not [key for key in res.diagnostics if key.startswith("mc_")]
+
+    @pytest.mark.parametrize("family, x0", [("poisson", 0.2), ("bernoulli", -0.5)])
+    def test_derivative_bounds_match_the_closed_form(self, family, x0):
+        # the kernel derivatives are central differences of the rows
+        model = vb.make_model(family)
+        generic, gamma = vb.as_generic(model), vb.expfam_mean(model)
+        for bound in (lambda m: vb.crb(m, gamma, [x0]),
+                      lambda m: vb.bhattacharyya(m, gamma, [x0], [(1,), (2,)])):
+            res = bound(generic)
+            assert res.value == pytest.approx(bound(model).value, rel=1e-7)
+            assert res.diagnostics["route"] == "summation"
+        assert vb.fisher_info(generic, [x0]) == pytest.approx(
+            vb.fisher_info(model, [x0]), rel=1e-7)
+
+    def test_moving_one_point_computes_one_row(self, log_density_calls):
+        ev = vb.SummationKernelEvaluator(vb.as_generic(vb.poisson()), [0.0])
+        assert [call.rows for call in log_density_calls] == [64]  # the reference
+        ev.pairwise(np.array([[0.0], [0.3], [-0.2], [0.6]]))
+        assert len(log_density_calls) == 4
+        ev.pairwise(np.array([[0.0], [0.3], [-0.5], [0.6]]))
+        assert len(log_density_calls) == 5
+        assert log_density_calls[-1].x.tolist() == [-0.5]
+        ev.pairwise(np.array([[0.0], [0.3], [-0.5], [0.6]]))
+        assert len(log_density_calls) == 5
+
+    def test_search_computes_at_most_one_row_per_configuration(self, log_density_calls):
+        p = vb.poisson()
+        res = vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0], BarankinSearch(
+            restarts=1, halvings=3, max_points=2, radius=1.0, seed=1))
+        assert res.diagnostics["summation_terms"] == 64  # so no row was recomputed
+        # the reference, the start's two points, then at most one per move
+        assert len(log_density_calls) <= 1 + 2 + res.diagnostics["evaluations"] - 1
+
+    def test_support_grows_for_a_far_point_and_recomputes_the_cached_rows(
+            self, log_density_calls):
+        gm = vb.as_generic(vb.poisson())
+        ev = vb.SummationKernelEvaluator(gm, [0.0])
+        near = ev.pairwise(np.array([[0.0], [0.4]]))
+        assert len(ev.samples) == 64 and len(log_density_calls) == 2
+        K = ev.pairwise(np.array([[0.0], [0.4], [3.0]]))
+        assert len(ev.samples) == 1024
+        # 3.0 at 64, 128, 256, 512 and 1024 terms; 0.4 at the four longer supports
+        assert [call.x.tolist() for call in log_density_calls[2:]].count([3.0]) == 5
+        assert [call.x.tolist() for call in log_density_calls[2:]].count([0.4]) == 4
+        closed = vb.ExpfamKernelEvaluator(vb.poisson(), [0.0]).pairwise(
+            np.array([[0.0], [0.4], [3.0]]))
+        assert K == pytest.approx(closed, rel=1e-12)
+        assert K[:2, :2] == pytest.approx(near, rel=1e-15)
+
+    def test_sampler_is_never_called(self):
+        def refuse(x, seed, count):
+            raise AssertionError("the summation route drew samples")
+
+        p = vb.poisson()
+        model, gamma = replace(vb.as_generic(p), sampler=refuse), vb.expfam_mean(p)
+        vb.hcrb(model, gamma, [0.0], TestPointSet([[0.5], [3.0]]))
+        vb.crb(model, gamma, [0.0])
+        vb.bhattacharyya(model, gamma, [0.0], [(1,), (2,)])
+        vb.barankin_approx(model, gamma, [0.0], BarankinSearch(restarts=1, halvings=2))
+
+    def test_terms_that_rise_again_are_a_data_error(self):
+        with pytest.raises(DataError, match=r"two-humped.*rise again at y=.*after falling"):
+            vb.hcrb(two_humped(), vb.identity_mean(), [0.0], TestPointSet([[0.5]]))
+
+    def test_bounded_support_is_summed_in_full(self):
+        # a declared range of 1,000 counts is summed whole, however slowly it falls
+        res = vb.hcrb(geometric((0, 999)), vb.identity_mean(), [0.0],
+                      TestPointSet([[SLOW_GEOMETRIC_X]]))
+        assert res.diagnostics["summation_terms"] == 1000 and res.value > 0.0
+
+    def test_term_cap_raises_from_hcrb_and_is_skipped_by_a_search(self):
+        # the terms do not fall 50 nats before the support doubles past the cap
+        model, gamma = geometric(), vb.identity_mean()
+        with pytest.raises(KernelEvaluationError, match=r"geometric.*needs more than 131072"):
+            vb.hcrb(model, gamma, [0.0], TestPointSet([[SLOW_GEOMETRIC_X]]))
+        search = BarankinSearch(initial_points=TestPointSet([[SLOW_GEOMETRIC_X]]), restarts=1,
+                                halvings=2, max_points=1, seed=1)
+        res = vb.barankin_approx(model, gamma, [0.0], search)
+        assert res.diagnostics["search_trace"][0]["best_value"] is not None
+        assert res.value > 0.0
+
+    def test_term_cap_exits_3_through_the_cli(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(vb.cli, "make_model", lambda **_: geometric())
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({
+            "model": {"family": "poisson"}, "x0": [0.0],
+            "methods": [{"name": "hcrb", "points": [[SLOW_GEOMETRIC_X]]}]}))
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure in method 'hcrb' at x0=[0.0]: ")
+        assert "needs more than 131072 terms" in err and err.count("\n") == 1
+
+    def test_vanishing_reference_density_raises(self):
+        # counts from 1 up for x < 0, from 0 up otherwise
+        p = vb.poisson()
+        model = vb.GenericModel(
+            "shifted-poisson", 1, 1,
+            lambda Y, x: vb.models.log_density_batch(p, Y - float(x[0] < 0), x),
+            p.sampler, support=(0, None))
+        gamma = vb.identity_mean()
+        assert vb.hcrb(model, gamma, [-0.5], TestPointSet([[-0.2]])).value > 0.0
+        with pytest.raises(ReferenceSupportError, match=r"vanishes at y=0 for x0=\[-0.5\]"):
+            vb.hcrb(model, gamma, [-0.5], TestPointSet([[0.5]]))

@@ -281,7 +281,8 @@ def _scan_case(name):
                 [[v] for v in np.linspace(-1.0, 1.0, 10)], _LIGHT, {})
     if name == "generic-poisson":
         p = vb.poisson()
-        return (vb.as_generic(p), vb.expfam_mean(p), [[-0.2], [0.0], [0.2]],
+        return (replace(vb.as_generic(p), support=None), vb.expfam_mean(p),
+                [[-0.2], [0.0], [0.2]],
                 {"restarts": 1, "halvings": 3, "max_points": 2}, {"mc_samples": 2_000})
     x0 = {"gaussian-mean": 0.3, "poisson": -0.2, "bernoulli": 0.4}[name]
     model = vb.make_model(name)

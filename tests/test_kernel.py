@@ -232,7 +232,8 @@ class TestMonteCarloRatioCache:
         monkeypatch.setattr(MonteCarloKernelEvaluator, "pairwise", tracked_pairwise)
         monkeypatch.setattr(MonteCarloKernelEvaluator, "reserve", tracked_reserve)
         p = vb.poisson()
-        vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+        vb.barankin_approx(dataclasses.replace(vb.as_generic(p), support=None),
+                           vb.expfam_mean(p), [0.0],
                            vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                            mc_samples=5_000)
         # x0 and 2 points per configuration, one configuration per start and step
@@ -359,7 +360,8 @@ class TestMonteCarloDotCache:
 
         monkeypatch.setattr(MonteCarloKernelEvaluator, "pairwise", tracked_pairwise)
         p = vb.poisson()
-        vb.barankin_approx(vb.as_generic(p), vb.expfam_mean(p), [0.0],
+        vb.barankin_approx(dataclasses.replace(vb.as_generic(p), support=None),
+                           vb.expfam_mean(p), [0.0],
                            vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                            mc_samples=5_000)
         # the search computes far more dots than the cache keeps

@@ -184,9 +184,20 @@ class TestNaturalSpace:
 
     @pytest.mark.parametrize("model, x", [(vb.gaussian_mean(), 1e300), (vb.poisson(), 800.0),
                                           (vb.gaussian_iid(3), 1e200)])
-    def test_overflowing_log_mgf_is_outside_without_a_warning(self, model, x):
-        # the overflow used to reach stderr as a RuntimeWarning (an error here)
-        assert not vb.natural_space_contains(model, [x])
+    def test_overflowing_log_mgf_is_inside_without_a_warning(self, model, x):
+        # the natural space is all of R: a log-partition that overflows float64
+        # used to read as outside it, and before that warned on stderr
+        assert vb.natural_space_contains(model, [x])
+        with pytest.raises(NaturalSpaceError, match=r"log-partition overflowed at parameter") \
+                as info:
+            vb.sample(model, [x], seed=0, count=1)
+        assert info.value.overflow and "outside" not in str(info.value)
+
+    def test_outside_is_not_an_overflow(self):
+        with pytest.raises(NaturalSpaceError, match="outside the natural parameter space") \
+                as info:
+            vb.sample(vb.exponential_rate(), [0.5], seed=0, count=1)
+        assert not info.value.overflow
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-30, max_value=30, allow_nan=False))

@@ -14,9 +14,8 @@ import numpy as np
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
-from .kernel import DerivBasis, DiffBasis, ExpfamKernelEvaluator, KernelEvaluator, \
-    MonteCarloKernelEvaluator, SummationKernelEvaluator, difference_block, gram, gram_rhs, \
-    make_gram_system, signed_sq_norm
+from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _make_evaluator, \
+    difference_block, gram, gram_rhs, make_gram_system, signed_sq_norm
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -84,16 +83,6 @@ def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> B
     return BoundResult(value=value, method=method, diagnostics=diagnostics)
 
 
-def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
-    """The one route choice: closed form for an exponential family, a sum over
-    the support for a model that declares one, else Monte Carlo."""
-    if isinstance(model, ExponentialFamilyModel):
-        return ExpfamKernelEvaluator(model, x0)
-    if model.support is not None:
-        return SummationKernelEvaluator(model, x0)
-    return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
-
-
 # ---------------------------------------------------------------------------
 # Kernel-derivative bounds: Cramer-Rao, constrained Cramer-Rao, Bhattacharyya
 # ---------------------------------------------------------------------------
@@ -126,9 +115,9 @@ def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=
     basis = [DerivBasis(p) for p in _validate_indices(indices, model.param_dim)]
     evaluator = _make_evaluator(model, x0, n_mc, seed)
     a, B = gram_rhs(evaluator, basis, gamma), gram(evaluator, basis, cfg)
-    extra = {"mc_samples": evaluator.mc_samples} if evaluator.mode == "monte_carlo" else \
-        evaluator.diagnostics() if evaluator.mode == "summation" else \
-        {"moment_fd_fallback": True} if model.closed_moments is None else {}
+    extra = evaluator.diagnostics()
+    if isinstance(model, ExponentialFamilyModel) and model.closed_moments is None:
+        extra["moment_fd_fallback"] = True
     if F is not None and np.size(F) != 0:
         U = null_space_onb(F)
         B, a, extra = U.T @ B @ U, U.T @ a, {"null_space_dim": U.shape[1], **extra}
@@ -247,22 +236,6 @@ def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
             results[i] = value, rank, condition, smallest
 
 
-def _mc_diagnostics(evaluator: MonteCarloKernelEvaluator, gamma: MeanFunction,
-                    points: Sequence[np.ndarray], pinv_tol: float) -> dict:
-    """Sample count, Kish effective sample size per point (first: a point the
-    ratio cache evicted is recomputed once, and the halves slice it) and the
-    two-fold sample-split Monte Carlo error of the projection at `points`.
-    The ratios are nonnegative, so each half's kernel is bounded by the
-    whole one's and is defined where that is."""
-    diagnostics = {"mc_samples": evaluator.mc_samples, "mc_effective_sample_size": [
-        evaluator.effective_sample_size(p) for p in points]}
-    basis = [DiffBasis(p) for p in points]
-    low, high = (_quadratic_bound(gram(sub, basis), gram_rhs(sub, basis, gamma), "hcrb",
-                                  pinv_tol).value for sub in evaluator._halves())
-    diagnostics["mc_standard_error"] = abs(low - high) / 2.0
-    return diagnostics
-
-
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
          mc_samples: int = 100_000, seed: int = 0,
          pinv_tol: float = 1e-10) -> BoundResult:
@@ -277,11 +250,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     basis = [DiffBasis(p) for p in tps.points]
     with np.errstate(over="ignore"):  # a point outside the natural space raises below
         G, rhs = gram(evaluator, basis), gram_rhs(evaluator, basis, gamma)
-        extra = {"n_test_points": len(tps)}
-        if isinstance(evaluator, MonteCarloKernelEvaluator):
-            extra.update(_mc_diagnostics(evaluator, gamma, tps.points, pinv_tol))
-        elif isinstance(evaluator, SummationKernelEvaluator):
-            extra.update(evaluator.diagnostics())
+        extra = {"n_test_points": len(tps),
+                 **evaluator.diagnostics(gamma, tps.points, pinv_tol)}
         return _quadratic_bound(G, rhs, "hcrb", pinv_tol, extra)
 
 
@@ -580,11 +550,7 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
                    "gram_stacks": gram_stacks, "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
-    if isinstance(evaluator, MonteCarloKernelEvaluator):
-        diagnostics.update(_mc_diagnostics(evaluator, gamma, best_points, pinv_tol)
-                           if best_points is not None else {"mc_samples": evaluator.mc_samples})
-    elif isinstance(evaluator, SummationKernelEvaluator):
-        diagnostics.update(evaluator.diagnostics())
+    diagnostics.update(evaluator.diagnostics(gamma, best_points, pinv_tol))
     return BoundResult(value=max(best_value, 0.0), method="barankin_approx",
                        diagnostics=diagnostics)
 

@@ -52,8 +52,6 @@ def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
 class ExpfamKernelEvaluator:
     """Closed-form kernel evaluator anchored at a reference parameter x0."""
 
-    mode = "expfam_closed_form"
-
     def __init__(self, model: ExponentialFamilyModel, x0):
         if not isinstance(model, ExponentialFamilyModel):
             raise TypeError("closed-form kernel evaluation needs an ExponentialFamilyModel")
@@ -66,6 +64,14 @@ class ExpfamKernelEvaluator:
 
     def reserve(self, rows: int) -> None:
         """Nothing to size: closed-form kernel values are not cached."""
+
+    def deriv_gram(self, idxs: Sequence[MultiIndex], cfg: FDConfig | None = None):
+        """`deriv_inner_products` at x0 (finite-difference step `cfg`)."""
+        return deriv_inner_products(self.model, self.x0, idxs, cfg)
+
+    def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
+        """Nothing to report: the closed form is exact."""
+        return {}
 
     def pairwise(self, points: np.ndarray) -> np.ndarray:
         """Kernel matrix over rows of `points`, vectorized through log_lambda."""
@@ -165,6 +171,12 @@ class _RowKernelEvaluator:
         in all, such as the configurations of one lockstep search step."""
         self._cache_cap = max(self._cache_cap, 2 * rows + 1)
 
+    def deriv_gram(self, idxs: Sequence[MultiIndex], cfg: FDConfig | None = None):
+        """Gram of the kernel derivatives at the indices: dot products of the
+        `partial_derivative` stencils (step `cfg`) of x0's row, over `_divisor`."""
+        D = np.array([partial_derivative(self._ratios, self.x0, p, cfg) for p in idxs])
+        return (D @ D.T) / self._divisor
+
     def _kernel_matrix(self, P: np.ndarray) -> np.ndarray:
         self.reserve(len(P))
         rows = [(p.tobytes(), self._ratios(p)) for p in P]
@@ -197,8 +209,6 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
     the first draw where the reference log density is -inf, DataError one
     where it is NaN or +inf.
     """
-
-    mode = "monte_carlo"
 
     def __init__(self, model: Model, x0, mc_samples: int = 100_000, seed: int = 0,
                  samples: np.ndarray | None = None):
@@ -263,6 +273,23 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         w = r / top
         return float(w.sum() ** 2 / (w @ w))
 
+    def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
+        """The sample count; given test `points`, also the Kish effective
+        sample size per point (first: a point the row cache evicted is
+        recomputed once, and the halves slice it) and the two-fold
+        sample-split error of the projection of gamma onto their differences.
+        The ratios are nonnegative, so each half's kernel is bounded by the
+        whole one's and is defined where that is."""
+        diagnostics = {"mc_samples": self.mc_samples}
+        if points is not None:
+            diagnostics["mc_effective_sample_size"] = [
+                self.effective_sample_size(p) for p in points]
+            basis = [DiffBasis(p) for p in points]
+            low, high = (projected_sq_norm(gram_system(half, basis, gamma, pinv_tol))
+                         for half in self._halves())
+            diagnostics["mc_standard_error"] = abs(low - high) / 2.0
+        return diagnostics
+
     def evaluate(self, x1, x2) -> float:
         return self.evaluate_with_se(x1, x2).value
 
@@ -323,7 +350,6 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
     not; DataError a NaN or +inf log density.
     """
 
-    mode = "summation"
     _divisor = 1
 
     def __init__(self, model: GenericModel, x0):
@@ -396,7 +422,7 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
             with contextlib.suppress(KernelEvaluationError):
                 self._ratios(np.frombuffer(key))
 
-    def diagnostics(self) -> dict:
+    def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
         """The route and the number of terms summed so far."""
         return {"route": "summation", "summation_terms": len(self.samples)}
 
@@ -412,6 +438,16 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
 KernelEvaluator = ExpfamKernelEvaluator | MonteCarloKernelEvaluator | SummationKernelEvaluator
 
 
+def _make_evaluator(model, x0, mc_samples, seed) -> KernelEvaluator:
+    """The one route choice: closed form for an exponential family, a sum over
+    the support for a model that declares one, else Monte Carlo."""
+    if isinstance(model, ExponentialFamilyModel):
+        return ExpfamKernelEvaluator(model, x0)
+    if model.support is not None:
+        return SummationKernelEvaluator(model, x0)
+    return MonteCarloKernelEvaluator(model, x0, mc_samples, seed)
+
+
 def kernel_mc(model: Model, x0, x1, x2, n: int = 100_000, seed: int = 0) -> MCKernelEstimate:
     """One-shot Monte Carlo kernel estimate with its standard error."""
     return MonteCarloKernelEvaluator(model, x0, n, seed).evaluate_with_se(x1, x2)
@@ -425,7 +461,7 @@ def derivative_kernel_function(evaluator: ExpfamKernelEvaluator, p, x_eval,
                                cfg: FDConfig | None = None) -> float:
     """Value at x_eval of the kernel partial derivative taken in the second
     slot at x0, computed by central finite differences."""
-    if evaluator.mode != "expfam_closed_form":
+    if not isinstance(evaluator, ExpfamKernelEvaluator):
         raise ValueError("derivative kernel functions require the closed-form evaluator")
     p = as_index(p, dim=evaluator.model.param_dim)
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
@@ -645,41 +681,37 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
     kernel values and kernel derivatives via the reproducing property.
 
     Point and difference entries are the `difference_block` of one pairwise
-    kernel matrix over [x0, x_1, ..., x_m].  Derivatives alone are
-    `deriv_inner_products` in closed form, and otherwise the dot products of
-    the `partial_derivative` stencils (step `cfg`) of the evaluator's cached
-    rows: by Monte Carlo the mean of D^p rho * D^q rho over the draws, on a
-    summed support the sum of D^p s * D^q s.  Mixed with points they need
-    the closed form.
+    kernel matrix over [x0, x_1, ..., x_m].  Derivative entries are the
+    evaluator's `deriv_gram` (finite-difference step `cfg`): in closed form
+    `deriv_inner_products`, by Monte Carlo the mean of D^p rho * D^q rho over
+    the draws, on a summed support the sum of D^p s * D^q s.  Mixed with
+    points they need the closed form.
     """
     x0, model = evaluator.x0, evaluator.model
     deriv = [i for i, b in enumerate(basis) if isinstance(b, DerivBasis)]
     points = [i for i, b in enumerate(basis) if not isinstance(b, DerivBasis)]
     idxs = [as_index(basis[i].p, dim=model.param_dim) for i in deriv]
     if idxs and not points:
-        if evaluator.mode == "expfam_closed_form":
-            return deriv_inner_products(model, x0, idxs, cfg)
-        D = np.array([partial_derivative(evaluator._ratios, x0, p, cfg) for p in idxs])
-        return (D @ D.T) / evaluator._divisor
+        return evaluator.deriv_gram(idxs, cfg)
     P = np.array([x0] + [basis[i].x for i in points], dtype=float)
     d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
     block = difference_block(evaluator.pairwise(P), d)
     if not deriv:
         return block
 
-    if evaluator.mode != "expfam_closed_form":
+    if not isinstance(evaluator, ExpfamKernelEvaluator):
         raise ValueError("derivative basis functions require the closed-form evaluator")
     if _has_closed_moments(model):
         _, nu = _exact_tables(model, x0, idxs)
         D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
     else:
-        D = np.array([[derivative_kernel_function(evaluator, p, a) for p in idxs] for a in P])
+        D = np.array([[derivative_kernel_function(evaluator, p, a, cfg) for p in idxs] for a in P])
     cross = D[1:] - d[:, None] * D[:1]
     G = np.empty((len(basis), len(basis)))
     G[np.ix_(points, points)] = block
     G[np.ix_(points, deriv)] = cross
     G[np.ix_(deriv, points)] = cross.T
-    G[np.ix_(deriv, deriv)] = deriv_inner_products(model, x0, idxs)
+    G[np.ix_(deriv, deriv)] = evaluator.deriv_gram(idxs, cfg)
     return G
 
 

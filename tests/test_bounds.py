@@ -714,9 +714,7 @@ def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10
                    "revisits": work["revisits"], "search_trace": trace}
     if best_points is not None:
         diagnostics["best_points"] = [p.tolist() for p in best_points]
-    if isinstance(evaluator, vb_kernel.MonteCarloKernelEvaluator):
-        diagnostics.update(bounds_module._mc_diagnostics(evaluator, gamma, best_points,
-                                                         pinv_tol))
+    diagnostics.update(evaluator.diagnostics(gamma, best_points, pinv_tol))
     return max(value, 0.0), diagnostics
 
 
@@ -1016,18 +1014,20 @@ class TestInvariance:
 
 
 def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatch):
-    # one `gram` per matrix, two more for the Monte Carlo split halves; the
-    # search's configurations are stacked apart from it
+    # one `gram` per matrix, two more for the Monte Carlo split halves (built
+    # in kernel); the search's configurations are stacked apart from it
     calls = []
 
     def counted(evaluator, basis, *args):
-        calls.append((evaluator.mode, type(basis[0]).__name__, len(basis)))
+        calls.append((type(evaluator).__name__, type(basis[0]).__name__, len(basis)))
         return gram(evaluator, basis, *args)
 
-    monkeypatch.setattr(bounds_module, "gram", counted)
+    for module in (bounds_module, vb_kernel):
+        monkeypatch.setattr(module, "gram", counted)
     p, nd = vb.poisson(), vb.make_model("gaussian-mean-nd")
     gamma, generic = vb.expfam_mean(p), mc_poisson()
-    closed, mc = "expfam_closed_form", "monte_carlo"
+    closed, mc, summed = "ExpfamKernelEvaluator", "MonteCarloKernelEvaluator", \
+        "SummationKernelEvaluator"
     cases = [
         (lambda: vb.crb(p, gamma, [0.2]), [(closed, "DerivBasis", 1)]),
         (lambda: vb.constrained_crb(nd, vb.expfam_mean(nd), [0.2, -0.1], [[1.0, 1.0]]),
@@ -1044,9 +1044,9 @@ def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatc
          [(mc, "DiffBasis", 1)] * 3),
         (lambda: vb.barankin_approx(generic, gamma, [0.2], BarankinSearch(
             restarts=1, halvings=2, max_points=2), mc_samples=2_000), [(mc, "DiffBasis", 2)] * 2),
-        (lambda: vb.crb(vb.as_generic(p), gamma, [0.2]), [("summation", "DerivBasis", 1)]),
+        (lambda: vb.crb(vb.as_generic(p), gamma, [0.2]), [(summed, "DerivBasis", 1)]),
         (lambda: vb.hcrb(vb.as_generic(p), gamma, [0.2], TestPointSet([[0.5]])),
-         [("summation", "DiffBasis", 1)]),
+         [(summed, "DiffBasis", 1)]),
         (lambda: vb.barankin_approx(vb.as_generic(p), gamma, [0.2], BarankinSearch(
             restarts=1, halvings=2, max_points=2)), []),
     ]
@@ -1054,8 +1054,8 @@ def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatc
         calls.clear()
         bound()
         assert calls == expected
-    for name in ("_deriv_gram", "_difference_projection", "deriv_inner_products",
-                 "partial_derivative"):
+    for name in ("_deriv_gram", "_difference_projection", "_mc_diagnostics",
+                 "deriv_inner_products", "partial_derivative"):
         assert not hasattr(bounds_module, name)
 
 
@@ -1382,3 +1382,49 @@ class TestSummationRoute:
         assert vb.hcrb(model, gamma, [-0.5], TestPointSet([[-0.2]])).value > 0.0
         with pytest.raises(ReferenceSupportError, match=r"vanishes at y=0 for x0=\[-0.5\]"):
             vb.hcrb(model, gamma, [-0.5], TestPointSet([[0.5]]))
+
+
+#: (route, Poisson at x0 0.2 on that route) for the diagnostics-key table
+ROUTES = [("closed", vb.poisson()), ("fd-moment", replace(vb.poisson(), closed_moments=None)),
+          ("summation", vb.as_generic(vb.poisson())), ("monte-carlo", mc_poisson())]
+
+_GRAM_KEYS = ["gram_rank", "condition_number", "min_eigenvalue"]
+_SEARCH_KEYS = _GRAM_KEYS + ["evaluations", "revisits", "gram_stacks", "search_trace",
+                             "best_points"]
+_MC_POINT_KEYS = ["mc_samples", "mc_effective_sample_size", "mc_standard_error"]
+
+#: method -> (call, {route: diagnostics keys in order})
+ROUTE_KEY_TABLE = {
+    "crb": (lambda m, g: vb.crb(m, g, [0.2], n_mc=2_000), {
+        "closed": _GRAM_KEYS, "fd-moment": _GRAM_KEYS + ["moment_fd_fallback"],
+        "summation": _GRAM_KEYS + ["route", "summation_terms"],
+        "monte-carlo": _GRAM_KEYS + ["mc_samples"]}),
+    "bhattacharyya": (lambda m, g: vb.bhattacharyya(m, g, [0.2], [(1,), (2,)], n_mc=2_000), {
+        "closed": _GRAM_KEYS, "fd-moment": _GRAM_KEYS + ["moment_fd_fallback"],
+        "summation": _GRAM_KEYS + ["route", "summation_terms"],
+        "monte-carlo": _GRAM_KEYS + ["mc_samples"]}),
+    "hcrb": (lambda m, g: vb.hcrb(m, g, [0.2], TestPointSet([[0.7]]), mc_samples=2_000), {
+        "closed": _GRAM_KEYS + ["n_test_points"], "fd-moment": _GRAM_KEYS + ["n_test_points"],
+        "summation": _GRAM_KEYS + ["n_test_points", "route", "summation_terms"],
+        "monte-carlo": _GRAM_KEYS + ["n_test_points"] + _MC_POINT_KEYS}),
+    "barankin_approx": (lambda m, g: vb.barankin_approx(m, g, [0.2], BarankinSearch(
+        restarts=1, halvings=2, max_points=1), mc_samples=2_000), {
+        "closed": _SEARCH_KEYS, "fd-moment": _SEARCH_KEYS,
+        "summation": _SEARCH_KEYS + ["route", "summation_terms"],
+        "monte-carlo": _SEARCH_KEYS + _MC_POINT_KEYS}),
+}
+
+
+@pytest.mark.parametrize("method", list(ROUTE_KEY_TABLE))
+@pytest.mark.parametrize("route, model", ROUTES, ids=[route for route, _ in ROUTES])
+def test_diagnostics_keys_by_route_and_method(route, model, method):
+    # each route adds its own keys after the Gram and search keys: the
+    # moment fallback only to derivative bounds, the Monte Carlo error and
+    # effective sample sizes only where there are test points
+    call, keys = ROUTE_KEY_TABLE[method]
+    res = call(model, vb.expfam_mean(vb.poisson()))
+    assert list(res.diagnostics) == keys[route]
+    if route == "summation":
+        assert res.diagnostics["route"] == "summation"
+    if route == "monte-carlo":
+        assert res.diagnostics["mc_samples"] == 2_000

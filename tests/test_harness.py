@@ -359,7 +359,9 @@ class TestBatchedSearchesEqualAlone:
 
         make_gram_system = bounds_module.make_gram_system
         monkeypatch.setattr(bounds_module, "_search", counted_search)
-        monkeypatch.setattr(bounds_module, "make_gram_system", counted_solve)
+        # the searches solve in bounds, the Monte Carlo halves in kernel
+        for module in (bounds_module, vb.kernel):
+            monkeypatch.setattr(module, "make_gram_system", counted_solve)
         report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7, **kwargs)
         assert max(n for kind, n in solves if kind == "peak") == min(window, len(grid))
         stacked = sum(d["gram_stacks"] for d in report.diagnostics)

@@ -287,6 +287,9 @@ class BarankinSearch:
         if self.radius is not None and self.radius < self.min_distance:
             raise ValueError(f"radius {self.radius} is below min_distance "
                              f"{self.min_distance}, so no test point is allowed")
+        if self.lower is not None and self.upper is not None and \
+                np.greater(self.lower, self.upper).any():
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}: the box is empty")
 
     def region(self, x0: np.ndarray) -> Callable[[np.ndarray], bool]:
         """Whether a point may be a test point of this search around x0: at

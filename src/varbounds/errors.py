@@ -53,7 +53,8 @@ class ConfigurationError(VarBoundsError, ValueError):
 
 
 class DataError(VarBoundsError):
-    """Monte Carlo data contains non-finite values; the message lists offenders."""
+    """Non-finite or malformed data: Monte Carlo draws or estimator outputs, summed
+    log densities, or a Gram matrix or right-hand side; the message names them."""
 
 
 class DomainError(VarBoundsError, ValueError):

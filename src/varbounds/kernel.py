@@ -274,21 +274,19 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         return float(w.sum() ** 2 / (w @ w))
 
     def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
-        """The sample count; given test `points`, also the Kish effective
-        sample size per point (first: a point the row cache evicted is
-        recomputed once, and the halves slice it) and the two-fold
-        sample-split error of the projection of gamma onto their differences.
-        The ratios are nonnegative, so each half's kernel is bounded by the
-        whole one's and is defined where that is."""
-        diagnostics = {"mc_samples": self.mc_samples}
-        if points is not None:
-            diagnostics["mc_effective_sample_size"] = [
-                self.effective_sample_size(p) for p in points]
-            basis = [DiffBasis(p) for p in points]
-            low, high = (projected_sq_norm(gram_system(half, basis, gamma, pinv_tol))
-                         for half in self._halves())
-            diagnostics["mc_standard_error"] = abs(low - high) / 2.0
-        return diagnostics
+        """The sample count; given test `points`, also the Kish effective sample
+        size per point (first: a point the row cache evicted is recomputed
+        once, and the halves slice it) and the two-fold sample-split error of
+        the projection of gamma onto their differences.  The ratios are
+        nonnegative, so each half's kernel is defined where the whole one's is."""
+        if points is None:
+            return {"mc_samples": self.mc_samples}
+        ess = [self.effective_sample_size(p) for p in points]
+        basis = [DiffBasis(p) for p in points]
+        low, high = (projected_sq_norm(gram_system(half, basis, gamma, pinv_tol))
+                     for half in self._halves())
+        return {"mc_samples": self.mc_samples, "mc_effective_sample_size": ess,
+                "mc_standard_error": abs(low - high) / 2.0}
 
     def evaluate(self, x1, x2) -> float:
         return self.evaluate_with_se(x1, x2).value
@@ -471,10 +469,6 @@ def derivative_kernel_function(evaluator: ExpfamKernelEvaluator, p, x_eval,
                               evaluator.x0, p, cfg)
 
 
-def _has_closed_moments(model) -> bool:
-    return isinstance(model, ExponentialFamilyModel) and model.closed_moments is not None
-
-
 def _exact_tables(model, x0, indices: Sequence[MultiIndex]):
     """Moment and reciprocal-derivative tables sufficient for all pairwise
     inner products among derivative functions of the given orders."""
@@ -528,7 +522,7 @@ def deriv_inner_products(model: ExponentialFamilyModel, x0,
     idxs = [as_index(p, dim=model.param_dim) for p in indices]
     L = len(idxs)
     out = np.empty((L, L))
-    if _has_closed_moments(model):
+    if model.closed_moments is not None:
         mu, nu = _exact_tables(model, x0, idxs)
         for i in range(L):
             for j in range(i, L):
@@ -701,7 +695,7 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
 
     if not isinstance(evaluator, ExpfamKernelEvaluator):
         raise ValueError("derivative basis functions require the closed-form evaluator")
-    if _has_closed_moments(model):
+    if model.closed_moments is not None:
         _, nu = _exact_tables(model, x0, idxs)
         D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
     else:

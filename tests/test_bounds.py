@@ -230,6 +230,13 @@ class TestBhattacharyya:
         with pytest.raises(ValueError):
             vb.bhattacharyya(vb.gaussian_mean(), vb.identity_mean(), [0.0], [(0,)])
 
+    def test_combined_order_above_the_finite_difference_cap_is_rejected(self):
+        # without closed moments, <r^(3), r^(3)> would need an order-6 stencil
+        fd = replace(vb.poisson(), closed_moments=None)
+        with pytest.raises(ValueError, match="combined derivative order 6 exceeds the "
+                                             "finite-difference cap 4"):
+            vb.bhattacharyya(fd, vb.expfam_mean(fd), [0.0], [(1,), (3,)])
+
     def test_generic_model_monte_carlo_path(self):
         res = vb.bhattacharyya(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(),
                                [0.0], [(1,)], n_mc=100_000, seed=2)
@@ -334,7 +341,11 @@ def test_hcrb_point_overflowing_the_log_mgf_raises_without_a_warning(model, x0, 
     lambda p: vb.crb(vb.as_generic(p), vb.identity_mean(), [800.0]),
     lambda p: vb.expfam_bound(replace(p, closed_moments=None), vb.identity_mean(), [800.0],
                               [(1,)]),
-], ids=["crb", "hcrb", "hcrb-pair-sum", "summation", "moment-fd"])
+    # the sampler of the family a Monte Carlo model views used to overflow first
+    lambda p: vb.crb(mc_poisson(), vb.identity_mean(), [800.0]),
+    lambda p: vb.hcrb(mc_poisson(), vb.identity_mean(), [800.0], TestPointSet([[1.0]])),
+], ids=["crb", "hcrb", "hcrb-pair-sum", "summation", "moment-fd", "monte-carlo-crb",
+        "monte-carlo-hcrb"])
 def test_poisson_log_partition_overflow_is_not_outside_the_natural_space(bound):
     # e^800 overflows inside Poisson's natural space, all of R; the error
     # used to say the parameter lies outside it (the finite-difference
@@ -387,9 +398,11 @@ class TestBarankin:
             assert abs(pt[0] + 2.0) <= 1.5 + 1e-12
 
     @pytest.mark.parametrize("options, match", [({"restarts": 0}, "restarts"),
-                                                ({"radius": 1.0e-7}, "min_distance")])
+                                                ({"radius": 1.0e-7}, "min_distance"),
+                                                ({"lower": [1.0], "upper": [-1.0]}, "exceeds")])
     def test_search_with_nothing_to_search_is_rejected(self, options, match):
-        # both used to give a value of 0 after 0 evaluations
+        # the first two used to give a value of 0 after 0 evaluations, the
+        # empty box a DomainError only once the search ran
         with pytest.raises(ValueError, match=match):
             BarankinSearch(**options)
         with pytest.raises(ValueError, match=match):
@@ -1342,6 +1355,19 @@ class TestSummationRoute:
     def test_terms_that_rise_again_are_a_data_error(self):
         with pytest.raises(DataError, match=r"two-humped.*rise again at y=.*after falling"):
             vb.hcrb(two_humped(), vb.identity_mean(), [0.0], TestPointSet([[0.5]]))
+
+    @pytest.mark.parametrize("nan_at, message", [
+        (lambda x: True, r"reference log density nan at y=2 for x0=\[0.0\]"),
+        (lambda x: x[0] > 0.3, r"log density NaN at y=2 for x=\[0.5\]")],
+        ids=["reference", "row"])
+    def test_nan_log_density_is_a_data_error(self, nan_at, message):
+        p = vb.poisson()
+        model = vb.GenericModel(
+            "nan-at-2", 1, 1, lambda Y, x: np.where(
+                (Y[:, 0] == 2) & nan_at(x), np.nan, vb.models.log_density_batch(p, Y, x)),
+            p.sampler, support=(0, None))
+        with pytest.raises(DataError, match=message):
+            vb.hcrb(model, vb.identity_mean(), [0.0], TestPointSet([[0.5]]))
 
     def test_bounded_support_is_summed_in_full(self):
         # a declared range of 1,000 counts is summed whole, however slowly it falls

@@ -182,14 +182,17 @@ class TestRunCommand:
         if code == 3:
             assert "x0=[0.5]" in captured.err
 
-    @pytest.mark.parametrize("options", [{"restarts": 0}, {"radius": 1.0e-7}],
-                             ids=["no-restarts", "radius-below-min-distance"])
+    @pytest.mark.parametrize("options", [{"restarts": 0}, {"radius": 1.0e-7},
+                                         {"lower": [1.0], "upper": [-1.0]}],
+                             ids=["no-restarts", "radius-below-min-distance", "lower-above-upper"])
     def test_search_with_nothing_to_search_exits_2(self, tmp_path, capsys, options):
-        # both used to print a value of 0 after 0 evaluations, with exit 0
+        # the first two used to print a value of 0 after 0 evaluations, with
+        # exit 0; the empty box exited 3 as a numerical failure
         doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", **options}]}
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: methods[0]") and "Traceback" not in err
+        assert err.startswith("configuration error: methods[0]: barankin_approx: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, doc, where", [
         ("run", {**GAUSSIAN_RUN, "methods": [
@@ -349,7 +352,10 @@ class TestRunCommand:
         ("run", {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 1,
                                               "halvings": 2, "initial_step": 1e300}]},
          "with initial_step 1e+300 too wide to measure"),
-    ], ids=["no-defined-configuration", "huge-initial-step"])
+        # a box empty only around this x0: it ends at the radius, below `lower`
+        ("run", {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "lower": [5.0]}]},
+         "empty sampling box from [5.0] to [3.0] within radius 3.0"),
+    ], ids=["no-defined-configuration", "huge-initial-step", "box-empty-at-x0"])
     def test_search_without_an_answer_exits_3_with_one_line(self, tmp_path, capsys,
                                                             command, doc, message):
         # both exited 0 with a numpy RuntimeWarning on stderr, the first with

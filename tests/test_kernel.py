@@ -535,6 +535,17 @@ class TestGram:
         assert G[0, 0] == pytest.approx(math.expm1(a * a), rel=1e-12)
         assert G[1, 1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_mixed_basis_takes_the_step_without_closed_moments(self):
+        # the finite-difference step reaches the derivative block and the
+        # cross entries alike; both used to take the default step
+        ev = ExpfamKernelEvaluator(dataclasses.replace(vb.poisson(), closed_moments=None), [0.0])
+        basis, cfg = [DiffBasis(np.array([0.5])), DerivBasis((1,))], vb.FDConfig(1e-2)
+        G = gram(ev, basis, cfg)
+        assert G[1, 1] == gram(ev, basis[1:], cfg)[0, 0] == pytest.approx(1.00003334, abs=1e-8)
+        assert gram(ev, basis)[1, 1] == pytest.approx(1.0, abs=1e-8)
+        assert G[0, 1] == G[1, 0] == derivative_kernel_function(ev, (1,), [0.5], cfg) \
+            - derivative_kernel_function(ev, (1,), [0.0], cfg)
+
     def test_monte_carlo_derivative_basis(self):
         # the mean over the draws of D^p rho * D^q rho, by the stencil of the
         # cached ratio vectors; mixed with points it needs the closed form

@@ -242,6 +242,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     """Test-point bound m' V^+ m built from the difference basis at the
     supplied test points."""
     x0 = as_param(model, x0)
+    if not tps.points:
+        raise ValueError("at least one test point is required")
     for p in tps.points:
         if np.max(np.abs(np.atleast_1d(p) - x0), initial=0.0) < 1e-12:
             raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
@@ -261,8 +263,10 @@ class BarankinSearch:
 
     The search hill-climbs each test-point coordinate with an absolute step
     that halves after every stalled sweep level, restarting from random point
-    sets.  Points closer than min_distance to x0 are rejected, as are points
-    outside the ball of the given radius around x0 or the optional box.
+    sets.  `halvings` is the most step levels a start runs; a start that has
+    converged ends earlier (see `barankin_approx`).  Points closer than
+    min_distance to x0 are rejected, as are points outside the ball of the
+    given radius around x0 or the optional box.
     """
 
     initial_points: TestPointSet | None = None
@@ -339,10 +343,17 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     Each start (the initial points, then one random point set per restart)
     climbs on its own: it moves each coordinate of each point by +step and
     then -step, keeps the first proposal that beats its current value, and
-    halves the step after a sweep that kept none.  The starts run in
-    lockstep.  A proposal of a configuration the search has computed is
-    answered at once; the distinct new configurations the starts propose
-    next are computed together, one stacked Gram solve per point count
+    halves the step after a sweep that kept none.  It runs at most
+    `search.halvings` step levels, and ends earlier once a level and the
+    last earlier level that raised its value each raised it by at most
+    `_CONVERGED` (1e-9) of the value, so a start at value 0 never ends early.
+    That is far below the ~1e-7 rounding of the projections the search
+    maximises; the value can be up to about 1e-9 (relative) below that of
+    running every level.  `diagnostics["search_trace"]` gives each start's
+    final value and the step `levels` it ran.  The starts run in lockstep.
+    A proposal of a configuration the search has computed is answered at
+    once; the distinct new configurations the starts propose next are
+    computed together, one stacked Gram solve per point count
     (`diagnostics["gram_stacks"]` counts them).  So each distinct
     configuration is computed once: `diagnostics["evaluations"]` counts the
     computed ones and `diagnostics["revisits"]` the other proposals.
@@ -361,6 +372,9 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
 
 #: Most closed-form searches `_lockstep` runs at once; each holds its memo.
 _WINDOW = 8
+
+#: Largest gain per step level, as a share of its value, of a converged start.
+_CONVERGED = 1e-9
 
 
 def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
@@ -464,13 +478,15 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
 
     def climb(pts: np.ndarray):
         """One start's search: yields each proposal, receives its value (None:
-        kernel undefined) and returns the start's final value."""
+        kernel undefined) and returns the start's final value and the number
+        of step levels it ran."""
         current = yield pts
         if current is None:
             # invalid start (kernel undefined there): any valid move wins
             current = -math.inf
-        step = cfg.initial_step
-        for _level in range(cfg.halvings):
+        step, last_gain, levels = cfg.initial_step, math.inf, 0
+        for levels in range(1, cfg.halvings + 1):
+            before = current
             for _sweep in range(cfg.max_sweeps_per_level):
                 improved = False
                 for l, k in np.ndindex(pts.shape):
@@ -485,7 +501,12 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
                 if not improved:
                     break
             step *= 0.5
-        return current
+            gain = current - before if before > -math.inf else math.inf
+            if max(gain, last_gain) <= _CONVERGED * current:
+                break
+            if gain > 0:
+                last_gain = gain
+        return current, levels
 
     gamma = _remembering_values(gamma)
     # `_solve_stacks` result of each configuration computed (None: undefined)
@@ -494,7 +515,7 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
     best_value, best_at, best_result, best_points = 0.0, None, None, None
     climbs = [climb(pts) for pts in starts]
     proposed = [0] * len(climbs)  # proposals answered per start
-    finals: list[float] = [-math.inf] * len(climbs)
+    finals: list[tuple[float, int]] = [(-math.inf, 0)] * len(climbs)
 
     def answer(i: int, pts: np.ndarray, result) -> np.ndarray | None:
         """Start i's next proposal after the one of pts, or None at its end."""
@@ -544,8 +565,8 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
     if all(result is None for result in seen.values()):
         raise DomainError(f"barankin_approx: kernel or mean undefined at all {evaluations} "
                           f"configurations computed in the {region} at x0={x0.tolist()}")
-    trace = [{"start": i, "best_value": v if math.isfinite(v) else None}
-             for i, v in enumerate(finals)]
+    trace = [{"start": i, "best_value": v if math.isfinite(v) else None, "levels": levels}
+             for i, (v, levels) in enumerate(finals)]
     # the best is a positive, hence unclamped, projection
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
                    **(_clamped(*best_result)[1] if best_result else {}),

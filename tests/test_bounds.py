@@ -319,6 +319,18 @@ class TestHCRB:
         with pytest.raises(DomainError, match=r"hcrb.*x0=\[0\.0\]"):
             vb.hcrb(vb.gaussian_mean(), vb.identity_mean(), [0.0], TestPointSet([[0.0]]))
 
+    @pytest.mark.parametrize("model", [vb.poisson(), vb.as_generic(vb.poisson()), mc_poisson()],
+                             ids=["closed-form", "summation", "monte-carlo"])
+    def test_rejects_an_empty_test_point_set(self, model, monkeypatch):
+        # it used to return the bound 0 with gram_rank 0 (on Monte Carlo with
+        # an empty ESS list); the check comes before any evaluator or draw
+        def no_evaluator(*args):
+            raise AssertionError("evaluator built")
+
+        monkeypatch.setattr(bounds_module, "_make_evaluator", no_evaluator)
+        with pytest.raises(ValueError, match="at least one test point is required"):
+            vb.hcrb(model, vb.identity_mean(), [0.2], TestPointSet([]))
+
     def test_test_point_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
             TestPointSet([[1.0], [1.0]])
@@ -513,39 +525,41 @@ def _search_case(name):
             BarankinSearch(restarts=2, halvings=6, max_points=3, seed=5, **box), {})
 
 
-#: value (float.hex), best_points, search_trace (best values as float.hex) and
-#: evaluations + revisits, as the search gave them before it skipped
-#: configurations it had already computed.
+#: value (float.hex), best_points, search_trace (start, best value as
+#: float.hex, step levels run) and the proposals, evaluations + revisits,
+#: which do not depend on whether the search skips configurations it has
+#: computed.  The first four allow 6 step levels; all but one of their
+#: starts end earlier, on two converged levels.
 PINNED_SEARCHES = {
     "gaussian-mean": (
         "0x1.000000000fefdp+0",
         [[0.3175175424722809], [0.3038947384189621], [0.32945336625285204]],
-        [(0, "0x1.000000000fefdp+0"), (1, "0x1.0000000001bf7p+0")],
-        170),
+        [(0, "0x1.000000000fefdp+0", 5), (1, "0x1.ffffffffff76fp-1", 5)],
+        152),
     "poisson": (
-        "0x1.a330ad61dcdd8p-1",
-        [[-0.19810745752771908], [-0.2742302615810379], [-0.17054663374714796]],
-        [(0, "0x1.a330ad61dcdd8p-1"), (1, "0x1.a330ad6187640p-1")],
-        188),
+        "0x1.a330ad616fc6bp-1",
+        [[-0.1797749177567134], [-0.18816390087144175], [-0.14971793394731048]],
+        [(0, "0x1.a330ad616074bp-1", 5), (1, "0x1.a330ad616fc6bp-1", 5)],
+        146),
     "bernoulli": (
         "0x1.ec0dd36bc7901p-3",
         [[2.2952250822432867], [0.22433609912855834], [1.0752820660526896]],
-        [(0, "0x1.ec0dd36bc78fap-3"), (1, "0x1.ec0dd36bc7901p-3")],
-        128),
+        [(0, "0x1.ec0dd36bc78e7p-3", 2), (1, "0x1.ec0dd36bc7901p-3", 2)],
+        62),
     "exponential-rate": (
-        "0x1.a723f789ea9c3p-1",
-        [[-1.1101543400466032], [-1.040282157870363], [-1.1067551219276073]],
-        [(0, "0x1.a723f789b9f69p-1"), (1, "0x1.a723f789ea9c3p-1")],
-        154),
+        "0x1.a723f789b9f69p-1",
+        [[-1.0784925444492806], [-1.0866259861719412], [-1.098419819342538]],
+        [(0, "0x1.a723f789b9f69p-1", 6), (1, "0x1.a723f78981462p-1", 5)],
+        130),
     "exponential-rate-unboxed": (
         "0x1.3fb7747a1a89cp+4",
         [[-3.499713600185999], [-3.4958585970912734]],
-        [(0, "0x1.3fb7747a1a89cp+4"), (1, "0x1.3ca49588ca22ep+4")],
+        [(0, "0x1.3fb7747a1a89cp+4", 5), (1, "0x1.3ca49588ca22ep+4", 5)],
         72),
     "generic-poisson": (
         "0x1.34172fd310672p+12",
         [[2.9459297482015403], [2.952782177955612]],
-        [(0, "0x1.34172fd310672p+12")],
+        [(0, "0x1.34172fd310672p+12", 3)],
         29),
 }
 
@@ -559,7 +573,8 @@ class TestBarankinSearchWork:
         d = res.diagnostics
         assert res.value.hex() == value
         assert d["best_points"] == points
-        assert [(t["start"], t["best_value"].hex()) for t in d["search_trace"]] == trace
+        assert [(t["start"], t["best_value"].hex(), t["levels"])
+                for t in d["search_trace"]] == trace
         assert d["evaluations"] + d["revisits"] == proposals
         assert d["revisits"] > 0
 
@@ -626,9 +641,51 @@ class TestBarankinSearchWork:
             assert 0 < calls["defined"] < calls["pairwise"]
 
 
+def _sin_mean() -> vb.MeanFunction:
+    return vb.MeanFunction(lambda x: math.sin(x[0]))
+
+
+class TestConvergenceStop:
+    """A start ends after two converged step levels; with the share
+    `_CONVERGED` at 0 every start runs all its levels."""
+
+    @pytest.mark.parametrize("search", [BarankinSearch(),
+                                        BarankinSearch(restarts=2, halvings=6, max_points=3)],
+                             ids=["default", "light"])
+    @pytest.mark.parametrize("name", ["gaussian-mean", "poisson", "bernoulli",
+                                      "exponential-rate"])
+    def test_stop_costs_at_most_rounding(self, name, search, monkeypatch):
+        model, gamma, x0, case, _ = _search_case(name)
+        search = replace(search, seed=case.seed, lower=case.lower, upper=case.upper)
+        stopped = vb.barankin_approx(model, gamma, x0, search)
+        monkeypatch.setattr(bounds_module, "_CONVERGED", 0.0)
+        full = vb.barankin_approx(model, gamma, x0, search)
+        assert full.value * (1 - 1e-8) <= stopped.value <= full.value
+        assert stopped.diagnostics["evaluations"] <= full.diagnostics["evaluations"]
+        levels = [t["levels"] for t in stopped.diagnostics["search_trace"]]
+        assert min(levels) < search.halvings and max(levels) <= search.halvings
+        assert all(t["levels"] == search.halvings for t in full.diagnostics["search_trace"])
+
+    @pytest.mark.parametrize("model, gamma, x0", [
+        (vb.gaussian_mean(), vb.constant_mean(2.0), 0.0),
+        (vb.gaussian_mean(), _sin_mean(), 0.0),
+        (vb.gaussian_mean(), _sin_mean(), 0.7),
+        (vb.poisson(), vb.polynomial_mean([0.0, 1.0, 0.5]), 0.0)],
+        ids=["constant", "sin-0", "sin-0.7", "poisson-polynomial"])
+    def test_unconverged_searches_are_unchanged(self, model, gamma, x0, monkeypatch):
+        # a value of 0 never converges; the others keep gaining on every level
+        stopped = vb.barankin_approx(model, gamma, [x0])
+        monkeypatch.setattr(bounds_module, "_CONVERGED", 0.0)
+        full = vb.barankin_approx(model, gamma, [x0])
+        assert stopped.value.hex() == full.value.hex()
+        assert _hexed(stopped.diagnostics) == _hexed(full.diagnostics)
+        assert {t["levels"] for t in stopped.diagnostics["search_trace"]} == {8}
+
+
 def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10):
     """The search loop before the starts ran in lockstep: each start climbs to
-    its end before the next one starts, every configuration is projected on
+    its end (its last step level, or two converged levels) before the next
+    one starts, every configuration is projected on
     its own, and the best is the first computed configuration with the
     largest value.  Returns the value and the diagnostics without
     `gram_stacks`."""
@@ -701,8 +758,10 @@ def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10
         current = objective(pts)
         if current is None:
             current = -math.inf
-        step = cfg.initial_step
+        step, levels = cfg.initial_step, 0
+        gains = []  # the gain of each level that raised the value, or inf
         for _level in range(cfg.halvings):
+            before, levels = current, levels + 1
             for _sweep in range(cfg.max_sweeps_per_level):
                 improved = False
                 for l in range(pts.shape[0]):
@@ -718,8 +777,17 @@ def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10
                 if not improved:
                     break
             step *= 0.5
+            # converged: this level and the last one that gained each gained
+            # at most the share _CONVERGED of the value
+            gain = math.inf if before == -math.inf else current - before
+            tol = bounds_module._CONVERGED * current
+            if gain <= tol and (gains or [math.inf])[-1] <= tol:
+                break
+            if gain > 0:
+                gains.append(gain)
         trace.append({"start": start_idx,
-                      "best_value": current if math.isfinite(current) else None})
+                      "best_value": current if math.isfinite(current) else None,
+                      "levels": levels})
 
     value, best_diag, best_points = best
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,

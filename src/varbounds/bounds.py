@@ -11,7 +11,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, as_index, moment_table
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, _named, _number, _vector, \
+    as_index, moment_table
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
 from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _make_evaluator, \
@@ -39,7 +40,7 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class TestPointSet:
-    """Parameter vectors other than x0 used to build difference bases."""
+    """Finite, distinct parameter vectors of one length, other than x0, for difference bases."""
 
     __test__ = False  # not a pytest case despite the name
 
@@ -47,14 +48,16 @@ class TestPointSet:
     provenance: str = "user"
 
     def __init__(self, points: Sequence, provenance: str = "user"):
-        pts = tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in points)
+        pts: list[np.ndarray] = []
+        for p in points:
+            pts.append(np.array(_named("points", _vector, p, len(pts[0]) if pts else None)))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.max(np.abs(pts[i] - pts[j]), initial=0.0) < 1e-12:
                     raise ValueError(f"duplicate test points at positions {i} and {j}")
         if provenance not in ("user", "grid", "random", "refinement"):
             raise ValueError(f"unknown provenance {provenance!r}")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
@@ -94,10 +97,9 @@ def _validate_indices(indices, N, min_order=1) -> list[MultiIndex]:
     if len(set(idxs)) != len(idxs):
         raise ValueError("multi-indices must be distinct")
     for p in idxs:
-        if p.order < min_order:
-            raise ValueError(f"multi-index {tuple(p)} has order below {min_order}")
-        if p.order > MAX_INDEX_ORDER:
-            raise ValueError(f"multi-index {tuple(p)} exceeds the order-{MAX_INDEX_ORDER} cap")
+        if not min_order <= p.order <= MAX_INDEX_ORDER:
+            raise ValueError(f"multi-index {tuple(p)} has order {p.order}, outside "
+                             f"{min_order}..{MAX_INDEX_ORDER}")
     return idxs
 
 
@@ -195,7 +197,11 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
     rhs rows)}` with a slot (results, i) per row, and the results list that
     `_solve_stacks` fills.  Where kernel or gamma is undefined
     (NaturalSpaceError, KernelEvaluationError) the result stays None; an
-    overflow on the way to that answer is not warned about."""
+    overflow on the way to that answer is not warned about.  One `pairwise`
+    per configuration: `perfbench/selfcheck.py`, a CI step, requires
+    `kernel.expfam_pairwise.calls >= bounds.objective_evals`, so a stacked
+    closed-form kernel (-19% `closed_search` `run_s` in a prototype) waits
+    for a benchmark-only change that restates that check."""
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
     x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
@@ -242,11 +248,10 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     """Test-point bound m' V^+ m built from the difference basis at the
     supplied test points."""
     x0 = as_param(model, x0)
-    if not tps.points:
-        raise ValueError("at least one test point is required")
+    _named("points", _points, tps, len(x0))  # as the CLI checks them: one or more, x0's length
     for p in tps.points:
-        if np.max(np.abs(np.atleast_1d(p) - x0), initial=0.0) < 1e-12:
-            raise DomainError(f"hcrb: test point {np.atleast_1d(p).tolist()} equals "
+        if np.max(np.abs(p - x0), initial=0.0) < 1e-12:
+            raise DomainError(f"hcrb: test point {p.tolist()} equals "
                               f"the reference parameter x0={x0.tolist()}")
     evaluator = _make_evaluator(model, x0, mc_samples, seed)
     basis = [DiffBasis(p) for p in tps.points]
@@ -282,25 +287,25 @@ class BarankinSearch:
     min_distance: float = 1e-6
 
     def __post_init__(self):
-        if self.max_points < 1:
-            raise ValueError("max_points must be >= 1")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+        for key, (check, _) in _SEARCH_OPTIONS.items():  # each as the option of its name
+            if key != "initial_points" and getattr(self, key) is not None:
+                object.__setattr__(self, key, _named(key, check, getattr(self, key), None))
         if self.restarts < 1 and not self.initial_points:
-            raise ValueError("restarts must be >= 1 when no initial_points are given")
+            raise ConfigurationError("restarts must be >= 1 when no initial_points are given")
         if self.radius is not None and self.radius < self.min_distance:
-            raise ValueError(f"radius {self.radius} is below min_distance "
-                             f"{self.min_distance}, so no test point is allowed")
-        if self.lower is not None and self.upper is not None and \
-                np.greater(self.lower, self.upper).any():
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}: the box is empty")
+            raise ConfigurationError(f"radius {self.radius} is below min_distance "
+                                     f"{self.min_distance}, so no test point is allowed")
+        if self.lower is not None and self.upper is not None and np.greater(
+                self.lower, _named("upper", _vector, self.upper, len(self.lower))).any():
+            raise ConfigurationError(f"lower {self.lower} exceeds upper {self.upper}: empty box")
 
     def region(self, x0: np.ndarray) -> Callable[[np.ndarray], bool]:
         """Whether a point may be a test point of this search around x0: at
         least min_distance from x0, within the radius and inside the box.
-        DomainError if an initial point may not."""
-        lower = np.asarray(self.lower, dtype=float) if self.lower is not None else None
-        upper = np.asarray(self.upper, dtype=float) if self.upper is not None else None
+        ConfigurationError if the box or an initial point is not as long as
+        x0, DomainError if an initial point may not be a test point."""
+        lower, upper = (b if b is None else np.array(_named(key, _vector, b, len(x0)))
+                        for key, b in (("lower", self.lower), ("upper", self.upper)))
         min_distance, radius = self.min_distance, self.radius
 
         def in_domain(pt: np.ndarray) -> bool:
@@ -312,6 +317,7 @@ class BarankinSearch:
 
         with np.errstate(over="ignore"):  # a distance too large to measure is beyond any radius
             for p in self.initial_points.points if self.initial_points else ():
+                _named("initial_points", _vector, p, len(x0))
                 if not in_domain(p):
                     raise DomainError(
                         f"barankin_approx: initial point {p.tolist()} lies outside the search "
@@ -629,17 +635,6 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
 _REQUIRED = object()
 
 
-def _named(name: str, check, *args):
-    """check(*args); a TypeError or ValueError is a ConfigurationError naming
-    `name`, unless it is a ConfigurationError naming `name` or a field under it."""
-    try:
-        return check(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigurationError) and str(exc).startswith(name):
-            raise
-        raise ConfigurationError(f"{name}: {exc}") from exc
-
-
 def _fields(section, path: str, spec: dict, *context) -> dict:
     """`section` read against `spec`, {key: (check, default)}: each key's
     value, or else its default, normalised by check(value, *context), or read
@@ -666,25 +661,7 @@ def _fields(section, path: str, spec: dict, *context) -> dict:
     return out
 
 
-# Checks: check(value, *context) returns the value normalised, or raises
-# TypeError or ValueError; a method option's context is the family's dimension.
-
-def _number(kind: type, low: float = -math.inf, strict: bool = False):
-    bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
-    def check(value, *_):
-        x = operator.index(value) if kind is int else float(value)
-        if not (math.isfinite(x) and (x > low if strict else x >= low)):
-            raise ValueError(f"expected a finite {kind.__name__}{bound}, got {value!r}")
-        return x
-    return check
-
-
-def _vector(value, dim) -> tuple:
-    x = np.atleast_1d(np.asarray(value, dtype=float))
-    if x.shape != (dim,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"expected a vector of {dim} finite numbers, got {value!r}")
-    return tuple(x.tolist())
-
+# Checks beside those of `calculus`; a method option's context is the family's dimension.
 
 def _points(value, dim) -> tuple:
     points = tuple(_vector(p, dim) for p in getattr(value, "points", value))

@@ -5,6 +5,7 @@ canonical exponential families obtained from their moment-generating function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -12,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import NaturalSpaceError, StencilError
+from .errors import ConfigurationError, NaturalSpaceError, StencilError
 
 #: Highest derivative order supported by the finite-difference path.  Central
 #: differences beyond this lose essentially all significant digits in float64.
@@ -74,6 +75,38 @@ def as_index(p, dim: int | None = None) -> MultiIndex:
     return idx
 
 
+def _named(name: str, check, *args):
+    """check(*args); a TypeError or ValueError is a ConfigurationError naming
+    `name`, unless it is a ConfigurationError naming `name` or a field under it."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ConfigurationError) and str(exc).startswith(name):
+            raise
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
+
+def _number(kind: type, low: float = -math.inf, strict: bool = False, below: float = math.inf):
+    """check(value, *_): a finite `kind` (never a bool) >= low (> if strict), < below."""
+    bound = (f" {'>' if strict else '>='} {low}" if low > -math.inf else "") + \
+        (f" and < {below}" if below < math.inf else "")
+    def check(value, *_):
+        x = operator.index(value) if kind is int else float(value)
+        if isinstance(value, (bool, np.bool_)) or not (
+                math.isfinite(x) and (x > low if strict else x >= low) and x < below):
+            raise ValueError(f"expected a finite {kind.__name__}{bound}, got {value!r}")
+        return x
+    return check
+
+
+def _vector(value, dim: int | None = None) -> tuple:
+    """`dim` finite numbers (one or more if dim is None) as a tuple of floats."""
+    x = np.atleast_1d(np.asarray(value, dtype=float))
+    if x.ndim != 1 or not x.size or dim not in (None, x.size) or not np.isfinite(x).all():
+        raise ValueError(f"expected a vector of {dim or 'some'} finite numbers, got {value!r}")
+    return tuple(x.tolist())
+
+
 def multi_indices_leq(p) -> list[MultiIndex]:
     """All multi-indices q with q <= p componentwise, in lexicographic order."""
     p = as_index(p)
@@ -114,8 +147,7 @@ class FDConfig:
     scheme: str = "central_2nd_order"
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        object.__setattr__(self, "step", _named("step", _number(float, 0, strict=True), self.step))
         if self.scheme != "central_2nd_order":
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

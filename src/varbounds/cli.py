@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -21,8 +20,9 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .bounds import _REQUIRED, MethodSpec, _fields, _named, _number, _vector, \
-    barankin_search, evaluate_bound, method_options
+from .bounds import _REQUIRED, MethodSpec, _fields, barankin_search, evaluate_bound, \
+    method_options
+from .calculus import _named, _number, _vector
 from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, StencilError, VarBoundsError
 from .harness import MIN_DRAWS, phi_estimator, constant_estimator, \
@@ -65,10 +65,7 @@ def _one_of(*choices):
 
 
 def _component(value, dim: int) -> int:
-    k = operator.index(value)
-    if not 0 <= k < dim:
-        raise ValueError(f"component {k} is outside 0..{dim - 1}")
-    return k
+    return _number(int, 0, below=dim)(value)
 
 
 def _model(section) -> dict:
@@ -76,7 +73,7 @@ def _model(section) -> dict:
     family = section.get("family") if isinstance(section, dict) else None
     hyper = BUILTIN_FAMILIES.get(family, (None, {}))[1] if isinstance(family, str) else {}
     return _fields(section, "model", {"family": (_one_of(*BUILTIN_FAMILIES), _REQUIRED),
-                                      **{key: (int, v) for key, v in hyper.items()}})
+                                      **{key: (_number(int, 1), v) for key, v in hyper.items()}})
 
 
 _MEAN = {"builtin": (_one_of("identity", "constant", "expfam-mean"), None),
@@ -287,7 +284,10 @@ def _cmd_reduce(cfg: RunConfig, model, gamma: MeanFunction) -> int:
         raise ConfigurationError("radii: required for reduce")
     if isinstance(cfg.x0, dict):
         raise ConfigurationError("x0: reduce requires a single parameter vector")
-    search = barankin_search(_single_method(cfg, "reduce", "barankin_approx").options)
+    options = _single_method(cfg, "reduce", "barankin_approx").options
+    if "seed" in options:
+        raise ConfigurationError("methods[0].seed: reduce seeds radius j with mc.seed + j")
+    search = barankin_search(options)
     # each radius must leave room for test points beyond min_distance, and
     # hold the initial points
     x0 = np.asarray(cfg.x0, dtype=float)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bounds import BarankinSearch, MethodSpec, _lockstep, barankin_search, \
     evaluate_bound, method_options
+from .calculus import _named, _number
 from .errors import ConfigurationError, DataError
 from .models import ExponentialFamilyModel, MeanFunction, Model, constant_mean, \
     expfam_mean, sample
@@ -69,8 +70,7 @@ def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
                           n: int = 100_000, seed: int = 0) -> EstimatorMoments:
     """Sample mean and unbiased variance of the estimator over n draws at x0,
     with jackknife standard errors."""
-    if n < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} draws")
+    n = _named("n", _number(int, MIN_DRAWS), n)
     Y = sample(model, x0, seed, n)
     g = np.asarray(est.map(Y), dtype=float)
     if g.shape != (n,):
@@ -283,13 +283,8 @@ def reduction_experiment(model: Model, gamma: MeanFunction, x0,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     base = search if search is not None else BarankinSearch()
 
-    def problems():
-        for j, r in enumerate(radii):
-            if not r > 0:
-                raise ValueError(f"radii must be positive, got {r}")
-            yield x0, replace(base, radius=float(r), seed=seed + j)
-
-    results = list(_lockstep(model, gamma, problems(), mc_samples))
+    results = list(_lockstep(model, gamma, ((x0, replace(base, radius=r, seed=seed + j))
+                                            for j, r in enumerate(radii)), mc_samples))
     return ReductionReport(x0=tuple(x0), radii=tuple(float(r) for r in radii),
                            values=tuple(res.value for res in results),
                            diagnostics=tuple(res.diagnostics for res in results))

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, as_index, \
-    moment_table, partial_derivative, reciprocal_series, MAX_FD_ORDER
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, _named, _number, \
+    as_index, moment_table, partial_derivative, reciprocal_series, MAX_FD_ORDER
 from .errors import DataError, KernelEvaluationError, ReferenceSupportError
 from .models import ExponentialFamilyModel, GenericModel, MeanFunction, Model, \
     _family_log_density, as_param, log_density_batch, mean_partial, sample
@@ -33,6 +33,8 @@ from .models import ExponentialFamilyModel, GenericModel, MeanFunction, Model, \
 _EXP_MAX = 709.782712893384
 
 _SUM_CONTEXT = "x1 + x2 - x0 must lie in the natural space"
+#: pinv_tol is a share of the largest |eigenvalue|: from 1 on it keeps none
+_TOLERANCE = _number(float, 0, below=1)
 
 
 def kernel_expfam(model: ExponentialFamilyModel, x0, x1, x2) -> float:
@@ -212,15 +214,12 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
 
     def __init__(self, model: Model, x0, mc_samples: int = 100_000, seed: int = 0,
                  samples: np.ndarray | None = None):
-        if mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
+        mc_samples = _named("mc_samples", _number(int, 2), mc_samples)
         super().__init__(model, x0)
         self.seed = int(seed)
         Y = sample(model, self.x0, seed, mc_samples) if samples is None \
             else np.asarray(samples, dtype=float)
-        self.mc_samples = len(Y)
-        if self.mc_samples < 2:
-            raise ValueError("need at least 2 samples")
+        self.mc_samples = _named("samples", _number(int, 2), len(Y))
         self._ld0 = self._observe(Y)
         finite = np.isfinite(self._ld0)
         if not finite.all():
@@ -578,9 +577,10 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
     solved as a stack of one.  ValueError unless every G is square, has one
     row per rhs entry and is symmetric within 1e-12 * max(1, max|G|);
     DataError names the first non-finite entry of G or rhs (and its matrix
-    in a stack).  rank = #{|eigenvalue| > pinv_tol * max|eigenvalue|} (0 for
-    G = 0), condition_number = max|eigenvalue| / min|eigenvalue| (inf at 0),
-    and min_eigenvalue is the smallest signed eigenvalue."""
+    in a stack); ConfigurationError unless 0 <= pinv_tol < 1.  rank counts the
+    |eigenvalue| > pinv_tol * max|eigenvalue| (0 for G = 0), condition_number
+    is max / min |eigenvalue| (inf at 0), min_eigenvalue the smallest signed."""
+    pinv_tol = _named("pinv_tol", _TOLERANCE, pinv_tol)
     G = np.asarray(G, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     stacked = G.ndim == 3
@@ -619,10 +619,10 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
         ranks.append(len([x for x in s if x > pinv_tol * smax]))
         conditions.append(smax / smin if smin > 0 else math.inf)
     if stacked:
-        return GramSystem(G, rhs, w, vt, float(pinv_tol), {
+        return GramSystem(G, rhs, w, vt, pinv_tol, {
             "rank": ranks, "min_eigenvalue": [row[0] for row in ascending],
             "condition_number": conditions})
-    return GramSystem(G, rhs, w[0], vt[0], float(pinv_tol), {
+    return GramSystem(G, rhs, w[0], vt[0], pinv_tol, {
         "rank": ranks[0], "min_eigenvalue": ascending[0][0], "condition_number": conditions[0]})
 
 

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, as_index, \
-    moment, moment_table, partial_derivative, reciprocal_series
+from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, _named, _number, \
+    as_index, moment, moment_table, partial_derivative, reciprocal_series
 from .errors import NaturalSpaceError, ReferenceSupportError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -246,8 +246,7 @@ def gaussian_mean() -> ExponentialFamilyModel:
 
 def gaussian_mean_nd(dim: int = 2) -> ExponentialFamilyModel:
     """N-dimensional Gaussian mean with identity covariance."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = _named("dim", _number(int, 1), dim)
 
     def closed(x, p):
         out = 1.0
@@ -273,8 +272,7 @@ def gaussian_mean_nd(dim: int = 2) -> ExponentialFamilyModel:
 
 def gaussian_iid(n_obs: int = 3) -> ExponentialFamilyModel:
     """n_obs i.i.d. unit-variance Gaussians sharing one mean; phi(y) = sum(y)."""
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
+    n_obs = _named("n_obs", _number(int, 1), n_obs)
     return ExponentialFamilyModel(
         name="gaussian-iid",
         param_dim=1,
@@ -293,8 +291,7 @@ def gaussian_iid(n_obs: int = 3) -> ExponentialFamilyModel:
 
 def gaussian_sum(n_obs: int = 3) -> ExponentialFamilyModel:
     """Model of the sample sum z = y_1 + ... + y_n for the gaussian-iid family."""
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
+    n_obs = _named("n_obs", _number(int, 1), n_obs)
     return ExponentialFamilyModel(
         name="gaussian-sum",
         param_dim=1,
@@ -415,11 +412,9 @@ def make_model(family: str, **params) -> ExponentialFamilyModel:
     if family not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)}")
     factory, defaults = BUILTIN_FAMILIES[family]
-    unknown = set(params) - set(defaults)
-    if unknown:
+    if unknown := set(params) - set(defaults):
         raise ValueError(f"family {family!r} does not take parameters {sorted(unknown)}")
-    merged = {**defaults, **{k: int(v) for k, v in params.items()}}
-    return factory(**merged)
+    return factory(**{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,119 @@ def test_poisson_log_partition_overflow_is_not_outside_the_natural_space(bound):
     assert info.value.overflow and "outside" not in str(info.value).split("(")[0]
 
 
+_G, _ID = vb.gaussian_mean(), vb.identity_mean()
+_NAN = math.nan
+#: the CLI config each row of REJECTED_INPUTS overrides sections of
+_RUN = {"model": {"family": "gaussian-mean"}, "x0": [0.0], "methods": [{"name": "crb"}]}
+
+
+def _searched(seed=None, **fields):
+    """barankin_approx on gaussian-mean at x0 0 with a small search and `fields`."""
+    search = {"restarts": 2, "halvings": 3, "max_points": 2, **fields}
+    return lambda: vb.barankin_approx(_G, _ID, [0.0], BarankinSearch(**search), seed=seed)
+
+
+def _searched_run(**options):
+    return {"methods": [{"name": "barankin_approx", **options}]}
+
+
+#: (input, library call, (method, options, dim) for `method_options`, (command,
+#: config sections, the name the CLI's error starts with)).  The library used
+#: to take most of these values or fail on them later with another error, some
+#: in silence: a NaN initial_step reported its unsearched start 0.947, a NaN
+#: pinv_tol gave 0.0, mc_samples 2.5 drew 2, and `n_obs: 2.5` ran with 2
+#: observations and exit 0
+REJECTED_INPUTS = {
+    "nan-initial-step": ("initial_step", _searched(initial_step=_NAN),
+                         ("barankin_approx", {"initial_step": _NAN}, 1),
+                         ("run", _searched_run(initial_step=_NAN),
+                          "methods[0]: barankin_approx.initial_step")),
+    "nan-radius": ("radius", _searched(radius=_NAN),
+                   ("barankin_approx", {"radius": _NAN}, 1),
+                   ("run", _searched_run(radius=_NAN), "methods[0]: barankin_approx.radius")),
+    "fractional-max-points": ("max_points", _searched(max_points=2.5),
+                              ("barankin_approx", {"max_points": 2.5}, 1),
+                              ("run", _searched_run(max_points=2.5),
+                               "methods[0]: barankin_approx.max_points")),
+    "boolean-restarts": ("restarts", _searched(restarts=True),
+                         ("barankin_approx", {"restarts": True}, 1),
+                         ("run", _searched_run(restarts=True),
+                          "methods[0]: barankin_approx.restarts")),
+    "negative-sweeps": ("max_sweeps_per_level", _searched(max_sweeps_per_level=-1),
+                        ("barankin_approx", {"max_sweeps_per_level": -1}, 1),
+                        ("run", _searched_run(max_sweeps_per_level=-1),
+                         "methods[0]: barankin_approx.max_sweeps_per_level")),
+    "nan-min-distance": ("min_distance", _searched(min_distance=_NAN),
+                         ("barankin_approx", {"min_distance": _NAN}, 1),
+                         ("run", _searched_run(min_distance=_NAN),
+                          "methods[0]: barankin_approx.min_distance")),
+    "fractional-seed": ("seed", _searched(seed=1.5), ("barankin_approx", {"seed": 1.5}, 1),
+                        ("run", _searched_run(seed=1.5), "methods[0]: barankin_approx.seed")),
+    "nan-lower": ("lower", _searched(lower=[_NAN], upper=[1.0]),
+                  ("barankin_approx", {"lower": [_NAN], "upper": [1.0]}, 1),
+                  ("run", _searched_run(lower=[_NAN], upper=[1.0]),
+                   "methods[0]: barankin_approx.lower")),
+    "box-of-unequal-lengths": (
+        "upper", lambda: BarankinSearch(lower=[0.0, 0.0], upper=[1.0]),
+        ("barankin_approx", {"lower": [0.0, 0.0], "upper": [1.0]}, 2),
+        ("run", {"model": {"family": "gaussian-mean-nd"}, "x0": [0.0, 0.0],
+                 **_searched_run(lower=[0.0, 0.0], upper=[1.0])},
+         "methods[0]: barankin_approx.upper")),
+    "box-longer-than-x0": ("lower", _searched(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                           ("barankin_approx", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, 1),
+                           ("run", _searched_run(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                            "methods[0]: barankin_approx.lower")),
+    "initial-point-longer-than-x0": (
+        "initial_points", _searched(initial_points=TestPointSet([[1.0, 1.0]]), restarts=0),
+        ("barankin_approx", {"initial_points": [[1.0, 1.0]], "restarts": 0}, 1),
+        ("run", _searched_run(initial_points=[[1.0, 1.0]], restarts=0),
+         "methods[0]: barankin_approx.initial_points")),
+    "nan-test-point": ("points", lambda: vb.hcrb(_G, _ID, [0.0], TestPointSet([[_NAN]])),
+                       ("hcrb", {"points": [[_NAN]]}, 1),
+                       ("run", {"methods": [{"name": "hcrb", "points": [[_NAN]]}]},
+                        "methods[0]: hcrb.points")),
+    "test-points-of-unequal-lengths": (
+        "points", lambda: TestPointSet([[1.0], [1.0, 2.0]]),
+        ("hcrb", {"points": [[1.0], [1.0, 2.0]]}, 1),
+        ("run", {"methods": [{"name": "hcrb", "points": [[1.0], [1.0, 2.0]]}]},
+         "methods[0]: hcrb.points")),
+    "test-point-longer-than-x0": (
+        "points", lambda: vb.hcrb(_G, _ID, [0.0], TestPointSet([[1.0, 2.0]])),
+        ("hcrb", {"points": [[1.0, 2.0]]}, 1),
+        ("run", {"methods": [{"name": "hcrb", "points": [[1.0, 2.0]]}]},
+         "methods[0]: hcrb.points")),
+    "fractional-mc-samples": (
+        "mc_samples", lambda: vb.hcrb(mc_poisson(), _ID, [0.0], TestPointSet([[0.5]]),
+                                      mc_samples=2.5),
+        None, ("run", {"mc": {"samples": 2.5}}, "mc.samples")),
+    "nan-fd-step": ("step", lambda: vb.FDConfig(step=_NAN), None, None),
+    "fractional-dim": ("dim", lambda: vb.gaussian_mean_nd(2.5), None,
+                       ("run", {"model": {"family": "gaussian-mean-nd", "dim": 2.5}},
+                        "model.dim")),
+    "fractional-n-obs": ("n_obs", lambda: vb.make_model("gaussian-iid", n_obs=2.5), None,
+                         ("run", {"model": {"family": "gaussian-iid", "n_obs": 2.5}},
+                          "model.n_obs")),
+    "boolean-n-obs": ("n_obs", lambda: vb.gaussian_sum(True), None,
+                      ("run", {"model": {"family": "gaussian-sum", "n_obs": True}},
+                       "model.n_obs")),
+    "fractional-draws": (
+        "n", lambda: vb.estimator_variance_mc(_G, vb.phi_estimator(_G), [0.0], n=150.5), None,
+        ("validate", {"estimator": {"builtin": "suffstat"}, "mc": {"samples": 150.5}},
+         "mc.samples")),
+    "nan-pinv-tol-crb": ("pinv_tol", lambda: vb.crb(_G, _ID, [0.0], pinv_tol=_NAN), None, None),
+    "nan-pinv-tol-hcrb": ("pinv_tol", lambda: vb.hcrb(_G, _ID, [0.0], TestPointSet([[1.0]]),
+                                                      pinv_tol=_NAN), None, None),
+    "pinv-tol-of-one": ("pinv_tol", lambda: vb.barankin_approx(
+        _G, _ID, [0.0], BarankinSearch(restarts=1, halvings=1), pinv_tol=1.0), None, None),
+    "negative-pinv-tol": ("pinv_tol", lambda: vb.make_gram_system(np.eye(1), [1.0], -1e-10),
+                          None, None),
+    "nan-reduction-radius": (
+        "radius", lambda: vb.reduction_experiment(_G, _ID, [0.0], [1.0, _NAN],
+                                                  BarankinSearch(restarts=1, halvings=1)),
+        None, ("reduce", {"radii": [1.0, _NAN]}, "radii")),
+}
+
+
 class TestBarankin:
     def test_fixed_single_point_equals_hcrb_exactly(self):
         g, gamma = vb.gaussian_mean(), vb.identity_mean()
@@ -422,6 +535,26 @@ class TestBarankin:
         if "restarts" in options:
             with pytest.raises(ValueError, match=match):
                 BarankinSearch(initial_points=TestPointSet([]), **options)
+
+    @pytest.mark.parametrize("name, call, option, cli", REJECTED_INPUTS.values(),
+                             ids=REJECTED_INPUTS)
+    def test_library_and_cli_reject_the_same_inputs(self, tmp_path, capsys, name, call,
+                                                     option, cli):
+        # one rule set: the library entry point, `method_options` and the CLI
+        # (exit 2, one line) each name the input
+        with pytest.raises(ConfigurationError, match=f"^{name}: "):
+            call()
+        if option is not None:
+            method, options, dim = option
+            with pytest.raises(ConfigurationError, match=rf"^{method}\.{name}: "):
+                method_options(method, options, dim)
+        if cli is not None:
+            command, sections, where = cli
+            path = tmp_path / "cfg.yaml"
+            path.write_text(yaml.safe_dump({**_RUN, **sections}), encoding="utf-8")
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {where}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("options", [{"radius": 1e300}, {"radius": None, "upper": [1e300]},
                                          {"lower": [-1e200], "upper": [1e200]}])

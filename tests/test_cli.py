@@ -484,6 +484,19 @@ class TestReduceCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: radii") and "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_seed_option_exits_2_naming_mc_seed(self, tmp_path, capsys, seed):
+        # radius j searches with seed mc.seed + j, so the option used to be
+        # dropped without a word: seeds 5 and 6 gave byte-identical CSVs
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 1,
+                                            "halvings": 2, "seed": seed}],
+               "radii": [0.5, 1.0]}
+        assert main(["reduce", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: methods[0].seed: ")
+        assert "mc.seed" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_reduce_requires_radii(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GAUSSIAN_RUN)
         assert main(["reduce", "--config", cfg]) == 2

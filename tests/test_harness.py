@@ -461,13 +461,11 @@ class TestBatchedSearchErrors:
         gamma = _nan_at(vb.identity_mean(), {0.0}) if first_fails else vb.identity_mean()
         base = BarankinSearch(restarts=1, halvings=2, max_points=2)
 
-        def alone(j):
-            if not radii[j] > 0:
-                raise ValueError(f"radii must be positive, got {radii[j]}")
+        def alone(j):  # a radius of 0 fails in `replace`, as BarankinSearch checks it
             return vb.barankin_approx(g, gamma, [0.0], replace(base, radius=radii[j], seed=j))
 
         expected = _serial_error(alone, len(radii))
-        assert expected[0] is (DataError if first_fails else ValueError)
+        assert expected[0] is (DataError if first_fails else ConfigurationError)
         with pytest.raises(Exception) as caught:
             vb.reduction_experiment(g, gamma, [0.0], radii, base)
         assert (type(caught.value), str(caught.value)) == expected

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -76,14 +77,50 @@ def _clamped(value: float, rank: int, condition_number: float,
     return value, diagnostics
 
 
-def _quadratic_bound(matrix, rhs, method, pinv_tol, extra=None, offset=0.0) -> BoundResult:
-    system = make_gram_system(matrix, rhs, pinv_tol)
+#: A quadratic bound up to its solve: rhs' matrix^+ rhs - offset, and the
+#: diagnostics it reports beside the Gram ones
+_System = namedtuple("_System", "matrix rhs extra offset", defaults=({}, 0.0))
+
+
+def _solutions(G, rhs, pinv_tol) -> list[tuple]:
+    """(value, rank, condition number, smallest eigenvalue) of each matrix of
+    the stack G (or of G alone), each as alone: one `make_gram_system` and
+    one `signed_sq_norm`, the value unclamped."""
+    system = make_gram_system(G, rhs, pinv_tol)
     d = system.diagnostics
-    value, diagnostics = _clamped(signed_sq_norm(system) - offset, d["rank"],
-                                  d["condition_number"], d["min_eigenvalue"])
-    if extra:
-        diagnostics.update(extra)
-    return BoundResult(value=value, method=method, diagnostics=diagnostics)
+    columns = signed_sq_norm(system), d["rank"], d["condition_number"], d["min_eigenvalue"]
+    return list(zip(*columns)) if isinstance(columns[0], list) else [columns]
+
+
+def _quadratic_bounds(method: str, systems: Sequence[_System], pinv_tol) -> list:
+    """The BoundResult of each system, or the exception it raises alone; the
+    systems of a grid, of one shape, share one `_solutions`.  An overflow to
+    an infinite value is not warned about."""
+    outcomes = []
+    with np.errstate(over="ignore"):
+        try:
+            solved = _solutions([s.matrix for s in systems], [s.rhs for s in systems], pinv_tol)
+        except Exception:  # alone, a failing system raises its own error
+            solved = [None] * len(systems)
+        for (matrix, rhs, extra, offset), solution in zip(systems, solved):
+            try:
+                solution = solution or _solutions(matrix, rhs, pinv_tol)[0]
+                value, diagnostics = _clamped(solution[0] - offset, *solution[1:])
+                outcomes.append(BoundResult(value, method, {**diagnostics, **extra}))
+            except Exception as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _result(outcome):
+    """A BoundResult as it is; an exception raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _quadratic_bound(method: str, system: _System, pinv_tol) -> BoundResult:
+    return _result(_quadratic_bounds(method, [system], pinv_tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +144,19 @@ def _unit_indices(N: int) -> list[MultiIndex]:
     return [MultiIndex.unit(N, k) for k in range(N)]
 
 
-def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=None, *,
-                 n_mc: int = 100_000, seed: int = 0, pinv_tol: float = 1e-10,
-                 cfg: FDConfig | None = None) -> BoundResult:
+def _deriv_system(model: Model, gamma: MeanFunction, x0, indices=None, F=None, *,
+                  n_mc: int = 100_000, seed: int = 0, cfg: FDConfig | None = None,
+                  expfam: str | None = None) -> _System:
     """a' B^+ a with a the mean-function partials and B the `gram` of the
-    derivative basis at the indices, restricted to the null space of the
-    constraint Jacobian F when F has rows; tagged with the evaluator's route."""
+    derivative basis at the indices (None: the unit ones), restricted to the
+    null space of the constraint Jacobian F when F has rows; tagged with the
+    evaluator's route.  TypeError naming the method `expfam` unless the model
+    is an exponential family."""
+    if expfam and not isinstance(model, ExponentialFamilyModel):
+        raise TypeError(f"{expfam} requires an ExponentialFamilyModel")
     x0 = as_param(model, x0)
-    basis = [DerivBasis(p) for p in _validate_indices(indices, model.param_dim)]
+    basis = [DerivBasis(p) for p in (_unit_indices(model.param_dim) if indices is None
+                                      else _validate_indices(indices, model.param_dim))]
     evaluator = _make_evaluator(model, x0, n_mc, seed)
     a, B = gram_rhs(evaluator, basis, gamma), gram(evaluator, basis, cfg)
     extra = evaluator.diagnostics()
@@ -123,7 +165,7 @@ def _deriv_bound(method: str, model: Model, gamma: MeanFunction, x0, indices, F=
     if F is not None and np.size(F) != 0:
         U = null_space_onb(F)
         B, a, extra = U.T @ B @ U, U.T @ a, {"null_space_dim": U.shape[1], **extra}
-    return _quadratic_bound(B, a, method, pinv_tol, extra=extra)
+    return _System(B, a, extra)
 
 
 def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
@@ -142,8 +184,8 @@ def fisher_info(model: Model, x0, n_mc: int = 100_000, seed: int = 0,
 def crb(model: Model, gamma: MeanFunction, x0, *, n_mc: int = 100_000, seed: int = 0,
         pinv_tol: float = 1e-10) -> BoundResult:
     """Cramer-Rao bound b' J^+ b with b the mean-function gradient."""
-    return _deriv_bound("crb", model, gamma, x0, _unit_indices(model.param_dim),
-                        n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
+    return _quadratic_bound("crb", _deriv_system(model, gamma, x0, n_mc=n_mc, seed=seed),
+                            pinv_tol)
 
 
 def null_space_onb(F) -> np.ndarray:
@@ -166,8 +208,8 @@ def constrained_crb(model: Model, gamma: MeanFunction, x0, F=None, *,
 
     F=None (or zero rows) means no constraints and reduces to the plain bound.
     """
-    return _deriv_bound("constrained_crb", model, gamma, x0, _unit_indices(model.param_dim),
-                        F, n_mc=n_mc, seed=seed, pinv_tol=pinv_tol)
+    return _quadratic_bound("constrained_crb", _deriv_system(model, gamma, x0, None, F,
+                                                             n_mc=n_mc, seed=seed), pinv_tol)
 
 
 def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
@@ -181,8 +223,8 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
     estimated by Monte Carlo from finite-difference likelihood-ratio
     derivatives, which caps usable orders at 2 per index.
     """
-    return _deriv_bound("bhattacharyya", model, gamma, x0, indices, n_mc=n_mc, seed=seed,
-                        pinv_tol=pinv_tol)
+    return _quadratic_bound("bhattacharyya", _deriv_system(model, gamma, x0, indices, n_mc=n_mc,
+                                                           seed=seed), pinv_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +243,12 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
     per configuration: `perfbench/selfcheck.py`, a CI step, requires
     `kernel.expfam_pairwise.calls >= bounds.objective_evals`, so a stacked
     closed-form kernel (-19% `closed_search` `run_s` in a prototype) waits
-    for a benchmark-only change that restates that check."""
+    for a benchmark-only change that restates that check.  A search over a
+    fixed candidate set, one scaled solve per step (`closed_search` `run_s`
+    1.47 s to 0.066 s in a prototype), waits for one too: `perfbench/run.py`
+    keeps records per pass, so the faster run's `peak_rss_mb` grew 20%
+    against a 10% bound.  The bounds without a search solve a whole grid of
+    reference points at once instead, through `_evaluate_grid`."""
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
     x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
@@ -225,21 +272,17 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
 
 
 def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
-    """Per point count, the block formula, one `make_gram_system` and one
-    `signed_sq_norm` over the stacks of all `requests` together, each matrix
-    solved as it would be alone; a result is the unclamped (value, rank,
-    condition number, smallest eigenvalue)."""
+    """Per point count, the block formula and one `_solutions` over the
+    stacks of all `requests` together; a result is the unclamped (value,
+    rank, condition number, smallest eigenvalue)."""
     merged: dict[int, tuple[list, list, list]] = {}
     for stacks in requests:
         for m, parts in stacks.items():
             merged[m] = tuple(map(list.__add__, merged[m], parts)) if m in merged else parts
     for slots, kernels, rows in merged.values():
-        system = make_gram_system(difference_block(np.array(kernels)), rows, pinv_tol)
-        d = system.diagnostics
-        for (results, i), value, rank, condition, smallest in zip(
-                slots, signed_sq_norm(system), d["rank"], d["condition_number"],
-                d["min_eigenvalue"]):
-            results[i] = value, rank, condition, smallest
+        for (results, i), solution in zip(slots, _solutions(
+                difference_block(np.array(kernels)), rows, pinv_tol)):
+            results[i] = solution
 
 
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
@@ -247,6 +290,12 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
          pinv_tol: float = 1e-10) -> BoundResult:
     """Test-point bound m' V^+ m built from the difference basis at the
     supplied test points."""
+    return _quadratic_bound("hcrb", _hcrb_system(model, gamma, x0, tps, mc_samples=mc_samples,
+                                                 seed=seed, pinv_tol=pinv_tol), pinv_tol)
+
+
+def _hcrb_system(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
+                 mc_samples: int, seed: int, pinv_tol: float) -> _System:
     x0 = as_param(model, x0)
     _named("points", _points, tps, len(x0))  # as the CLI checks them: one or more, x0's length
     for p in tps.points:
@@ -257,9 +306,8 @@ def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
     basis = [DiffBasis(p) for p in tps.points]
     with np.errstate(over="ignore"):  # a point outside the natural space raises below
         G, rhs = gram(evaluator, basis), gram_rhs(evaluator, basis, gamma)
-        extra = {"n_test_points": len(tps),
-                 **evaluator.diagnostics(gamma, tps.points, pinv_tol)}
-        return _quadratic_bound(G, rhs, "hcrb", pinv_tol, extra)
+        return _System(G, rhs, {"n_test_points": len(tps),
+                                **evaluator.diagnostics(gamma, tps.points, pinv_tol)})
 
 
 @dataclass(frozen=True)
@@ -373,7 +421,7 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     """
     cfg = search if search is not None else BarankinSearch()
     cfg = cfg if seed is None else replace(cfg, seed=seed)
-    return next(_lockstep(model, gamma, [(x0, cfg)], mc_samples, pinv_tol))
+    return _result(next(_lockstep(model, gamma, [(x0, cfg)], mc_samples, pinv_tol)))
 
 
 #: Most closed-form searches `_lockstep` runs at once; each holds its memo.
@@ -386,10 +434,11 @@ _CONVERGED = 1e-9
 def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
               mc_samples: int = 100_000, pinv_tol: float = 1e-10):
     """Yields `barankin_approx(model, gamma, x0, search)` for each `(x0,
-    search)` of `problems` in order, bit for bit, and raises the error the
-    serial loop raises where it raises it.  Up to `_WINDOW` closed-form
-    searches (Monte Carlo: one) climb side by side, one `make_gram_system`
-    per point count and step; after a failure no further search starts."""
+    search)` of `problems` in order, bit for bit, or the error the serial
+    loop raises where it raises it, and then ends.  Up to `_WINDOW`
+    closed-form searches (Monte Carlo: one) climb side by side, one
+    `make_gram_system` per point count and step; after a failure no further
+    search starts."""
     window = _WINDOW if isinstance(model, ExponentialFamilyModel) else 1
     searches = (_search(model, gamma, x0, cfg, mc_samples, pinv_tol) for x0, cfg in problems)
     running: dict[int, tuple] = {}  # position -> search, the stacks it waits on
@@ -417,9 +466,9 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
         while done in ended:
             outcome = ended.pop(done)
             done += 1
-            if isinstance(outcome, Exception):
-                raise outcome
             yield outcome
+            if isinstance(outcome, Exception):
+                return
         if not running:
             return
         stepping, running = running, {}
@@ -597,6 +646,12 @@ def expfam_bound(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indices
     n_l combines moments with mean-function derivatives through the Leibniz
     rule; S is the matrix of raw moments at summed multi-indices.
     """
+    return _quadratic_bound("expfam_moment", _expfam_system(model, gamma, x0, indices, cfg),
+                            pinv_tol)
+
+
+def _expfam_system(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indices,
+                   cfg: FDConfig | None = None) -> _System:
     if not isinstance(model, ExponentialFamilyModel):
         raise TypeError("expfam_bound requires an ExponentialFamilyModel")
     x0 = as_param(model, x0)
@@ -611,20 +666,17 @@ def expfam_bound(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indices
     for i, p in enumerate(idxs):
         for j, q in enumerate(idxs):
             S[i, j] = mu[tuple(map(operator.add, p, q))]
-    extra = {"moment_fd_fallback": True} if model.closed_moments is None else None
+    extra = {"moment_fd_fallback": True} if model.closed_moments is None else {}
     g0 = float(gamma.value(x0))
-    return _quadratic_bound(S, n_vec, "expfam_moment", pinv_tol, extra=extra,
-                            offset=g0 * g0)
+    return _System(S, n_vec, extra, g0 * g0)
 
 
 def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
                pinv_tol: float = 1e-10, cfg: FDConfig | None = None) -> BoundResult:
     """Cramer-Rao bound for a canonical exponential family, with the Fisher
     information formed as the covariance of the sufficient statistic."""
-    if not isinstance(model, ExponentialFamilyModel):
-        raise TypeError("expfam_crb requires an ExponentialFamilyModel")
-    return _deriv_bound("expfam_crb", model, gamma, x0, _unit_indices(model.param_dim),
-                        pinv_tol=pinv_tol, cfg=cfg)
+    return _quadratic_bound("expfam_crb", _deriv_system(model, gamma, x0, cfg=cfg,
+                                                        expfam="expfam_crb"), pinv_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +686,16 @@ def expfam_crb(model: ExponentialFamilyModel, gamma: MeanFunction, x0, *,
 #: The default of a key that must be given
 _REQUIRED = object()
 
+#: The default of a key left out when it is left out, whose null is a value
+_OMITTED = object()
+
 
 def _fields(section, path: str, spec: dict, *context) -> dict:
     """`section` read against `spec`, {key: (check, default)}: each key's
     value, or else its default, normalised by check(value, *context), or read
     against `check` when that is itself such a table.  A key whose default is
-    None may be left out or given as null, and is then left out.  An unknown
+    None may be left out or given as null, and is then left out; one whose
+    default is `_OMITTED` is left out only when it is left out.  An unknown
     key, a missing required one, or a check's TypeError or ValueError is a
     ConfigurationError naming `path.key`."""
     where = path or "config"
@@ -654,7 +710,7 @@ def _fields(section, path: str, spec: dict, *context) -> dict:
         value = section.get(key, default)
         if value is _REQUIRED:
             raise ConfigurationError(f"{name}: required")
-        if value is None and default is None:
+        if value is _OMITTED or value is None and default is None:
             continue
         out[key] = _fields(value, name, check, *context) if isinstance(check, dict) \
             else _named(name, check, value, *context)
@@ -690,7 +746,7 @@ _SEARCH_OPTIONS = {
     # left out unless given, so that the seed of `barankin_search(options, seed)` applies
     "seed": (_number(int, 0), None),
     # null is an unbounded search, and only a radius left out is the default one
-    "radius": (lambda v, _: v if v is None else _positive(v), BarankinSearch.radius),
+    "radius": (lambda v, _: v if v is None else _positive(v), _OMITTED),
 }
 
 
@@ -703,31 +759,30 @@ def barankin_search(options: dict, seed: int = 0) -> BarankinSearch:
 
 
 class _Method(NamedTuple):
-    """call(model, gamma, x0, options, mc_samples, seed, pinv_tol) evaluates
-    the bound; options is its {option: (check, default)} table."""
+    """build(model, gamma, x0, options, mc_samples, seed, pinv_tol) is the
+    bound's `_System` at x0, None for barankin_approx, which `_lockstep`
+    runs; options is its {option: (check, default)} table."""
 
-    call: Callable[..., BoundResult]
+    build: Callable[..., _System] | None
     options: dict = {}
 
 
-#: The one table of bound methods.  Each call looks its bound up by module
-#: name when it runs, so a rebound name (a tracing wrapper) is what runs.
+#: The one table of bound methods, each tagging its BoundResult with its
+#: name.  Each builder looks its function up by module name when it runs.
 METHODS: dict[str, _Method] = {
-    "crb": _Method(lambda m, g, x, o, n, s, t: crb(m, g, x, n_mc=n, seed=s, pinv_tol=t)),
-    "constrained_crb": _Method(lambda m, g, x, o, n, s, t: constrained_crb(
-        m, g, x, o.get("constraint"), n_mc=n, seed=s, pinv_tol=t),
-        {"constraint": (_constraint, None)}),
-    "bhattacharyya": _Method(lambda m, g, x, o, n, s, t: bhattacharyya(
-        m, g, x, o["indices"], n_mc=n, seed=s, pinv_tol=t),
-        {"indices": (_indices(1), _REQUIRED)}),
-    "hcrb": _Method(lambda m, g, x, o, n, s, t: hcrb(
+    "crb": _Method(lambda m, g, x, o, n, s, t: _deriv_system(m, g, x, n_mc=n, seed=s)),
+    "constrained_crb": _Method(lambda m, g, x, o, n, s, t: _deriv_system(
+        m, g, x, None, o.get("constraint"), n_mc=n, seed=s), {"constraint": (_constraint, None)}),
+    "bhattacharyya": _Method(lambda m, g, x, o, n, s, t: _deriv_system(
+        m, g, x, o["indices"], n_mc=n, seed=s), {"indices": (_indices(1), _REQUIRED)}),
+    "hcrb": _Method(lambda m, g, x, o, n, s, t: _hcrb_system(
         m, g, x, TestPointSet(o["points"]), mc_samples=n, seed=s, pinv_tol=t),
         {"points": (_points, _REQUIRED)}),
-    "barankin_approx": _Method(lambda m, g, x, o, n, s, t: barankin_approx(
-        m, g, x, barankin_search(o, s), mc_samples=n, pinv_tol=t), _SEARCH_OPTIONS),
-    "expfam_moment": _Method(lambda m, g, x, o, n, s, t: expfam_bound(
-        m, g, x, o["indices"], pinv_tol=t), {"indices": (_indices(0), _REQUIRED)}),
-    "expfam_crb": _Method(lambda m, g, x, o, n, s, t: expfam_crb(m, g, x, pinv_tol=t)),
+    "barankin_approx": _Method(None, _SEARCH_OPTIONS),
+    "expfam_moment": _Method(lambda m, g, x, o, n, s, t: _expfam_system(m, g, x, o["indices"]),
+                             {"indices": (_indices(0), _REQUIRED)}),
+    "expfam_crb": _Method(lambda m, g, x, o, n, s, t: _deriv_system(
+        m, g, x, expfam="expfam_crb")),
 }
 
 
@@ -758,5 +813,29 @@ class MethodSpec:
 def evaluate_bound(model: Model, gamma: MeanFunction, x0, spec: MethodSpec, *,
                    mc_samples: int = 100_000, seed: int = 0,
                    pinv_tol: float = 1e-10) -> BoundResult:
+    return _result(_evaluate_grid(model, gamma, [x0], spec, [seed], mc_samples, pinv_tol)[0])
+
+
+def _evaluate_grid(model: Model, gamma: MeanFunction, grid: Sequence, spec: MethodSpec,
+                   seeds: Iterable[int], mc_samples: int = 100_000,
+                   pinv_tol: float = 1e-10) -> list:
+    """`evaluate_bound` at each point of `grid` with its seed, the options
+    checked once: each point's BoundResult or exception, up to the first that
+    fails to build or search.  barankin_approx searches in `_lockstep`; other
+    methods build each point's system in turn, keeping only its matrices and
+    diagnostics (one Monte Carlo evaluator lives at a time), then solve them
+    with `_quadratic_bounds`."""
+    if not len(grid):
+        return []
     options = method_options(spec.name, spec.options, model.param_dim)
-    return METHODS[spec.name].call(model, gamma, x0, options, mc_samples, seed, pinv_tol)
+    build = METHODS[spec.name].build
+    if build is None:
+        return list(_lockstep(model, gamma, ((x, barankin_search(options, s))
+                                             for x, s in zip(grid, seeds)), mc_samples, pinv_tol))
+    systems = []
+    for x, s in zip(grid, seeds):
+        try:
+            systems.append(build(model, gamma, x, options, mc_samples, s, pinv_tol))
+        except Exception as exc:
+            return _quadratic_bounds(spec.name, systems, pinv_tol) + [exc]
+    return _quadratic_bounds(spec.name, systems, pinv_tol)

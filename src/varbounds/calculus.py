@@ -32,7 +32,7 @@ class MultiIndex(tuple):
         vals = []
         for e in entries:
             i = int(e)
-            if i != e:
+            if i != e or isinstance(e, (bool, np.bool_)):
                 raise ValueError(f"multi-index entry {e!r} is not an integer")
             if i < 0:
                 raise ValueError(f"multi-index entry {i} is negative")
@@ -260,10 +260,25 @@ def moment(model, x, p, cfg: FDConfig | None = None) -> float:
     return partial_derivative(normalized_mgf, x, p, cfg)
 
 
+#: (id(model), point, cfg) -> (model, {q: moment}) of 64 points (a grid's,
+#: across its methods), least recently used first.  Holding the model keeps
+#: its id from being reused while the entry lives.
+_MOMENTS: dict[tuple, tuple] = {}
+
+
 def moment_table(model, x, cap, cfg: FDConfig | None = None) -> dict[MultiIndex, float]:
-    """Raw moments E_x{phi^q} for every q <= cap componentwise."""
+    """Raw moments E_x{phi^q} for every q <= cap componentwise, each computed
+    once per model, point and cfg while `_MOMENTS` holds them."""
     cap = as_index(cap, dim=model.param_dim)
-    return {q: moment(model, x, q, cfg) for _, q, _ in _leibniz_terms(cap)}
+    x = np.asarray(x, dtype=float)
+    key = (id(model), x.shape, x.tobytes(), cfg)
+    _, known = _MOMENTS[key] = _MOMENTS.pop(key, None) or (model, {})
+    if len(_MOMENTS) > 64:
+        del _MOMENTS[next(iter(_MOMENTS))]
+    for _, q, _ in _leibniz_terms(cap):
+        if q not in known:
+            known[q] = moment(model, x, q, cfg)
+    return {q: known[q] for _, q, _ in _leibniz_terms(cap)}
 
 
 def reciprocal_series(moments: Mapping[MultiIndex, float], cap) -> dict[MultiIndex, float]:

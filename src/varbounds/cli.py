@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .bounds import _REQUIRED, MethodSpec, _fields, barankin_search, evaluate_bound, \
+from .bounds import _REQUIRED, MethodSpec, _evaluate_grid, _fields, _result, barankin_search, \
     method_options
 from .calculus import _named, _number, _vector
 from .errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
@@ -243,12 +243,14 @@ def _cmd_run(cfg: RunConfig, model, gamma: MeanFunction) -> int:
         raise ConfigurationError("methods: at least one method is required for run")
     header = [f"x{k}" for k in range(model.param_dim)] + \
         ["method", "value", "gram_rank", "condition_number", "mc_standard_error"]
+    grid = cfg.points()
+    outcomes = [_evaluate_grid(model, gamma, [np.asarray(x0) for x0 in grid], spec,
+                               [cfg.mc["seed"]] * len(grid), cfg.mc["samples"])
+                for spec in cfg.methods]
     rows = []
-    for x0 in cfg.points():
-        for spec in cfg.methods:
-            res = _numerically(f"in method {spec.name!r} at x0={list(x0)}", evaluate_bound,
-                               model, gamma, np.asarray(x0), spec,
-                               mc_samples=cfg.mc["samples"], seed=cfg.mc["seed"])
+    for i, x0 in enumerate(grid):  # a method's outcomes end at the first failure it raises
+        for spec, results in zip(cfg.methods, outcomes):
+            res = _numerically(f"in method {spec.name!r} at x0={list(x0)}", _result, results[i])
             rows.append(list(x0) + [spec.name, res.value,
                                     res.diagnostics.get("gram_rank", ""),
                                     res.diagnostics.get("condition_number", ""),
@@ -287,6 +289,8 @@ def _cmd_reduce(cfg: RunConfig, model, gamma: MeanFunction) -> int:
     options = _single_method(cfg, "reduce", "barankin_approx").options
     if "seed" in options:
         raise ConfigurationError("methods[0].seed: reduce seeds radius j with mc.seed + j")
+    if "radius" in options:
+        raise ConfigurationError("methods[0].radius: reduce searches the balls of radii")
     search = barankin_search(options)
     # each radius must leave room for test points beyond min_distance, and
     # hold the initial points

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BarankinSearch, MethodSpec, _lockstep, barankin_search, \
-    evaluate_bound, method_options
+from .bounds import BarankinSearch, MethodSpec, _evaluate_grid, _lockstep, _result, \
+    evaluate_bound
 from .calculus import _named, _number
 from .errors import ConfigurationError, DataError
 from .models import ExponentialFamilyModel, MeanFunction, Model, constant_mean, \
@@ -213,22 +213,20 @@ def semicontinuity_scan(model: Model, gamma: MeanFunction, grid: Sequence,
     parameter.  The report records values and, through
     largest_downward_jump, the worst drop between adjacent grid points.
 
-    Grid point i uses seed `seed + i`.  `barankin_approx` searches up to 8
-    grid points side by side with shared Gram solves (Monte Carlo: one at a
-    time); values, diagnostics and errors are those of each point alone.
+    Grid point i uses seed `seed + i`.  The grid goes to `_evaluate_grid`
+    whole: `barankin_approx` searches up to 8 grid points side by side with
+    shared Gram solves (Monte Carlo: one at a time), and any other bound
+    solves all its points with one stacked Gram solve; values, diagnostics
+    and errors are those of each point alone.  A faster search (a stacked
+    kernel, a candidate set) waits for benchmark changes: see
+    `bounds._kernel_stacks`.
 
     This illustrates how the bound varies with the reference point; it is a
     numerical scan, not a certificate of continuity.
     """
-    spec = MethodSpec(bound_method, options or {})
     grid_pts = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in grid)
-    if bound_method == "barankin_approx":
-        checked = method_options(spec.name, spec.options, model.param_dim) if grid_pts else {}
-        results = _lockstep(model, gamma, ((x, barankin_search(checked, seed + i))
-                                           for i, x in enumerate(grid_pts)), mc_samples)
-    else:
-        results = (evaluate_bound(model, gamma, x, spec, mc_samples=mc_samples, seed=seed + i)
-                   for i, x in enumerate(grid_pts))
+    results = map(_result, _evaluate_grid(model, gamma, grid_pts, MethodSpec(
+        bound_method, options or {}), range(seed, seed + len(grid_pts)), mc_samples))
     values, diagnostics = [], []
     for x, res in zip(grid_pts, results):
         if not math.isfinite(res.value) or res.value < 0:
@@ -283,8 +281,8 @@ def reduction_experiment(model: Model, gamma: MeanFunction, x0,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     base = search if search is not None else BarankinSearch()
 
-    results = list(_lockstep(model, gamma, ((x0, replace(base, radius=r, seed=seed + j))
-                                            for j, r in enumerate(radii)), mc_samples))
+    results = list(map(_result, _lockstep(model, gamma, (
+        (x0, replace(base, radius=r, seed=seed + j)) for j, r in enumerate(radii)), mc_samples)))
     return ReductionReport(x0=tuple(x0), radii=tuple(float(r) for r in radii),
                            values=tuple(res.value for res in results),
                            diagnostics=tuple(res.diagnostics for res in results))

@@ -170,12 +170,13 @@ def likelihood_ratio(model: Model, y, x, x0) -> float:
 def sample(model: Model, x, seed: int, count: int) -> np.ndarray:
     """Deterministic i.i.d. draws: identical (x, seed, count) give identical output."""
     x = as_param(model, x)
+    count = _named("count", _number(int, 0), count)
     family = model if isinstance(model, ExponentialFamilyModel) else model.family
     if family is not None:
         _log_partition(family, x)
     if count == 0:
         return np.empty((0, model.obs_dim))
-    return model.sampler(x, int(seed), int(count))
+    return model.sampler(x, int(seed), count)
 
 
 def as_generic(model: ExponentialFamilyModel) -> GenericModel:

@@ -1,6 +1,7 @@
 """Variance lower bounds against closed-form oracles and each other."""
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -13,13 +14,14 @@ import varbounds as vb
 import varbounds.bounds as bounds_module
 import varbounds.kernel as vb_kernel
 from varbounds.bounds import METHODS, BarankinSearch, MethodSpec, TestPointSet, \
-    _quadratic_bound, barankin_search, evaluate_bound, method_options
+    _System, _quadratic_bound, barankin_search, evaluate_bound, method_options
 from varbounds.calculus import as_index
 from varbounds.cli import main
 from varbounds.errors import ConfigurationError, ConstraintRankError, DataError, DomainError, \
     KernelEvaluationError, NaturalSpaceError, ReferenceSupportError, StencilError, \
     VarBoundsError
-from varbounds.kernel import DiffBasis, deriv_inner_products, gram, gram_rhs
+from varbounds.kernel import DiffBasis, deriv_inner_products, gram, gram_rhs, make_gram_system, \
+    signed_sq_norm
 from varbounds.models import ExponentialFamilyModel
 
 
@@ -875,9 +877,8 @@ def serial_barankin(model, gamma, x0, search, mc_samples=100_000, pinv_tol=1e-10
         basis = [DiffBasis(p) for p in pts]
         try:
             with np.errstate(over="ignore"):  # as the search, which answers 'undefined'
-                result = _quadratic_bound(gram(evaluator, basis),
-                                          gram_rhs(evaluator, basis, gamma),
-                                          "barankin_approx", pinv_tol)
+                result = _quadratic_bound("barankin_approx", _System(
+                    gram(evaluator, basis), gram_rhs(evaluator, basis, gamma)), pinv_tol)
         except (NaturalSpaceError, KernelEvaluationError):
             result = None
         value = None if result is None else result.value
@@ -1400,6 +1401,110 @@ class TestMethodTable:
         assert [p.tolist() for p in search.initial_points.points] == [[1.0]]
 
 
+#: x0 grids of five points inside each scalar family's natural space
+_GRIDS = {"gaussian-mean": (-1.0, 1.0), "poisson": (-1.0, 0.5), "bernoulli": (-1.5, 1.5),
+          "exponential-rate": (-2.5, -1.5)}
+
+#: Every quadratic method on a scalar family; the test points lie below the
+#: grids, so that for exponential-rate every kernel pair exists
+_GRID_METHODS = {"crb": {}, "expfam_crb": {}, "expfam_moment": {"indices": [[0], [1], [2]]},
+                 "bhattacharyya": {"indices": [[1], [2], [3]]},
+                 "hcrb": {"points": [[-3.3], [-2.9]]}}
+
+
+def _grid_cases() -> list:
+    cases = [(family, name, options) for family in _GRIDS
+             for name, options in _GRID_METHODS.items()]
+    return cases + [("gaussian-mean-nd", "constrained_crb", {"constraint": [[1.0, -1.0]]}),
+                    ("gaussian-mean-nd", "crb", {}),
+                    ("generic-gaussian", "crb", {}),
+                    ("generic-gaussian", "bhattacharyya", {"indices": [[1], [2]]}),
+                    ("generic-gaussian", "hcrb", {"points": [[-3.3], [-2.9]]})]
+
+
+class TestGridEqualsAlone:
+    """A method over a grid of reference points solves all its points with
+    one stacked Gram solve; each result is still that of the point alone and
+    of the one-matrix solve of its own system."""
+
+    @pytest.mark.parametrize("family, name, options", _grid_cases())
+    def test_grid_point_equals_its_bound_alone(self, family, name, options, monkeypatch):
+        seeds, mc_samples = [3, 4, 5, 6, 7], 2_000
+        if family == "gaussian-mean-nd":
+            model, gamma = vb.gaussian_mean_nd(2), vb.identity_mean(0)
+            grid = [np.array([0.1 * k, -0.2 * k]) for k in range(5)]
+        else:
+            scalar = vb.gaussian_mean() if family == "generic-gaussian" else vb.make_model(family)
+            model = vb.as_generic(scalar) if family == "generic-gaussian" else scalar
+            gamma = vb.expfam_mean(scalar)
+            grid = [np.array([x]) for x in np.linspace(*_GRIDS.get(family, (-1.0, 1.0)), 5)]
+        solves = []
+        stacked = bounds_module._solutions
+
+        def counted(G, *args):
+            solves.append(np.shape(G))
+            return stacked(G, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(bounds_module, "_solutions", counted)
+            got = bounds_module._evaluate_grid(model, gamma, grid, MethodSpec(name, options),
+                                               seeds, mc_samples)
+        assert len(solves) == 1 and solves[0][0] == 5  # one solve of all five points
+        checked = method_options(name, options, model.param_dim)
+        for x, seed, res in zip(grid, seeds, got):
+            alone = evaluate_bound(model, gamma, x, MethodSpec(name, options),
+                                   mc_samples=mc_samples, seed=seed)
+            assert res.value.hex() == alone.value.hex()
+            assert res.method == alone.method == name
+            assert _hexed(res.diagnostics) == _hexed(alone.diagnostics)
+            system = METHODS[name].build(model, gamma, x, checked, mc_samples, seed, 1e-10)
+            one = make_gram_system(system.matrix, system.rhs, 1e-10)
+            assert res.value.hex() == max(signed_sq_norm(one) - system.offset, 0.0).hex()
+            assert res.diagnostics["gram_rank"] == one.diagnostics["rank"]
+            assert res.diagnostics["condition_number"] == one.diagnostics["condition_number"]
+
+    def test_one_monte_carlo_evaluator_lives_at_a_time(self, monkeypatch):
+        # a built system keeps matrices and diagnostics, not its evaluator's draws
+        alive = []
+        init = vb_kernel.MonteCarloKernelEvaluator.__init__
+
+        def tracked(evaluator, *args, **kwargs):
+            assert all(ref() is None for ref in alive), "an earlier evaluator is alive"
+            init(evaluator, *args, **kwargs)
+            alive.append(weakref.ref(evaluator))
+
+        monkeypatch.setattr(vb_kernel.MonteCarloKernelEvaluator, "__init__", tracked)
+        model, gamma = vb.as_generic(vb.gaussian_mean()), vb.identity_mean()
+        grid = [np.array([x]) for x in (-0.5, 0.0, 0.5)]
+        for name, options in (("crb", {}), ("hcrb", {"points": [[1.5]]})):
+            got = bounds_module._evaluate_grid(model, gamma, grid, MethodSpec(name, options),
+                                               [1, 2, 3], 2_000)
+            assert [type(r) for r in got] == [vb.BoundResult] * 3
+        assert len(alive) == 6
+
+    def test_a_failing_point_ends_the_grid_with_its_error(self):
+        # exponential-rate leaves its natural space at x0 = 0, the fourth point
+        model, gamma = vb.exponential_rate(), vb.identity_mean()
+        grid = [np.array([x]) for x in (-1.5, -1.0, -0.5, 0.0, 0.5)]
+        got = bounds_module._evaluate_grid(model, gamma, grid, MethodSpec("crb"), [0] * 5)
+        assert [type(r) for r in got] == [vb.BoundResult] * 3 + [NaturalSpaceError]
+        with pytest.raises(NaturalSpaceError) as alone:
+            evaluate_bound(model, gamma, grid[3], MethodSpec("crb"))
+        assert str(got[3]) == str(alone.value)
+
+    def test_a_failing_solve_raises_its_error_alone(self):
+        # a non-finite Gram entry at one point: the stacked solve fails, and the
+        # point reports the one-matrix error while the others are solved
+        systems = [_System(np.eye(2), np.ones(2)), _System(np.array([[1.0, 0.0], [0.0, np.inf]]),
+                                                           np.ones(2)),
+                   _System(2.0 * np.eye(2), np.ones(2))]
+        got = bounds_module._quadratic_bounds("crb", systems, 1e-10)
+        with pytest.raises(DataError) as alone:
+            make_gram_system(systems[1].matrix, systems[1].rhs)
+        assert isinstance(got[1], DataError) and str(got[1]) == str(alone.value)
+        assert [got[0].value, got[2].value] == [2.0, 1.0]
+
+
 def test_one_decomposition_per_quadratic_bound(monkeypatch):
     decompositions = []
     for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals"):
@@ -1410,7 +1515,7 @@ def test_one_decomposition_per_quadratic_bound(monkeypatch):
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     G = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1e-14]])
-    res = _quadratic_bound(G, np.array([1.0, 0.5, 0.0]), "crb", 1e-10)
+    res = _quadratic_bound("crb", _System(G, np.array([1.0, 0.5, 0.0])), 1e-10)
     assert decompositions == ["eigh"]
     assert res.diagnostics["gram_rank"] == 2
 

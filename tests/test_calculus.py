@@ -20,7 +20,8 @@ from varbounds.calculus import (
     partial_derivative,
     reciprocal_series,
 )
-from varbounds.errors import NaturalSpaceError, StencilError
+from varbounds.bounds import method_options
+from varbounds.errors import ConfigurationError, NaturalSpaceError, StencilError
 
 small_indices = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
 
@@ -39,6 +40,14 @@ class TestMultiIndex:
 
     def test_compares_equal_to_plain_tuples(self):
         assert MultiIndex((1, 2)) == (1, 2)
+
+    @pytest.mark.parametrize("entry", [True, False, np.True_])
+    def test_rejects_bool_entries(self, entry):
+        # a bool used to pass as 0 or 1, so a CLI `indices: [[true]]` ran
+        with pytest.raises(ValueError, match="not an integer"):
+            MultiIndex((entry,))
+        with pytest.raises(ConfigurationError, match="bhattacharyya.indices"):
+            method_options("bhattacharyya", {"indices": [[entry]]}, 1)
 
     def test_plus_minus_dominates(self):
         p, q = MultiIndex((2, 1)), MultiIndex((1, 1))

@@ -215,6 +215,45 @@ class TestRunCommand:
         assert err.startswith(f"configuration error: {where}: barankin_approx: initial point")
         assert "Traceback" not in err
 
+    #: exponential-rate leaves its natural space at x0 = 0, where every
+    #: method fails; hcrb at a point p leaves it where x0 <= 2 p (2 p - x0 >= 0)
+    @pytest.mark.parametrize("start, stop, methods", [
+        # the second hcrb fails first, at -0.6; the first only at -1.1
+        (-0.1, -1.6, [("hcrb", -0.45), ("hcrb", -0.2)]),
+        (-0.1, -1.6, [("crb", None), ("expfam_moment", None), ("hcrb", -0.45),
+                      ("barankin_approx", None), ("hcrb", -0.2)]),
+        # hcrb fails at the first point, crb at the third
+        (-1.0, 0.5, [("crb", None), ("hcrb", -0.2)]),
+        # both fail at the first point: the first listed is reported
+        (0.0, 1.5, [("hcrb", -0.2), ("crb", None)]),
+        (0.0, 1.5, [("barankin_approx", None), ("crb", None)]),
+    ])
+    def test_first_failure_in_x0_major_order(self, tmp_path, capsys, start, stop, methods):
+        # each method runs over the whole grid at once; the error is still
+        # the first one a loop over x0, then methods, meets
+        options = {"hcrb": lambda p: {"points": [[p]]}, "crb": lambda _: {},
+                   "expfam_moment": lambda _: {"indices": [[0], [1]]},
+                   "barankin_approx": lambda _: {"restarts": 1, "halvings": 1, "upper": [-2.0]}}
+        specs = [varbounds.MethodSpec(name, options[name](p)) for name, p in methods]
+        doc = {"model": {"family": "exponential-rate"},
+               "mean_function": {"builtin": "identity"},
+               "x0": {"grid": {"start": start, "stop": stop, "count": 4}},
+               "methods": [{"name": spec.name, **spec.options} for spec in specs]}
+        model, gamma = varbounds.exponential_rate(), varbounds.identity_mean()
+        expected = None
+        for x0 in load_config(write_config(tmp_path, doc)).points():
+            for spec in specs:
+                try:
+                    varbounds.evaluate_bound(model, gamma, list(x0), spec, mc_samples=100_000,
+                                             seed=1234)
+                except varbounds.VarBoundsError as exc:
+                    expected = expected or (f"error: numerical failure in method "
+                                            f"{spec.name!r} at x0={list(x0)}: {exc}\n")
+        assert expected is not None
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == expected and captured.out == ""
+
     def test_search_that_draws_no_start_exits_3(self, tmp_path, capsys):
         # the box meets the ball around x0 only in [0.99999, 1]
         doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 2,
@@ -238,7 +277,7 @@ class TestRunCommand:
         def no_bound(*args, **kwargs):
             raise AssertionError("a bound was computed")
 
-        monkeypatch.setattr("varbounds.cli.evaluate_bound", no_bound)
+        monkeypatch.setattr("varbounds.cli._evaluate_grid", no_bound)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
@@ -497,6 +536,18 @@ class TestReduceCommand:
         assert "mc.seed" in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_radius_option_exits_2_naming_radii(self, tmp_path, capsys):
+        # each radius of radii replaced the option without a word: a radius of
+        # 0.1 searched balls of 0.5 and 1.0 and exited 0
+        doc = {**GAUSSIAN_RUN, "methods": [{"name": "barankin_approx", "restarts": 1,
+                                            "halvings": 2, "radius": 0.1}],
+               "radii": [0.5, 1.0]}
+        assert main(["reduce", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: methods[0].radius: ")
+        assert "radii" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_reduce_requires_radii(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GAUSSIAN_RUN)
         assert main(["reduce", "--config", cfg]) == 2
@@ -663,7 +714,7 @@ FUZZ_BASES = [
               "methods": [{**_SMALL_SEARCH, "initial_points": [[1.0]]}]}),
     ("reduce", {"model": {"family": "exponential-rate"}, "x0": [-1.0],
                 "mean_function": {"polynomial": [0.0, 1.0]}, "radii": [0.25],
-                "methods": [{**_SMALL_SEARCH, "upper": [-0.6], "radius": 0.5}]}),
+                "methods": [{**_SMALL_SEARCH, "upper": [-0.6]}]}),
 ]
 
 FUZZ_VALUES = [None, "x", "", -1, 0, 1, 2, 0.5, 1.5, -2.5, 1e300, math.nan, math.inf, True,

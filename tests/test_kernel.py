@@ -15,7 +15,7 @@ import varbounds as vb
 from varbounds import calculus as calculus_module
 from varbounds import kernel as kernel_module
 from varbounds import models as models_module
-from varbounds.bounds import _clamped, _kernel_stacks, _quadratic_bound, _solve_stacks
+from varbounds.bounds import _System, _clamped, _kernel_stacks, _quadratic_bound, _solve_stacks
 from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
     multi_indices_leq, reciprocal_series
 from varbounds.cli import main as cli_main
@@ -994,7 +994,8 @@ class TestDifferenceProjectionOracle:
                 assert got.value.context == exc.context
             return
         basis = [DiffBasis(p) for p in points]
-        single = _quadratic_bound(gram(ev, basis), gram_rhs(ev, basis, gamma), "hcrb", 1e-10)
+        single = _quadratic_bound("hcrb", _System(gram(ev, basis), gram_rhs(ev, basis, gamma)),
+                                  1e-10)
         for value, diagnostics in (_searched_projection(ev, gamma, points),  # search array
                                    _searched_projection(ev, gamma, tuple(points)),
                                    (single.value, single.diagnostics)):  # hcrb's system
@@ -1105,9 +1106,9 @@ def loop_expfam_bound(model, gamma, x0, idxs):
         for p in idxs
     ])
     S = np.array([[mu[p.plus(q)] for q in idxs] for p in idxs])
-    extra = {"moment_fd_fallback": True} if model.closed_moments is None else None
+    extra = {"moment_fd_fallback": True} if model.closed_moments is None else {}
     g0 = float(gamma.value(x0))
-    return _quadratic_bound(S, n_vec, "expfam_moment", 1e-10, extra=extra, offset=g0 * g0)
+    return _quadratic_bound("expfam_moment", _System(S, n_vec, extra, g0 * g0), 1e-10)
 
 
 def loop_bhattacharyya(model, gamma, x0, idxs):
@@ -1116,7 +1117,7 @@ def loop_bhattacharyya(model, gamma, x0, idxs):
         B, extra = deriv_inner_products(model, x0, idxs), {"moment_fd_fallback": True}
     else:
         B, extra = loop_deriv_inner_products(model, x0, idxs), {}
-    return _quadratic_bound(B, a, "bhattacharyya", 1e-10, extra=extra)
+    return _quadratic_bound("bhattacharyya", _System(B, a, extra), 1e-10)
 
 
 def _hexes(values) -> list:
@@ -1221,16 +1222,16 @@ class TestMomentAlgebraOracle:
 
 
 class TestMomentAlgebraWork:
-    """A warm bound call builds no multi-index combinatorics and computes the
-    moments the MultiIndex loops computed."""
+    """A warm bound call builds no multi-index combinatorics, and a bound
+    computes each moment of its tables once per model and point."""
 
-    @pytest.mark.parametrize("bound, indices, moments", [
-        # 18 moments for the mean derivatives of orders 1-4, 9 for the order-8 table
-        (vb.bhattacharyya, [[1], [2], [3], [4]], 27),
-        # 7 for the order-6 table, 26 inside n and 1 for gamma(x0)^2
-        (vb.expfam_bound, [[0], [1], [2], [3]], 34),
+    @pytest.mark.parametrize("bound, indices, cold, warm", [
+        # the order-8 table holds every moment the mean derivatives of orders 1-4 need
+        (vb.bhattacharyya, [[1], [2], [3], [4]], 9, 0),
+        # 7 for the order-6 table; gamma's value 4 times inside n and once for gamma(x0)^2
+        (vb.expfam_bound, [[0], [1], [2], [3]], 12, 5),
     ])
-    def test_warm_call(self, monkeypatch, bound, indices, moments):
+    def test_warm_call(self, monkeypatch, bound, indices, cold, warm):
         model = vb.poisson()
         gamma = vb.expfam_mean(model)
         bound(model, gamma, [0.3], indices)
@@ -1250,4 +1251,18 @@ class TestMomentAlgebraWork:
         monkeypatch.setattr(models_module, "moment", counted_moment)
         bound(model, gamma, [0.3], indices)
         assert counts["multi_binomial"] == counts["multi_indices_leq"] == 0
-        assert counts["moment"] == moments
+        assert counts["moment"] == warm
+        counts.clear()
+        bound(model, gamma, [0.4], indices)  # a point the tables have not seen
+        assert counts["moment"] == cold
+
+    def test_a_table_is_never_served_for_another_model(self):
+        # models made one after another, each dropped before the next, may
+        # share an address; the tables of each are its own
+        for k in range(1, 40):
+            model = vb.poisson() if k % 2 else dataclasses.replace(
+                vb.poisson(), closed_moments=lambda x, p, k=k: float(k * p[0]))
+            mu = moment_table(model, [0.3], (3,))
+            expected = [1.0] + [model.closed_moments(np.array([0.3]), (q,)) for q in (1, 2, 3)]
+            assert list(mu.values()) == expected
+            del model

@@ -11,7 +11,7 @@ from scipy import integrate
 import varbounds as vb
 from varbounds import models
 from varbounds.calculus import MultiIndex, partial_derivative
-from varbounds.errors import NaturalSpaceError, ReferenceSupportError
+from varbounds.errors import ConfigurationError, NaturalSpaceError, ReferenceSupportError
 from varbounds.models import _gammaln_vec, log_density_batch, mean_partial
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -252,6 +252,12 @@ class TestSampler:
     def test_zero_count_gives_empty(self):
         out = vb.sample(vb.gaussian_mean(), [0.0], seed=1, count=0)
         assert out.shape == (0, 1)
+
+    @pytest.mark.parametrize("count", [2.5, -1, True, "3"])
+    def test_count_must_be_a_count(self, count):
+        # a fractional count used to be truncated: 2.5 gave 2 draws
+        with pytest.raises(ConfigurationError, match="count"):
+            vb.sample(vb.gaussian_mean(), [0.0], seed=1, count=count)
 
     def test_gaussian_clt(self):
         draws = vb.sample(vb.gaussian_mean(), [0.0], seed=7, count=100_000)

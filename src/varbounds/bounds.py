@@ -658,8 +658,11 @@ def _expfam_system(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indic
     idxs = _validate_indices(indices, model.param_dim, min_order=0)
     cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
     mu = moment_table(model, x0, cap.plus(cap), cfg)
+    zero = (0,) * model.param_dim  # each distinct partial of gamma once, its value first
+    partials = {q: mean_partial(gamma, x0, q) for q in dict.fromkeys(
+        [zero] + [q for p in idxs for _, q, _ in _leibniz_terms(p)])}
     n_vec = np.array([
-        sum(b * mu[r] * mean_partial(gamma, x0, q) for b, q, r in _leibniz_terms(p))
+        sum(b * mu[r] * partials[q] for b, q, r in _leibniz_terms(p))
         for p in idxs
     ])
     S = np.empty((len(idxs), len(idxs)))
@@ -667,7 +670,7 @@ def _expfam_system(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indic
         for j, q in enumerate(idxs):
             S[i, j] = mu[tuple(map(operator.add, p, q))]
     extra = {"moment_fd_fallback": True} if model.closed_moments is None else {}
-    g0 = float(gamma.value(x0))
+    g0 = partials[zero]
     return _System(S, n_vec, extra, g0 * g0)
 
 

@@ -118,41 +118,45 @@ class _RowKernelEvaluator:
     are cached (at most cap (cap + 1) / 2 dots): moving one of m points
     computes m + 1 dots.  It rounds unlike a stacked R @ R.T.
 
-    For an exponential family, or `as_generic` of one, phi and log h of the
-    observations are kept, so a new row's log density is
-    (phi(Y)'x - A(x)) + log h(Y) without re-evaluating log h; phi(Y) is the
-    observations themselves for the scalar families.  Any other model
-    evaluates its log density on the observations for each new row.
+    For an exponential family, or `as_generic` of one, phi(Y) of the
+    observations is kept, and a new row is formed from it by the route's
+    `_family_log_row`; phi(Y) is the observations themselves for the scalar
+    families.  Any other model evaluates its log density on the
+    observations for each new row.
     """
 
     def __init__(self, model: Model, x0):
         self.model = model
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        self._family = model if isinstance(model, ExponentialFamilyModel) else model.family
         self._cache: dict[bytes, np.ndarray] = {}
         self._cache_cap = 5
         self._dots: dict[tuple[bytes, bytes], float] = {}
 
     def _observe(self, Y: np.ndarray) -> np.ndarray:
         """Make Y the observations and return their log density at x0, one
-        log_density_batch; a family's phi and log h of Y are kept after it."""
-        self.samples = Y
-        self._family = self._phi = self._log_h = None
-        ld0 = self._log_density(self.x0)
-        model = self.model
-        family = model if isinstance(model, ExponentialFamilyModel) else model.family
-        if family is not None:
-            self._family = family
-            self._phi, self._log_h = family.phi(Y), family.log_h(Y)
+        log_density_batch, which checks the reference support; a family's
+        phi(Y) is kept after it."""
+        self.samples, self._phi = Y, None
+        ld0 = self._log_row(self.x0)
+        if self._family is not None:
+            self._phi = self._family.phi(Y)
         return ld0
 
-    def _log_density(self, x) -> np.ndarray:
-        """Log density of the observations at x: from the kept phi and log h
-        of a family (a new array), else the model's log_density_batch.  The
-        one place the reference and every new row are computed."""
-        if self._family is None:
+    def _log_row(self, x) -> np.ndarray:
+        """log f(Y;x) - c(Y), c the same for every x: the one place the
+        reference and each new row are computed.  log_density_batch (c = 0)
+        until phi(Y) is kept, then the route's `_family_log_row`."""
+        if self._phi is None:
             return log_density_batch(self.model, self.samples, x)
-        return _family_log_density(self._family, self._phi, self._log_h,
-                                   as_param(self.model, x))
+        return self._family_log_row(as_param(self.model, x))
+
+    def _dot(self, a: tuple[bytes, np.ndarray], b: tuple[bytes, np.ndarray]) -> float:
+        """The dot of two cached (key, row) pairs, kept while both are cached."""
+        pair = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+        if (dot := self._dots.get(pair)) is None:
+            dot = self._dots[pair] = float(np.dot(a[1], b[1]))
+        return dot
 
     def _ratios(self, x) -> np.ndarray:
         """The row of x, from the cache or else `_row` (which raises before
@@ -183,12 +187,9 @@ class _RowKernelEvaluator:
         self.reserve(len(P))
         rows = [(p.tobytes(), self._ratios(p)) for p in P]
         K = np.empty((len(P), len(P)))
-        for i, (key, r) in enumerate(rows):
-            for j, (other, s) in enumerate(rows[i:], i):
-                pair = (key, other) if key <= other else (other, key)
-                if (dot := self._dots.get(pair)) is None:
-                    dot = self._dots[pair] = float(np.dot(r, s))
-                K[i, j] = K[j, i] = dot / self._divisor
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows[i:], i):
+                K[i, j] = K[j, i] = self._dot(a, b) / self._divisor
         if not np.all(np.isfinite(K)):
             raise KernelEvaluationError("kernel produced non-finite values")
         return K
@@ -204,12 +205,13 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
     A row is the likelihood-ratio vector over the draws, cached and
     multiplied as `_RowKernelEvaluator` says; a pairwise entry is the mean
     of a product of two rows, and K(x0, x0) = 1.  Per draw set it keeps the
-    draws, their reference log densities and, for an exponential family or
-    `as_generic` of one, phi and log h of the draws: h cancels in the ratio,
-    so a new vector is exp((phi(Y)'x - A(x)) + log h(Y) - log f(Y;x0)),
-    which costs one n-vector of log h to keep.  ReferenceSupportError names
-    the first draw where the reference log density is -inf, DataError one
-    where it is NaN or +inf.
+    draws and, for an exponential family or `as_generic` of one, phi(Y),
+    else their reference log densities ld0.  The ratio of a family depends
+    on the draws only through phi, so its new vector is
+    exp(phi(Y)'(x - x0) - (A(x) - A(x0))), with neither log h nor ld0;
+    any other model's is exp(log f(Y;x) - ld0).  ld0 is computed for every
+    model, and ReferenceSupportError names the first draw where it is -inf,
+    DataError one where it is NaN or +inf.
     """
 
     def __init__(self, model: Model, x0, mc_samples: int = 100_000, seed: int = 0,
@@ -220,14 +222,18 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         Y = sample(model, self.x0, seed, mc_samples) if samples is None \
             else np.asarray(samples, dtype=float)
         self.mc_samples = _named("samples", _number(int, 2), len(Y))
-        self._ld0 = self._observe(Y)
-        finite = np.isfinite(self._ld0)
+        ld0 = self._observe(Y)
+        finite = np.isfinite(ld0)
         if not finite.all():
             i = int(finite.argmin())  # the first draw where it is not finite
-            value = float(self._ld0[i])
+            value = float(ld0[i])
             error = ReferenceSupportError if value == -math.inf else DataError
             raise error(f"reference log density {value} at draw {i}, "
                         f"y={self.samples[i].tolist()}, for x0={self.x0.tolist()}")
+        if self._phi is None:
+            self._ld0 = ld0
+        else:  # a family's ratio needs only phi(Y) and A(x0); the next vector takes ld0's memory
+            self._ld0, self._A0 = None, _log_partition(self._family, self.x0)
         ones = np.ones(self.mc_samples)  # exp(ld0 - ld0) for a finite ld0
         ones.flags.writeable = False
         self._cache[self.x0.tobytes()] = ones
@@ -236,23 +242,29 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
     def _divisor(self) -> int:
         return self.mc_samples
 
+    def _family_log_row(self, x: np.ndarray) -> np.ndarray:
+        """phi(Y)'(x - x0) - (A(x) - A(x0)), the log ratio (c = ld0), in a
+        new array; for N = 1 the product is elementwise."""
+        d = x - self.x0
+        e = self._phi[..., 0] * d[0] if len(d) == 1 else self._phi @ d
+        e -= _log_partition(self._family, x) - self._A0
+        return e
+
     def _row(self, x) -> np.ndarray:
-        ld = self._log_density(x)
-        # the family formula's array is new; a user model's may be its own
-        r = np.subtract(ld, self._ld0, out=ld if self._family is not None else None)
+        e = self._log_row(x)  # a user model's log density may be its own array
+        r = e if self._ld0 is None else np.subtract(e, self._ld0)
         return np.exp(r, out=r)
 
     def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
         """Evaluators over the first and the second half of the draws, for
         sample-split error estimates.  They slice this evaluator's draws,
-        reference log densities, kept phi and log h, and cached ratio
-        vectors; all are per observation, so a slice equals a recomputation
-        on the half."""
+        kept phi or ld0, and cached ratio vectors; all are per observation,
+        so a slice equals a recomputation on the half."""
         def view(rows: slice) -> MonteCarloKernelEvaluator:
             sub = copy.copy(self)
-            sub.samples, sub._ld0 = self.samples[rows], self._ld0[rows]
-            if self._family is not None:
-                sub._phi, sub._log_h = self._phi[rows], self._log_h[rows]
+            sub.samples = self.samples[rows]
+            sub._phi = None if self._phi is None else self._phi[rows]
+            sub._ld0 = None if self._ld0 is None else self._ld0[rows]
             sub.mc_samples = len(sub.samples)
             sub._cache = {key: r[rows] for key, r in self._cache.items()}
             sub._dots = {}  # other draws, other dots
@@ -263,9 +275,17 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
 
     def effective_sample_size(self, x) -> float:
         """Kish effective sample size (sum rho)^2 / sum rho^2 of the
-        likelihood-ratio vector at x over the draws; 0 when no draw carries
+        likelihood-ratio vector at x over the draws, from the kept dots
+        n K(x0, x) and n K(x, x).  Where sum rho^2 overflows or is 0, the
+        vector is scaled by its largest entry first; 0 when no draw carries
         a finite positive weight."""
         r = self._ratios(x)
+        row = (np.asarray(x, dtype=float).tobytes(), r)
+        with np.errstate(over="ignore"):
+            squares = self._dot(row, row)
+        if 0.0 < squares < math.inf:
+            total = self._dot((self.x0.tobytes(), self._ratios(self.x0)), row)
+            return total * (total / squares)
         top = float(r.max())
         if not 0.0 < top < math.inf:
             return 0.0
@@ -368,6 +388,8 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
                 f"summing the support of model {self.model.name!r} at x={x.tolist()} "
                 f"needs more than {SUMMATION_MAX_TERMS} terms (x0={self.x0.tolist()})")
         ld0 = self._observe((self.model.support[0] + np.arange(n, dtype=float))[:, None])
+        if self._phi is not None:
+            self._log_h = self._family.log_h(self.samples)
         bad = np.isnan(ld0) | (ld0 == math.inf)
         if bad.any():
             i = int(bad.argmax())
@@ -377,9 +399,13 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
         self._ld0, self._off = ld0, off if off.any() else None
         self._half = np.where(off, 0.0, 0.5 * ld0)
 
+    def _family_log_row(self, x: np.ndarray) -> np.ndarray:
+        """The log density (c = 0), from the kept phi and log h."""
+        return _family_log_density(self._family, self._phi, self._log_h, x)
+
     def _row(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        ld = self._ld0 if x.tobytes() == self.x0.tobytes() else self._log_density(x)
+        ld = self._ld0 if x.tobytes() == self.x0.tobytes() else self._log_row(x)
         if self._off is not None and (ld[self._off] != -math.inf).any():
             i = int(np.flatnonzero(self._off & (ld != -math.inf))[0])
             raise ReferenceSupportError(

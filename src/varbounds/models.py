@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, _named, _number, \
     as_index, moment, moment_table, partial_derivative, reciprocal_series
-from .errors import NaturalSpaceError, ReferenceSupportError
+from .errors import DataError, NaturalSpaceError, ReferenceSupportError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -168,7 +168,9 @@ def likelihood_ratio(model: Model, y, x, x0) -> float:
 
 
 def sample(model: Model, x, seed: int, count: int) -> np.ndarray:
-    """Deterministic i.i.d. draws: identical (x, seed, count) give identical output."""
+    """Deterministic i.i.d. draws: identical (x, seed, count) give identical
+    output.  DataError, naming the model, unless the sampler returns count
+    rows of obs_dim values; they are returned as the sampler gave them."""
     x = as_param(model, x)
     count = _named("count", _number(int, 0), count)
     family = model if isinstance(model, ExponentialFamilyModel) else model.family
@@ -176,7 +178,11 @@ def sample(model: Model, x, seed: int, count: int) -> np.ndarray:
         _log_partition(family, x)
     if count == 0:
         return np.empty((0, model.obs_dim))
-    return model.sampler(x, int(seed), count)
+    Y = model.sampler(x, int(seed), count)
+    if np.shape(Y) != (count, model.obs_dim):
+        raise DataError(f"sampler of model {model.name!r} returned shape {np.shape(Y)}, "
+                        f"expected ({count}, {model.obs_dim})")
+    return Y
 
 
 def as_generic(model: ExponentialFamilyModel) -> GenericModel:

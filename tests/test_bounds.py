@@ -1092,6 +1092,16 @@ class TestExpfamBound:
             vb.expfam_bound(vb.as_generic(vb.gaussian_mean()), vb.identity_mean(),
                             [0.0], [(1,)])
 
+    def test_computes_each_partial_of_gamma_once(self):
+        model, indices = vb.poisson(), [(0,), (1,), (2,), (3,)]
+        inner, calls = vb.expfam_mean(model), Counter()
+        gamma = vb.MeanFunction(
+            value=lambda x: calls.update([0]) or inner.value(x),
+            derivative=lambda x, p: calls.update([p[0]]) or inner.derivative(x, p))
+        res = vb.expfam_bound(model, gamma, [0.3], indices)
+        assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert res.value.hex() == vb.expfam_bound(model, inner, [0.3], indices).value.hex()
+
 
 class TestExpfamCRB:
     def test_gaussian(self):

@@ -177,11 +177,10 @@ class TestMonteCarloRatioCache:
         assert np.array_equal(first, again)
 
     def test_pairwise_equals_uncached_ratio_products(self):
-        gm = vb.as_generic(vb.poisson())
-        ev = MonteCarloKernelEvaluator(gm, [0.0], mc_samples=5_000, seed=2)
+        p = vb.poisson()
+        ev = MonteCarloKernelEvaluator(vb.as_generic(p), [0.0], mc_samples=5_000, seed=2)
         pts = np.array([[0.0], [0.4], [-0.3]])
-        ld0 = log_density_batch(gm, ev.samples, [0.0])
-        R = [np.exp(log_density_batch(gm, ev.samples, p) - ld0) for p in pts]
+        R = [phi_ratio_vector(p, ev.samples, x, [0.0]) for x in pts]
         ev.pairwise(pts[:2])
         K = ev.pairwise(pts)
         for i in range(len(pts)):
@@ -275,14 +274,48 @@ class TestMonteCarloRatioCache:
         # Kish ESS / n estimates 1 / E[rho^2] = exp(-delta^2) for a unit Gaussian
         assert ev.effective_sample_size([0.3]) / 1_000 == pytest.approx(math.exp(-0.09), rel=0.05)
 
+    def test_effective_sample_size_reads_the_kept_dots(self, monkeypatch):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       mc_samples=1_000, seed=1)
+        ev.pairwise(np.array([[0.0], [0.3]]))
+        dots = counted_dots(monkeypatch)
+        r = ev._ratios([0.3])
+        assert ev.effective_sample_size([0.3]) == pytest.approx(r.sum() ** 2 / (r @ r),
+                                                                rel=1e-12)
+        assert dots == []  # both sums are kernel entries the Gram already holds
+        # a point no Gram holds yet: its two dots are kept for the next Gram
+        ev.effective_sample_size([-0.2])
+        ev.pairwise(np.array([[0.0], [-0.2]]))
+        assert dots == [1_000] * 2
 
-def old_ratio_vector(model, Y, x, x0) -> np.ndarray:
-    """A family's likelihood ratio over Y as it was computed before the
-    evaluator kept phi(Y) and log h(Y): two matmul log densities."""
-    def ld(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return model.phi(Y) @ x - float(model.log_lambda(x)) + model.log_h(Y)
-    return np.exp(ld(x) - ld(x0))
+    def test_effective_sample_size_where_the_squares_overflow(self):
+        # rho = exp(40 y - 800): about e^-800, e^400 and e^360, whose squares
+        # overflow, so the vector is scaled by its largest entry first
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       samples=[[0.0], [30.0], [29.0]])
+        assert ev.effective_sample_size([40.0]) == pytest.approx(1.0, rel=1e-12)
+        assert ev.effective_sample_size([-60.0]) == 0.0  # every weight underflows
+
+
+def phi_ratio_vector(family, Y, x, x0) -> np.ndarray:
+    """A family's likelihood ratio over Y from phi(Y) alone, computed apart
+    from the evaluator: exp of one matmul phi(Y) @ (x - x0) minus
+    A(x) - A(x0), with no log h."""
+    x, x0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, x0))
+    shift = float(family.log_lambda(x)) - float(family.log_lambda(x0))
+    return np.exp(family.phi(Y) @ (x - x0) - shift)
+
+
+def model_view(family, view: str):
+    """The family itself, `as_generic` of it (declared support), or that
+    generic copy with support None (undeclared)."""
+    if view == "family":
+        return family
+    generic = vb.as_generic(family)
+    return generic if view == "generic" else dataclasses.replace(generic, support=None)
+
+
+VIEWS = ["family", "generic", "undeclared"]
 
 
 #: Every built-in family, with its reference parameter and probe points
@@ -369,13 +402,11 @@ class TestMonteCarloDotCache:
 
 
 class TestFrozenDrawSets:
-    @pytest.mark.parametrize("generic", [False, True], ids=["family", "generic"])
+    @pytest.mark.parametrize("view", VIEWS)
     @pytest.mark.parametrize("family, x0, probes", FAMILY_PROBES,
                              ids=[m.name for m, _, _ in FAMILY_PROBES])
-    def test_ratio_vectors_have_the_bits_of_the_matmul_formula(self, family, x0, probes,
-                                                               generic):
-        model = vb.as_generic(family) if generic else family
-        ev = MonteCarloKernelEvaluator(model, x0, mc_samples=4_001, seed=7)
+    def test_ratio_vectors_have_the_bits_of_the_phi_formula(self, family, x0, probes, view):
+        ev = MonteCarloKernelEvaluator(model_view(family, view), x0, mc_samples=4_001, seed=7)
         fresh_halves = ev._halves()  # only x0 cached: the halves compute the rest
         half = ev.mc_samples // 2
         for x in probes:
@@ -383,11 +414,36 @@ class TestFrozenDrawSets:
                 with pytest.raises(NaturalSpaceError):
                     ev._ratios(x)
                 continue
-            expect = old_ratio_vector(family, ev.samples, x, x0)
+            expect = phi_ratio_vector(family, ev.samples, x, x0)
             assert ev._ratios(x).tobytes() == expect.tobytes()
             for halves in (fresh_halves, ev._halves()):  # computed, then sliced
                 for sub, rows in zip(halves, (slice(None, half), slice(half, None))):
                     assert sub._ratios(x).tobytes() == expect[rows].tobytes()
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("family, x0, probes", FAMILY_PROBES,
+                             ids=[m.name for m, _, _ in FAMILY_PROBES])
+    def test_ratio_vectors_agree_with_the_log_density_ratio(self, family, x0, probes, view):
+        # h cancels: dropping log h moves each ratio by rounding only
+        ev = MonteCarloKernelEvaluator(model_view(family, view), x0, mc_samples=4_001, seed=7)
+        ld0 = log_density_batch(family, ev.samples, x0)
+        for x in probes:
+            if vb.natural_space_contains(family, x):
+                expect = np.exp(log_density_batch(family, ev.samples, x) - ld0)
+                assert np.all(np.abs(ev._ratios(x) - expect) <= 1e-13 * expect)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_log_h_is_evaluated_once_per_draw_set(self, view):
+        # in the reference log density only: h cancels in every ratio
+        calls = []
+        p = vb.poisson()
+        counted = dataclasses.replace(p, log_h=lambda Y: calls.append(len(Y)) or p.log_h(Y))
+        ev = MonteCarloKernelEvaluator(model_view(counted, view), [0.0], mc_samples=1_000,
+                                       seed=1)
+        ev.pairwise(np.array([[0.0], [0.4], [-0.3]]))
+        for sub in ev._halves():
+            sub.pairwise(np.array([[0.0], [0.5]]))
+        assert calls == [1_000]
 
     def test_user_model_keeps_its_own_log_density(self, log_density_calls):
         kept = {}
@@ -457,8 +513,10 @@ class TestReferenceDensity:
             MonteCarloKernelEvaluator(model, [0.0], 20_000, seed=6)
 
     def test_reference_vector_is_ones(self):
-        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.4], 1_000, seed=2)
-        ones = np.exp(ev._ld0 - ev._ld0)
+        model = vb.as_generic(vb.poisson())
+        ev = MonteCarloKernelEvaluator(model, [0.4], 1_000, seed=2)
+        ld0 = log_density_batch(model, ev.samples, [0.4])
+        ones = np.exp(ld0 - ld0)
         assert ev._ratios([0.4]).tobytes() == ones.tobytes() == np.ones(1_000).tobytes()
 
 
@@ -1228,8 +1286,8 @@ class TestMomentAlgebraWork:
     @pytest.mark.parametrize("bound, indices, cold, warm", [
         # the order-8 table holds every moment the mean derivatives of orders 1-4 need
         (vb.bhattacharyya, [[1], [2], [3], [4]], 9, 0),
-        # 7 for the order-6 table; gamma's value 4 times inside n and once for gamma(x0)^2
-        (vb.expfam_bound, [[0], [1], [2], [3]], 12, 5),
+        # 7 for the order-6 table; gamma's value once, for n and for gamma(x0)^2
+        (vb.expfam_bound, [[0], [1], [2], [3]], 8, 1),
     ])
     def test_warm_call(self, monkeypatch, bound, indices, cold, warm):
         model = vb.poisson()

@@ -1,5 +1,6 @@
 """Built-in families: densities, natural spaces, samplers, and mean functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy import integrate
 import varbounds as vb
 from varbounds import models
 from varbounds.calculus import MultiIndex, partial_derivative
-from varbounds.errors import ConfigurationError, NaturalSpaceError, ReferenceSupportError
+from varbounds.errors import ConfigurationError, DataError, NaturalSpaceError, \
+    ReferenceSupportError
 from varbounds.models import _gammaln_vec, log_density_batch, mean_partial
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -258,6 +260,31 @@ class TestSampler:
         # a fractional count used to be truncated: 2.5 gave 2 draws
         with pytest.raises(ConfigurationError, match="count"):
             vb.sample(vb.gaussian_mean(), [0.0], seed=1, count=count)
+
+    def test_short_sampler_output_is_an_error(self):
+        # it used to give an hcrb value from 5,000 draws when 10,000 were asked
+        g = vb.gaussian_mean()
+        half = dataclasses.replace(vb.as_generic(g), name="half-sampler",
+                                   sampler=lambda x, seed, count: g.sampler(x, seed, count // 2))
+        with pytest.raises(DataError, match=r"'half-sampler' returned shape \(5000, 1\), "
+                                            r"expected \(10000, 1\)"):
+            vb.hcrb(half, vb.identity_mean(), [0.0], vb.TestPointSet([[0.5]]),
+                    mc_samples=10_000)
+
+    def test_flat_sampler_output_is_an_error(self):
+        # it used to fail later, as a log_density of shape ()
+        g = vb.gaussian_mean()
+        flat = dataclasses.replace(vb.as_generic(g), name="flat-sampler", support=None,
+                                   sampler=lambda x, seed, count: g.sampler(x, seed, count)[:, 0])
+        with pytest.raises(DataError, match=r"'flat-sampler' returned shape \(1000,\), "
+                                            r"expected \(1000, 1\)"):
+            vb.crb(flat, vb.identity_mean(), [0.0], n_mc=1000)
+
+    def test_draws_are_returned_as_the_sampler_gave_them(self):
+        draws = [[1], [2], [3]]
+        model = dataclasses.replace(vb.as_generic(vb.poisson()),
+                                    sampler=lambda x, seed, count: draws)
+        assert vb.sample(model, [0.0], seed=1, count=3) is draws
 
     def test_gaussian_clt(self):
         draws = vb.sample(vb.gaussian_mean(), [0.0], seed=7, count=100_000)

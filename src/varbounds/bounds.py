@@ -16,8 +16,8 @@ from .calculus import FDConfig, MultiIndex, _leibniz_terms, _named, _number, _ve
     as_index, moment_table
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
-from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _make_evaluator, \
-    difference_block, gram, gram_rhs, make_gram_system, signed_sq_norm
+from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _make_evaluator, _result, _solve, \
+    difference_block, gram, gram_rhs
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -82,41 +82,18 @@ def _clamped(value: float, rank: int, condition_number: float,
 _System = namedtuple("_System", "matrix rhs extra offset", defaults=({}, 0.0))
 
 
-def _solutions(G, rhs, pinv_tol) -> list[tuple]:
-    """(value, rank, condition number, smallest eigenvalue) of each matrix of
-    the stack G (or of G alone), each as alone: one `make_gram_system` and
-    one `signed_sq_norm`, the value unclamped."""
-    system = make_gram_system(G, rhs, pinv_tol)
-    d = system.diagnostics
-    columns = signed_sq_norm(system), d["rank"], d["condition_number"], d["min_eigenvalue"]
-    return list(zip(*columns)) if isinstance(columns[0], list) else [columns]
-
-
 def _quadratic_bounds(method: str, systems: Sequence[_System], pinv_tol) -> list:
     """The BoundResult of each system, or the exception it raises alone; the
-    systems of a grid, of one shape, share one `_solutions`.  An overflow to
-    an infinite value is not warned about."""
+    systems of a grid share one `_solve`."""
     outcomes = []
-    with np.errstate(over="ignore"):
+    solved = _solve([s.matrix for s in systems], [s.rhs for s in systems], pinv_tol)
+    for (_, _, extra, offset), solution in zip(systems, solved):
         try:
-            solved = _solutions([s.matrix for s in systems], [s.rhs for s in systems], pinv_tol)
-        except Exception:  # alone, a failing system raises its own error
-            solved = [None] * len(systems)
-        for (matrix, rhs, extra, offset), solution in zip(systems, solved):
-            try:
-                solution = solution or _solutions(matrix, rhs, pinv_tol)[0]
-                value, diagnostics = _clamped(solution[0] - offset, *solution[1:])
-                outcomes.append(BoundResult(value, method, {**diagnostics, **extra}))
-            except Exception as exc:
-                outcomes.append(exc)
+            value, diagnostics = _clamped(_result(solution)[0] - offset, *solution[1:])
+            outcomes.append(BoundResult(value, method, {**diagnostics, **extra}))
+        except Exception as exc:
+            outcomes.append(exc)
     return outcomes
-
-
-def _result(outcome):
-    """A BoundResult as it is; an exception raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _quadratic_bound(method: str, system: _System, pinv_tol) -> BoundResult:
@@ -155,8 +132,9 @@ def _deriv_system(model: Model, gamma: MeanFunction, x0, indices=None, F=None, *
     if expfam and not isinstance(model, ExponentialFamilyModel):
         raise TypeError(f"{expfam} requires an ExponentialFamilyModel")
     x0 = as_param(model, x0)
-    basis = [DerivBasis(p) for p in (_unit_indices(model.param_dim) if indices is None
-                                      else _validate_indices(indices, model.param_dim))]
+    basis = [DerivBasis(p) for p in (_unit_indices(model.param_dim) if indices is None else
+                                      _named("indices", _validate_indices, indices,
+                                             model.param_dim))]
     evaluator = _make_evaluator(model, x0, n_mc, seed)
     a, B = gram_rhs(evaluator, basis, gamma), gram(evaluator, basis, cfg)
     extra = evaluator.diagnostics()
@@ -237,18 +215,14 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
     R(., x) - R(., x0) at the rows x of each configuration, up to its solve:
     one `pairwise` each, stacked by point count m as `{m: (slots, kernels,
     rhs rows)}` with a slot (results, i) per row, and the results list that
-    `_solve_stacks` fills.  Where kernel or gamma is undefined
-    (NaturalSpaceError, KernelEvaluationError) the result stays None; an
-    overflow on the way to that answer is not warned about.  One `pairwise`
-    per configuration: `perfbench/selfcheck.py`, a CI step, requires
-    `kernel.expfam_pairwise.calls >= bounds.objective_evals`, so a stacked
-    closed-form kernel (-19% `closed_search` `run_s` in a prototype) waits
-    for a benchmark-only change that restates that check.  A search over a
-    fixed candidate set, one scaled solve per step (`closed_search` `run_s`
-    1.47 s to 0.066 s in a prototype), waits for one too: `perfbench/run.py`
-    keeps records per pass, so the faster run's `peak_rss_mb` grew 20%
-    against a 10% bound.  The bounds without a search solve a whole grid of
-    reference points at once instead, through `_evaluate_grid`."""
+    `_solve_stacks` fills with `_solve` outcomes.  Where kernel or gamma is
+    undefined (NaturalSpaceError, KernelEvaluationError) the result stays
+    None; an overflow on the way to that answer is not warned about.  One
+    `pairwise` per configuration, not one stacked kernel:
+    `perfbench/selfcheck.py`, a CI step, requires
+    `kernel.expfam_pairwise.calls >= bounds.objective_evals`.  The bounds
+    without a search solve a whole grid of reference points at once
+    instead, through `_evaluate_grid`."""
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
     x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
@@ -272,17 +246,16 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
 
 
 def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
-    """Per point count, the block formula and one `_solutions` over the
-    stacks of all `requests` together; a result is the unclamped (value,
-    rank, condition number, smallest eigenvalue)."""
+    """Per point count, the block formula and one `_solve` over the stacks of
+    all `requests` together; a result is its outcome."""
     merged: dict[int, tuple[list, list, list]] = {}
     for stacks in requests:
         for m, parts in stacks.items():
             merged[m] = tuple(map(list.__add__, merged[m], parts)) if m in merged else parts
     for slots, kernels, rows in merged.values():
-        for (results, i), solution in zip(slots, _solutions(
+        for (results, i), outcome in zip(slots, _solve(
                 difference_block(np.array(kernels)), rows, pinv_tol)):
-            results[i] = solution
+            results[i] = outcome
 
 
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
@@ -436,9 +409,9 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
     """Yields `barankin_approx(model, gamma, x0, search)` for each `(x0,
     search)` of `problems` in order, bit for bit, or the error the serial
     loop raises where it raises it, and then ends.  Up to `_WINDOW`
-    closed-form searches (Monte Carlo: one) climb side by side, one
-    `make_gram_system` per point count and step; after a failure no further
-    search starts."""
+    closed-form searches (Monte Carlo: one) climb side by side, one `_solve`
+    per point count and step; a search whose solve failed raises that
+    configuration's own error, and after a failure no further search starts."""
     window = _WINDOW if isinstance(model, ExponentialFamilyModel) else 1
     searches = (_search(model, gamma, x0, cfg, mc_samples, pinv_tol) for x0, cfg in problems)
     running: dict[int, tuple] = {}  # position -> search, the stacks it waits on
@@ -472,15 +445,7 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
         if not running:
             return
         stepping, running = running, {}
-        try:
-            _solve_stacks([stacks for _, stacks in stepping.values()], pinv_tol)
-        except Exception:  # alone, a failing search raises its own error and index
-            for i, (_, stacks) in list(stepping.items()):
-                try:
-                    _solve_stacks([stacks], pinv_tol)
-                except Exception as exc:
-                    ended[i], window = exc, 0
-                    del stepping[i]
+        _solve_stacks([stacks for _, stacks in stepping.values()], pinv_tol)
         for i, (search, _) in stepping.items():
             advance(i, search)
 
@@ -611,7 +576,7 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
         gram_stacks += len(stacks)
         pending = {}
         for (key, (pts, waiting)), result in zip(new.items(), results):
-            seen[key] = result
+            seen[key] = result = _result(result)  # a failed solve ends the search
             for i in waiting:
                 nxt = answer(i, pts, result)
                 if nxt is not None:
@@ -655,7 +620,7 @@ def _expfam_system(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indic
     if not isinstance(model, ExponentialFamilyModel):
         raise TypeError("expfam_bound requires an ExponentialFamilyModel")
     x0 = as_param(model, x0)
-    idxs = _validate_indices(indices, model.param_dim, min_order=0)
+    idxs = _named("indices", _validate_indices, indices, model.param_dim, 0)
     cap = MultiIndex(tuple(max(p[k] for p in idxs) for k in range(model.param_dim)))
     mu = moment_table(model, x0, cap.plus(cap), cfg)
     zero = (0,) * model.param_dim  # each distinct partial of gamma once, its value first

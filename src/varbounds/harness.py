@@ -74,7 +74,7 @@ def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
     Y = sample(model, x0, seed, n)
     g = np.asarray(est.map(Y), dtype=float)
     if g.shape != (n,):
-        raise ValueError(f"estimator map returned shape {g.shape}, expected ({n},)")
+        raise DataError(f"estimator map returned shape {g.shape}, expected ({n},)")
     if not np.all(np.isfinite(g)):
         bad = np.where(~np.isfinite(g))[0][:10]
         raise DataError(f"non-finite estimator output at draws {bad.tolist()}")
@@ -217,9 +217,7 @@ def semicontinuity_scan(model: Model, gamma: MeanFunction, grid: Sequence,
     whole: `barankin_approx` searches up to 8 grid points side by side with
     shared Gram solves (Monte Carlo: one at a time), and any other bound
     solves all its points with one stacked Gram solve; values, diagnostics
-    and errors are those of each point alone.  A faster search (a stacked
-    kernel, a candidate set) waits for benchmark changes: see
-    `bounds._kernel_stacks`.
+    and errors are those of each point alone.
 
     This illustrates how the bound varies with the reference point; it is a
     numerical scan, not a certificate of continuity.

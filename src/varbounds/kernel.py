@@ -15,7 +15,6 @@ draws from the reference parameter x0.
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import operator
 from dataclasses import dataclass, field
@@ -98,6 +97,16 @@ class MCKernelEstimate:
     value: float
     stderr: float
     heavy_tail_warning: bool = False
+
+
+def _dot_matrix(rows: list, dot: Callable) -> np.ndarray:
+    """The matrix of dot(a, b) over the pairs of `rows`, one call per pair
+    (i <= j), mirrored, so it is exactly symmetric."""
+    K = np.empty((len(rows), len(rows)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows[i:], i):
+            K[i, j] = K[j, i] = dot(a, b)
+    return K
 
 
 class _RowKernelEvaluator:
@@ -186,10 +195,7 @@ class _RowKernelEvaluator:
     def _kernel_matrix(self, P: np.ndarray) -> np.ndarray:
         self.reserve(len(P))
         rows = [(p.tobytes(), self._ratios(p)) for p in P]
-        K = np.empty((len(P), len(P)))
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows[i:], i):
-                K[i, j] = K[j, i] = self._dot(a, b) / self._divisor
+        K = _dot_matrix(rows, lambda a, b: self._dot(a, b) / self._divisor)
         if not np.all(np.isfinite(K)):
             raise KernelEvaluationError("kernel produced non-finite values")
         return K
@@ -255,24 +261,6 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         r = e if self._ld0 is None else np.subtract(e, self._ld0)
         return np.exp(r, out=r)
 
-    def _halves(self) -> tuple[MonteCarloKernelEvaluator, MonteCarloKernelEvaluator]:
-        """Evaluators over the first and the second half of the draws, for
-        sample-split error estimates.  They slice this evaluator's draws,
-        kept phi or ld0, and cached ratio vectors; all are per observation,
-        so a slice equals a recomputation on the half."""
-        def view(rows: slice) -> MonteCarloKernelEvaluator:
-            sub = copy.copy(self)
-            sub.samples = self.samples[rows]
-            sub._phi = None if self._phi is None else self._phi[rows]
-            sub._ld0 = None if self._ld0 is None else self._ld0[rows]
-            sub.mc_samples = len(sub.samples)
-            sub._cache = {key: r[rows] for key, r in self._cache.items()}
-            sub._dots = {}  # other draws, other dots
-            return sub
-
-        half = self.mc_samples // 2
-        return view(slice(None, half)), view(slice(half, None))
-
     def effective_sample_size(self, x) -> float:
         """Kish effective sample size (sum rho)^2 / sum rho^2 of the
         likelihood-ratio vector at x over the draws, from the kept dots
@@ -295,15 +283,21 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
     def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
         """The sample count; given test `points`, also the Kish effective sample
         size per point (first: a point the row cache evicted is recomputed
-        once, and the halves slice it) and the two-fold sample-split error of
-        the projection of gamma onto their differences.  The ratios are
-        nonnegative, so each half's kernel is defined where the whole one's is."""
+        once) and the two-fold sample-split error of the projection of gamma
+        onto their differences.  Each half's kernel matrix takes the `np.dot`
+        of slices of the cached rows over the half's count, as an evaluator
+        on that half computes it, and both halves are one `_solve` of two.
+        The ratios are nonnegative, so each half's kernel is defined where
+        the whole one's is."""
         if points is None:
             return {"mc_samples": self.mc_samples}
         ess = [self.effective_sample_size(p) for p in points]
-        basis = [DiffBasis(p) for p in points]
-        low, high = (projected_sq_norm(gram_system(half, basis, gamma, pinv_tol))
-                     for half in self._halves())
+        rows, half = [self._ratios(p) for p in [self.x0, *points]], self.mc_samples // 2
+        kernels = [_dot_matrix([r[part] for r in rows], lambda a, b: float(np.dot(a, b)) / len(a))
+                   for part in (slice(None, half), slice(half, None))]
+        rhs = gram_rhs(self, [DiffBasis(p) for p in points], gamma)
+        low, high = (max(_result(outcome)[0], 0.0) for outcome in
+                     _solve(difference_block(np.array(kernels)), [rhs, rhs], pinv_tol))
         return {"mc_samples": self.mc_samples, "mc_effective_sample_size": ess,
                 "mc_standard_error": abs(low - high) / 2.0}
 
@@ -681,6 +675,38 @@ def projected_sq_norm(system: GramSystem):
     if isinstance(value, list):
         return [max(v, 0.0) for v in value]
     return max(value, 0.0)
+
+
+def _solve(G, rhs, pinv_tol) -> list:
+    """The unclamped (value, rank, condition number, smallest eigenvalue) of
+    each matrix of the stack G with its row of rhs, or the exception that
+    matrix raises when solved alone: one `make_gram_system` and one
+    `signed_sq_norm` for the stack, and one per matrix only when the stack
+    fails.  An overflow to an infinite value is not warned about."""
+    def solved(G, rhs):
+        system = make_gram_system(G, rhs, pinv_tol)
+        d = system.diagnostics
+        return signed_sq_norm(system), d["rank"], d["condition_number"], d["min_eigenvalue"]
+
+    with np.errstate(over="ignore"):
+        try:
+            return list(zip(*solved(G, rhs)))
+        except Exception:  # alone, a failing matrix raises its own error
+            outcomes = []
+            for g, r in zip(G, rhs):
+                try:
+                    outcomes.append(solved(g, r))
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+
+
+def _result(outcome):
+    """An outcome of `_solve`, or a result built from one, as it is; an
+    exception raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def difference_block(K: np.ndarray, d=None) -> np.ndarray:

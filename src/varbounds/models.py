@@ -132,14 +132,14 @@ def _family_log_density(model: ExponentialFamilyModel, phi_Y: np.ndarray,
 def log_density_batch(model: Model, Y: np.ndarray, x) -> np.ndarray:
     """Per-observation log density over a (count, M) batch.
 
-    ValueError, naming the model, when a GenericModel's log_density does not
+    DataError, naming the model, when a GenericModel's log_density does not
     return one value per observation."""
     x = as_param(model, x)
     if isinstance(model, GenericModel):
         out = np.asarray(model.log_density(Y, x), dtype=float)
         if out.shape != (len(Y),):
-            raise ValueError(f"log_density of model {model.name!r} returned shape "
-                             f"{out.shape}, expected ({len(Y)},)")
+            raise DataError(f"log_density of model {model.name!r} returned shape "
+                            f"{out.shape}, expected ({len(Y)},)")
         return out
     return _family_log_density(model, model.phi(Y), model.log_h(Y), x)
 

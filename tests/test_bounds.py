@@ -386,6 +386,15 @@ def _searched_run(**options):
     return {"methods": [{"name": "barankin_approx", **options}]}
 
 
+def _indexed(method: str, indices: list) -> tuple:
+    """The REJECTED_INPUTS row of `indices` for bhattacharyya or expfam_moment
+    (the library's expfam_bound) on gaussian-mean at x0 0."""
+    call = vb.bhattacharyya if method == "bhattacharyya" else vb.expfam_bound
+    return ("indices", lambda: call(_G, _ID, [0.0], indices), (method, {"indices": indices}, 1),
+            ("run", {"methods": [{"name": method, "indices": indices}]},
+             f"methods[0]: {method}.indices"))
+
+
 #: (input, library call, (method, options, dim) for `method_options`, (command,
 #: config sections, the name the CLI's error starts with)).  The library used
 #: to take most of these values or fail on them later with another error, some
@@ -476,6 +485,12 @@ REJECTED_INPUTS = {
         _G, _ID, [0.0], BarankinSearch(restarts=1, halvings=1), pinv_tol=1.0), None, None),
     "negative-pinv-tol": ("pinv_tol", lambda: vb.make_gram_system(np.eye(1), [1.0], -1e-10),
                           None, None),
+    "no-indices": _indexed("bhattacharyya", []),
+    "repeated-indices": _indexed("bhattacharyya", [[1], [1]]),
+    "order-5-index": _indexed("bhattacharyya", [[5]]),
+    "no-moment-indices": _indexed("expfam_moment", []),
+    "repeated-moment-indices": _indexed("expfam_moment", [[1], [1]]),
+    "order-5-moment-index": _indexed("expfam_moment", [[5]]),
     "nan-reduction-radius": (
         "radius", lambda: vb.reduction_experiment(_G, _ID, [0.0], [1.0, _NAN],
                                                   BarankinSearch(restarts=1, halvings=1)),
@@ -1239,8 +1254,8 @@ class TestInvariance:
 
 
 def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatch):
-    # one `gram` per matrix, two more for the Monte Carlo split halves (built
-    # in kernel); the search's configurations are stacked apart from it
+    # one `gram` per matrix; the search's configurations and the Monte Carlo
+    # split halves are built from kernel matrices apart from it
     calls = []
 
     def counted(evaluator, basis, *args):
@@ -1266,9 +1281,9 @@ def test_every_single_configuration_bound_builds_its_matrix_with_gram(monkeypatc
         (lambda: vb.crb(generic, gamma, [0.2], n_mc=2_000), [(mc, "DerivBasis", 1)]),
         (lambda: vb.fisher_info(generic, [0.2], n_mc=2_000), [(mc, "DerivBasis", 1)]),
         (lambda: vb.hcrb(generic, gamma, [0.2], TestPointSet([[0.5]]), mc_samples=2_000),
-         [(mc, "DiffBasis", 1)] * 3),
+         [(mc, "DiffBasis", 1)]),
         (lambda: vb.barankin_approx(generic, gamma, [0.2], BarankinSearch(
-            restarts=1, halvings=2, max_points=2), mc_samples=2_000), [(mc, "DiffBasis", 2)] * 2),
+            restarts=1, halvings=2, max_points=2), mc_samples=2_000), []),
         (lambda: vb.crb(vb.as_generic(p), gamma, [0.2]), [(summed, "DerivBasis", 1)]),
         (lambda: vb.hcrb(vb.as_generic(p), gamma, [0.2], TestPointSet([[0.5]])),
          [(summed, "DiffBasis", 1)]),
@@ -1449,14 +1464,15 @@ class TestGridEqualsAlone:
             gamma = vb.expfam_mean(scalar)
             grid = [np.array([x]) for x in np.linspace(*_GRIDS.get(family, (-1.0, 1.0)), 5)]
         solves = []
-        stacked = bounds_module._solutions
+        solve = vb_kernel._solve
 
         def counted(G, *args):
             solves.append(np.shape(G))
-            return stacked(G, *args)
+            return solve(G, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(bounds_module, "_solutions", counted)
+            # the grid's binding: a Monte Carlo hcrb's split halves solve in kernel
+            m.setattr(bounds_module, "_solve", counted)
             got = bounds_module._evaluate_grid(model, gamma, grid, MethodSpec(name, options),
                                                seeds, mc_samples)
         assert len(solves) == 1 and solves[0][0] == 5  # one solve of all five points

@@ -62,6 +62,12 @@ class TestEstimatorVarianceMC:
         with pytest.raises(DataError):
             estimator_variance_mc(vb.gaussian_mean(), bad, [0.0], n=1000, seed=0)
 
+    def test_output_of_the_wrong_shape_raises_data_error(self):
+        column = vb.EstimatorSpec("column", lambda Y: Y)  # (n, 1), not (n,)
+        with pytest.raises(DataError, match=r"estimator map returned shape \(1000, 1\), "
+                                            r"expected \(1000,\)"):
+            estimator_variance_mc(vb.gaussian_mean(), column, [0.0], n=1000, seed=0)
+
     def test_declared_mean_matches_mc_mean(self):
         # the declared mean of the sufficient-statistic estimator is checked
         # against the sample mean at three probe parameters
@@ -355,20 +361,20 @@ class TestBatchedSearchesEqualAlone:
 
         def counted_solve(G, rhs, pinv_tol):
             solves.append(("solve", len(rhs)))
-            return make_gram_system(G, rhs, pinv_tol)
+            return solve(G, rhs, pinv_tol)
 
-        make_gram_system = bounds_module.make_gram_system
+        solve = vb.kernel._solve
         monkeypatch.setattr(bounds_module, "_search", counted_search)
         # the searches solve in bounds, the Monte Carlo halves in kernel
         for module in (bounds_module, vb.kernel):
-            monkeypatch.setattr(module, "make_gram_system", counted_solve)
+            monkeypatch.setattr(module, "_solve", counted_solve)
         report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7, **kwargs)
         assert max(n for kind, n in solves if kind == "peak") == min(window, len(grid))
         stacked = sum(d["gram_stacks"] for d in report.diagnostics)
         search_solves = [n for kind, n in solves if kind == "solve"]
         if window == 1:
-            # the Monte Carlo error estimate solves each half once more
-            assert len(search_solves) == stacked + 2 * len(grid)
+            # the Monte Carlo error estimate solves both halves once more
+            assert len(search_solves) == stacked + len(grid)
         else:
             # fewer solves than the searches make alone, and stacks larger
             # than the starts of one search can fill in a step
@@ -405,11 +411,12 @@ class TestBatchedSearchErrors:
         options = {"restarts": 2, "halvings": 3, "max_points": 2, "radius": 0.4}
         expected = _serial_error(lambda i: vb.evaluate_bound(
             er, gamma, grid[i], MethodSpec("barankin_approx", options), seed=i), len(grid))
-        assert expected[0] is DataError and "in system 0" in expected[1]
+        # the failing matrix solved alone: its message names no index into a
+        # stack, which the shared stack (point 0's configurations first)
+        # would give another value
+        assert expected[0] is DataError and " in system " not in expected[1]
         with pytest.raises(Exception) as caught:
             vb.semicontinuity_scan(er, gamma, grid, options=options)
-        # the shared stack holds point 0's configurations first: an index
-        # into it would name another system
         assert (type(caught.value), str(caught.value)) == expected
 
     def test_later_point_failing_first_does_not_win(self, monkeypatch):
@@ -440,7 +447,9 @@ class TestBatchedSearchErrors:
         with pytest.raises(Exception) as caught:
             vb.semicontinuity_scan(g, gamma, grid, options=options)
         assert (type(caught.value), str(caught.value)) == expected
-        assert failed == [0.8]  # point 0's error surfaced in the shared solve
+        # each search raises its own error: point 1's from its mean, then
+        # point 0's when it reads its configuration's failed solve
+        assert failed == [0.8, 0.0]
 
     def test_grid_point_outside_the_natural_space(self):
         er = vb.exponential_rate()

@@ -191,22 +191,32 @@ class TestMonteCarloRatioCache:
 
     @pytest.mark.parametrize("family", ["poisson", "gaussian-mean", "exponential-rate"])
     @pytest.mark.parametrize("n", [4_000, 4_001])
-    def test_halves_equal_fresh_evaluators_on_the_chunks(self, family, n):
+    def test_split_half_error_equals_fresh_evaluators_on_the_halves(self, family, n):
         gm = vb.as_generic(vb.make_model(family))
         x0 = [-1.0] if family == "exponential-rate" else [0.0]
         ev = MonteCarloKernelEvaluator(gm, x0, mc_samples=n, seed=5)
         cached, uncached = [x0[0] + 0.4], [x0[0] - 0.3]
         ev.pairwise(np.array([x0, cached]))
-        basis = [DiffBasis(np.array(cached)), DiffBasis(np.array(uncached))]
-        gamma = vb.identity_mean()
-        half = n // 2
-        for sub, chunk in zip(ev._halves(), (ev.samples[:half], ev.samples[half:])):
-            fresh = MonteCarloKernelEvaluator(gm, x0, seed=5, samples=chunk)
-            assert sub.mc_samples == len(chunk)
-            assert np.array_equal(gram(sub, basis), gram(fresh, basis))
-            a = projected_sq_norm(gram_system(sub, basis, gamma))
-            b = projected_sq_norm(gram_system(fresh, basis, gamma))
-            assert a == b
+        points = [np.array(cached), np.array(uncached)]
+        basis, gamma, half = [DiffBasis(p) for p in points], vb.identity_mean(), n // 2
+        low, high = (projected_sq_norm(gram_system(
+            MonteCarloKernelEvaluator(gm, x0, seed=5, samples=chunk), basis, gamma))
+            for chunk in (ev.samples[:half], ev.samples[half:]))
+        error = ev.diagnostics(gamma, points)["mc_standard_error"]
+        assert error > 0.0 and error.hex() == (abs(low - high) / 2.0).hex()
+
+    def test_both_halves_take_one_gram_solve(self, monkeypatch):
+        shapes, solve = [], kernel_module.make_gram_system
+
+        def counted(G, *args):
+            shapes.append(np.shape(G))
+            return solve(G, *args)
+
+        monkeypatch.setattr(kernel_module, "make_gram_system", counted)
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
+                                       mc_samples=2_000, seed=1)
+        ev.diagnostics(vb.identity_mean(), [np.array([0.3]), np.array([-0.2])])
+        assert shapes == [(2, 2, 2)]  # a stack of two 2-point Grams
 
     def test_cache_stays_within_its_cap_during_a_search(self, monkeypatch):
         sizes, rows, step_rows = [], [0], [0]
@@ -245,8 +255,8 @@ class TestMonteCarloRatioCache:
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
                                        mc_samples=1_000, seed=1)
         ev.pairwise(np.array([[0.0], [0.5]]))
+        ev.diagnostics(vb.identity_mean(), [np.array([0.5])])  # slices, no copies
         vectors = [ev._ratios([0.0]), ev._ratios([0.5])]
-        vectors += [sub._ratios([0.5]) for sub in ev._halves()]
         for r in vectors:
             assert not r.flags.writeable
             with pytest.raises(ValueError):
@@ -372,12 +382,12 @@ class TestMonteCarloDotCache:
         ev = MonteCarloKernelEvaluator(vb.as_generic(vb.poisson()), [0.0],
                                        mc_samples=2_001, seed=1)
         pts = np.array([[0.0], [0.3]])
-        ev.pairwise(pts)
+        K = ev.pairwise(pts)
         dots = counted_dots(monkeypatch)
-        for sub, n in zip(ev._halves(), (1_000, 1_001)):
-            assert sub.pairwise(pts)[0, 0] == 1.0
-            assert dots[-3:] == [n] * 3
-        assert ev.pairwise(pts)[0, 0] == 1.0 and len(dots) == 6
+        ev.diagnostics(vb.identity_mean(), pts[1:])
+        # the effective sample size reads the kept dots; each half takes its own
+        assert dots == [1_000] * 3 + [1_001] * 3
+        assert np.array_equal(ev.pairwise(pts), K) and len(dots) == 6
 
     def test_dot_cache_stays_within_its_cap_during_a_search(self, monkeypatch):
         sizes, computed = [], counted_dots(monkeypatch)
@@ -407,8 +417,11 @@ class TestFrozenDrawSets:
                              ids=[m.name for m, _, _ in FAMILY_PROBES])
     def test_ratio_vectors_have_the_bits_of_the_phi_formula(self, family, x0, probes, view):
         ev = MonteCarloKernelEvaluator(model_view(family, view), x0, mc_samples=4_001, seed=7)
-        fresh_halves = ev._halves()  # only x0 cached: the halves compute the rest
-        half = ev.mc_samples // 2
+        # evaluators on the halves of the draws compute the slices the
+        # split-half error takes of the whole vectors
+        parts = (slice(None, 2_000), slice(2_000, None))
+        halves = [MonteCarloKernelEvaluator(model_view(family, view), x0, samples=ev.samples[rows])
+                  for rows in parts]
         for x in probes:
             if not vb.natural_space_contains(family, x):
                 with pytest.raises(NaturalSpaceError):
@@ -416,9 +429,8 @@ class TestFrozenDrawSets:
                 continue
             expect = phi_ratio_vector(family, ev.samples, x, x0)
             assert ev._ratios(x).tobytes() == expect.tobytes()
-            for halves in (fresh_halves, ev._halves()):  # computed, then sliced
-                for sub, rows in zip(halves, (slice(None, half), slice(half, None))):
-                    assert sub._ratios(x).tobytes() == expect[rows].tobytes()
+            for sub, rows in zip(halves, parts):
+                assert sub._ratios(x).tobytes() == expect[rows].tobytes()
 
     @pytest.mark.parametrize("view", VIEWS)
     @pytest.mark.parametrize("family, x0, probes", FAMILY_PROBES,
@@ -441,8 +453,7 @@ class TestFrozenDrawSets:
         ev = MonteCarloKernelEvaluator(model_view(counted, view), [0.0], mc_samples=1_000,
                                        seed=1)
         ev.pairwise(np.array([[0.0], [0.4], [-0.3]]))
-        for sub in ev._halves():
-            sub.pairwise(np.array([[0.0], [0.5]]))
+        ev.diagnostics(vb.identity_mean(), [np.array([0.5])])
         assert calls == [1_000]
 
     def test_user_model_keeps_its_own_log_density(self, log_density_calls):

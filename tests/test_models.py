@@ -80,10 +80,10 @@ class TestLogDensity:
         model = vb.GenericModel("column", 1, 1, lambda Y, x: -0.5 * (Y - x[0]) ** 2,
                                 vb.gaussian_mean().sampler)
         Y = vb.sample(model, [0.0], 1, 7)
-        with pytest.raises(ValueError, match=r"'column' returned shape \(7, 1\), "
+        with pytest.raises(DataError, match=r"'column' returned shape \(7, 1\), "
                                              r"expected \(7,\)"):
             log_density_batch(model, Y, [0.0])
-        with pytest.raises(ValueError, match="'column' returned shape"):
+        with pytest.raises(DataError, match="'column' returned shape"):
             vb.hcrb(model, vb.identity_mean(), [0.0], vb.TestPointSet([[0.5]]),
                     mc_samples=100)
 

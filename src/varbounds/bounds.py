@@ -209,16 +209,14 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
 # Hammersley-Chapman-Robbins and Barankin
 # ---------------------------------------------------------------------------
 
-def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
-                   configurations: Sequence) -> tuple[list, dict]:
-    """The projection of the centered mean onto the kernel differences
-    R(., x) - R(., x0) at the rows x of each configuration, up to its solve:
-    one `pairwise` each, stacked by point count m as `{m: (slots, kernels,
-    rhs rows)}` with a slot (results, i) per row, and the results list that
-    `_solve_stacks` fills with `_solve` outcomes.  Where kernel or gamma is
-    undefined (NaturalSpaceError, KernelEvaluationError) the result stays
-    None; an overflow on the way to that answer is not warned about.  One
-    `pairwise` per configuration, not one stacked kernel:
+def _kernel_rows(evaluator: KernelEvaluator, gamma: MeanFunction,
+                 configurations: Sequence) -> list:
+    """Per configuration, what projecting the centered mean onto the kernel
+    differences R(., x) - R(., x0) at its rows x takes: the kernel over [x0,
+    *points] and the centered mean gamma(x) - gamma(x0) at the points, or
+    None where kernel or gamma is undefined (NaturalSpaceError,
+    KernelEvaluationError); an overflow on the way to that answer is not
+    warned about.  One `pairwise` per configuration, not one stacked kernel:
     `perfbench/selfcheck.py`, a CI step, requires
     `kernel.expfam_pairwise.calls >= bounds.objective_evals`.  The bounds
     without a search solve a whole grid of reference points at once
@@ -226,36 +224,33 @@ def _kernel_stacks(evaluator: KernelEvaluator, gamma: MeanFunction,
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
     x0, first = evaluator.x0, evaluator.x0[None]
     g0 = None
-    results = [None] * len(configurations)
-    stacks: dict[int, tuple[list, list, list]] = {}
+    rows = []
     with np.errstate(over="ignore"):
-        for i, points in enumerate(configurations):
+        for points in configurations:
             points = np.asarray(points, dtype=float)
             try:
                 K = evaluator.pairwise(np.concatenate((first, points)))
                 if g0 is None:
                     g0 = float(gamma.value(x0))
-                rhs = [float(gamma.value(x)) - g0 for x in points]
+                rows.append((K, [float(gamma.value(x)) - g0 for x in points]))
             except (NaturalSpaceError, KernelEvaluationError):
-                continue
-            slots, kernels, rows = stacks.setdefault(len(points), ([], [], []))
-            slots.append((results, i))
-            kernels.append(K)
-            rows.append(rhs)
-    return results, stacks
+                rows.append(None)
+    return rows
 
 
-def _solve_stacks(requests: Sequence[dict], pinv_tol: float) -> None:
-    """Per point count, the block formula and one `_solve` over the stacks of
-    all `requests` together; a result is its outcome."""
-    merged: dict[int, tuple[list, list, list]] = {}
-    for stacks in requests:
-        for m, parts in stacks.items():
-            merged[m] = tuple(map(list.__add__, merged[m], parts)) if m in merged else parts
-    for slots, kernels, rows in merged.values():
-        for (results, i), outcome in zip(slots, _solve(
-                difference_block(np.array(kernels)), rows, pinv_tol)):
-            results[i] = outcome
+def _solve_rows(rows: Sequence, pinv_tol: float) -> list:
+    """The `_solve` outcome of each row of `_kernel_rows`, in order (None for
+    None): per point count, the block formula and one `_solve` over its rows."""
+    outcomes = [None] * len(rows)
+    counts: dict[int, list[int]] = {}  # point count -> positions of its rows
+    for i, row in enumerate(rows):
+        if row is not None:
+            counts.setdefault(len(row[1]), []).append(i)
+    for at in counts.values():
+        for i, outcome in zip(at, _solve(difference_block(np.array([rows[i][0] for i in at])),
+                                         [rows[i][1] for i in at], pinv_tol)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
@@ -380,17 +375,18 @@ def barankin_approx(model: Model, gamma: MeanFunction, x0,
     final value and the step `levels` it ran.  The starts run in lockstep.
     A proposal of a configuration the search has computed is answered at
     once; the distinct new configurations the starts propose next are
-    computed together, one stacked Gram solve per point count
-    (`diagnostics["gram_stacks"]` counts them).  So each distinct
+    computed together, their rows of each point count in one stacked Gram
+    solve (`diagnostics["gram_stacks"]` counts them).  So each distinct
     configuration is computed once: `diagnostics["evaluations"]` counts the
     computed ones and `diagnostics["revisits"]` the other proposals.
 
     The reported value is the largest value of any proposal, so it never
-    decreases as the search proceeds.  A tie goes to the proposal that comes
-    first in serial order (start index, then proposal index), so the value,
-    `best_points` and the Gram diagnostics are those of running the starts
-    one after the other.  An initial point outside `search.region(x0)` is a
-    DomainError.
+    decreases as the search proceeds.  A start keeps only a proposal that
+    beats its value, and the best is the configuration the first start of
+    the largest value kept, so the value, `best_points` and the Gram
+    diagnostics are those of running the starts one after the other.  An
+    initial point outside `search.region(x0)` is a DomainError; a failed
+    solve's error names x0 and the test points.
     """
     cfg = search if search is not None else BarankinSearch()
     cfg = cfg if seed is None else replace(cfg, seed=seed)
@@ -409,19 +405,20 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
     """Yields `barankin_approx(model, gamma, x0, search)` for each `(x0,
     search)` of `problems` in order, bit for bit, or the error the serial
     loop raises where it raises it, and then ends.  Up to `_WINDOW`
-    closed-form searches (Monte Carlo: one) climb side by side, one `_solve`
-    per point count and step; a search whose solve failed raises that
-    configuration's own error, and after a failure no further search starts."""
+    closed-form searches (Monte Carlo: one) climb side by side, the rows of
+    each step solved together in `_solve_rows`; a search whose solve failed
+    raises that configuration's own error, and after a failure no further
+    search starts."""
     window = _WINDOW if isinstance(model, ExponentialFamilyModel) else 1
     searches = (_search(model, gamma, x0, cfg, mc_samples, pinv_tol) for x0, cfg in problems)
-    running: dict[int, tuple] = {}  # position -> search, the stacks it waits on
+    running: dict[int, tuple] = {}  # position -> search, the rows it waits on
     ended: dict[int, object] = {}  # position -> BoundResult or exception
     started = done = 0
 
-    def advance(i: int, search) -> None:
+    def advance(i: int, search, outcomes: list | None = None) -> None:
         nonlocal window
         try:
-            running[i] = search, next(search)
+            running[i] = search, search.send(outcomes)
         except StopIteration as stop:
             ended[i] = stop.value
         except Exception as exc:
@@ -445,16 +442,17 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
         if not running:
             return
         stepping, running = running, {}
-        _solve_stacks([stacks for _, stacks in stepping.values()], pinv_tol)
-        for i, (search, _) in stepping.items():
-            advance(i, search)
+        outcomes = iter(_solve_rows([row for _, rows in stepping.values() for row in rows],
+                                    pinv_tol))
+        for i, (search, rows) in stepping.items():
+            advance(i, search, [next(outcomes) for _ in rows])
 
 
 def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
             mc_samples: int, pinv_tol: float):
-    """One Barankin search as `_lockstep` runs it: each step yields the
-    stacks of the distinct new configurations its starts propose, resumes
-    once they are solved, and at its end returns the BoundResult."""
+    """One Barankin search as `_lockstep` runs it: each step yields the rows
+    of the distinct new configurations its starts propose, is resumed with
+    their outcomes, and at its end returns the BoundResult."""
     x0 = as_param(model, x0)
     evaluator = _make_evaluator(model, x0, mc_samples, cfg.seed)
     in_domain = cfg.region(x0)
@@ -498,8 +496,8 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
 
     def climb(pts: np.ndarray):
         """One start's search: yields each proposal, receives its value (None:
-        kernel undefined) and returns the start's final value and the number
-        of step levels it ran."""
+        kernel undefined) and returns its final value, the largest it
+        proposed, the step levels it ran and the first proposal of that value."""
         current = yield pts
         if current is None:
             # invalid start (kernel undefined there): any valid move wins
@@ -526,29 +524,19 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
                 break
             if gain > 0:
                 last_gain = gain
-        return current, levels
+        return current, levels, pts
 
     gamma = _remembering_values(gamma)
-    # `_solve_stacks` result of each configuration computed (None: undefined)
+    # `_solve_rows` outcome of each configuration computed (None: undefined)
     seen: dict[bytes, tuple | None] = {}
     evaluations = revisits = gram_stacks = 0
-    best_value, best_at, best_result, best_points = 0.0, None, None, None
     climbs = [climb(pts) for pts in starts]
-    proposed = [0] * len(climbs)  # proposals answered per start
-    finals: list[tuple[float, int]] = [(-math.inf, 0)] * len(climbs)
+    finals: list = [None] * len(climbs)  # each start's (value, levels, points)
 
-    def answer(i: int, pts: np.ndarray, result) -> np.ndarray | None:
-        """Start i's next proposal after the one of pts, or None at its end."""
-        nonlocal best_value, best_at, best_result, best_points
-        value = None if result is None else max(result[0], 0.0)  # clamped at zero
-        if value is not None:
-            at = (i, proposed[i])
-            if value > best_value or (value == best_value and best_at is not None
-                                      and at < best_at):
-                best_value, best_at, best_result, best_points = value, at, result, pts
-        proposed[i] += 1
-        try:
-            return climbs[i].send(value)
+    def answer(i: int, result) -> np.ndarray | None:
+        """Start i's next proposal after one of `result`, or None at its end."""
+        try:  # the value is clamped at zero
+            return climbs[i].send(None if result is None else max(result[0], 0.0))
         except StopIteration as stop:
             finals[i] = stop.value
             return None
@@ -565,20 +553,24 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
                     new.setdefault(key, (pts, []))[1].append(i)
                     break
                 revisits += 1
-                pts = answer(i, pts, seen[key])
+                pts = answer(i, seen[key])
         if not new:  # the last starts ended on proposals the search had computed
             break
-        configurations = [pts for pts, _ in new.values()]
-        results, stacks = _kernel_stacks(evaluator, gamma, configurations)
-        yield stacks  # the driver solves them into results
-        evaluations += len(configurations)
+        rows = _kernel_rows(evaluator, gamma, [pts for pts, _ in new.values()])
+        outcomes = yield rows  # the driver solves them
+        evaluations += len(rows)
         # one solve per point count among the configurations with a kernel
-        gram_stacks += len(stacks)
+        gram_stacks += len({len(row[1]) for row in rows if row is not None})
         pending = {}
-        for (key, (pts, waiting)), result in zip(new.items(), results):
-            seen[key] = result = _result(result)  # a failed solve ends the search
+        for (key, (pts, waiting)), result in zip(new.items(), outcomes):
+            if isinstance(result, ConfigurationError):
+                raise result
+            if isinstance(result, Exception):  # a failed solve ends the search here
+                raise type(result)(f"{result} at x0={x0.tolist()} with test points "
+                                   f"{pts.tolist()}") from result
+            seen[key] = result
             for i in waiting:
-                nxt = answer(i, pts, result)
+                nxt = answer(i, result)
                 if nxt is not None:
                     pending[i] = nxt
 
@@ -586,17 +578,19 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
         raise DomainError(f"barankin_approx: kernel or mean undefined at all {evaluations} "
                           f"configurations computed in the {region} at x0={x0.tolist()}")
     trace = [{"start": i, "best_value": v if math.isfinite(v) else None, "levels": levels}
-             for i, (v, levels) in enumerate(finals)]
-    # the best is a positive, hence unclamped, projection
+             for i, (v, levels, _) in enumerate(finals)]
+    # the first start of the largest value; a positive, hence unclamped, projection
+    best_value, _, best_points = max(finals, key=operator.itemgetter(0))
+    if not best_value > 0.0:
+        best_value, best_points = 0.0, None
     diagnostics = {"gram_rank": 0, "condition_number": math.inf, "min_eigenvalue": 0.0,
-                   **(_clamped(*best_result)[1] if best_result else {}),
                    "evaluations": evaluations, "revisits": revisits,
                    "gram_stacks": gram_stacks, "search_trace": trace}
     if best_points is not None:
-        diagnostics["best_points"] = [p.tolist() for p in best_points]
+        diagnostics.update(_clamped(*seen[best_points.tobytes()])[1],
+                           best_points=[p.tolist() for p in best_points])
     diagnostics.update(evaluator.diagnostics(gamma, best_points, pinv_tol))
-    return BoundResult(value=max(best_value, 0.0), method="barankin_approx",
-                       diagnostics=diagnostics)
+    return BoundResult(value=best_value, method="barankin_approx", diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

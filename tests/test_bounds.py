@@ -733,18 +733,18 @@ class TestBarankinSearchWork:
     def test_each_configuration_and_gamma_value_is_computed_once(self, name, monkeypatch):
         model, gamma, x0, search, kwargs = _search_case(name)
         configurations, values = [], []
-        kernel_stacks = bounds_module._kernel_stacks
+        kernel_rows = bounds_module._kernel_rows
 
-        def tracked_stacks(evaluator, g, stack, *args):
+        def tracked_rows(evaluator, g, stack, *args):
             configurations.extend((evaluator, np.asarray(points, dtype=float).tobytes())
                                   for points in stack)
-            return kernel_stacks(evaluator, g, stack, *args)
+            return kernel_rows(evaluator, g, stack, *args)
 
         def counted_value(x):
             values.append(np.asarray(x, dtype=float).tobytes())
             return gamma.value(x)
 
-        monkeypatch.setattr(bounds_module, "_kernel_stacks", tracked_stacks)
+        monkeypatch.setattr(bounds_module, "_kernel_rows", tracked_rows)
         res = vb.barankin_approx(model, vb.MeanFunction(counted_value, gamma.derivative),
                                  x0, search, **kwargs)
         # the Monte Carlo error estimate projects again on the two split halves
@@ -1057,9 +1057,8 @@ class TestLockstepSearch:
         configurations = [np.array([[-0.3]]), np.array([[-3e-5]]), np.array([[-0.5]])]
 
         def projections(configurations):
-            results, stacks = bounds_module._kernel_stacks(evaluator, gamma, configurations)
-            bounds_module._solve_stacks([stacks], 1e-10)
-            return results
+            return bounds_module._solve_rows(
+                bounds_module._kernel_rows(evaluator, gamma, configurations), 1e-10)
 
         results = projections(configurations)
         assert results[1] is None
@@ -1081,6 +1080,64 @@ class TestLockstepSearch:
             run(model, gamma, [0.0], search, mc_samples=2_000)
             counts.append(len(log_density_calls))
         assert 0 < counts[1] <= counts[0]
+
+    def test_searches_of_two_point_counts_share_a_window(self, monkeypatch):
+        # searches of 2 and 3 points step together, each step solving the rows
+        # of both: each is its lone search bit for bit
+        g, gamma = vb.gaussian_mean(), vb.identity_mean()
+        problems = [([0.0], BarankinSearch(restarts=2, halvings=4, max_points=2, seed=5)),
+                    ([0.4], BarankinSearch(restarts=2, halvings=4, max_points=3, seed=6))]
+        solve_rows, counts = bounds_module._solve_rows, []
+
+        def tracked_rows(rows, pinv_tol):
+            counts.append({len(row[1]) for row in rows if row is not None})
+            return solve_rows(rows, pinv_tol)
+
+        monkeypatch.setattr(bounds_module, "_solve_rows", tracked_rows)
+        together = list(bounds_module._lockstep(g, gamma, problems))
+        assert {2, 3} in counts
+        for res, (x0, search) in zip(together, problems):
+            alone = vb.barankin_approx(g, gamma, x0, search)
+            assert res.value.hex() == alone.value.hex()
+            assert _hexed(res.diagnostics) == _hexed(alone.diagnostics)
+
+
+def _two_observation_model() -> vb.GenericModel:
+    """A declared integer support, but two observations per draw."""
+    return vb.GenericModel("pairs", 1, 2, lambda Y, x: np.zeros(len(Y)),
+                           lambda x, seed, count: np.zeros((count, 2)), support=(0, None))
+
+
+def _suffstat_check(mode):
+    iid = vb.gaussian_iid(2)
+    stat = vb.SufficientStatistic(map=lambda Y: Y.sum(axis=-1, keepdims=True),
+                                  induced_model=vb.as_generic(vb.gaussian_sum(2)))
+    return lambda: vb.suffstat_kernel_check(iid, stat, [0.0], [([0.1], [0.2])], mode=mode)
+
+
+#: (library call, exception, message) of input guards no other test reaches
+INPUT_GUARDS = {
+    "expfam-crb-on-a-generic-model": (
+        lambda: vb.expfam_crb(vb.as_generic(vb.poisson()), _ID, [0.0]), TypeError,
+        "expfam_crb requires an ExponentialFamilyModel"),
+    "more-constraints-than-parameters": (
+        lambda: vb.constrained_crb(_G, _ID, [0.0], [[1.0], [2.0]]), ConstraintRankError,
+        r"more constraints \(2\) than parameters \(1\)"),
+    "unknown-suffstat-mode": (_suffstat_check("exact"), ValueError, "unknown mode 'exact'"),
+    "closed-form-suffstat-on-a-generic-model": (
+        _suffstat_check("closed_form"), ValueError,
+        "closed-form comparison needs two exponential-family models"),
+    "declared-support-with-two-observations": (
+        lambda: vb.crb(_two_observation_model(), _ID, [0.0]), ValueError,
+        "an exact sum needs one integer observation"),
+}
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("call, error, match", INPUT_GUARDS.values(), ids=INPUT_GUARDS)
+    def test_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestExpfamBound:

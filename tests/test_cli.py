@@ -321,6 +321,39 @@ class TestRunCommand:
         assert "Traceback" not in captured.out + captured.err
         assert f"configuration error: {section}" in captured.err
 
+    @pytest.mark.parametrize("command, doc, where", [
+        ("run", {**GAUSSIAN_RUN, "mean_function": {"builtin": "identity",
+                                                   "polynomial": [0.0, 1.0]}},
+         "mean_function: give either builtin or polynomial"),
+        ("run", {**GAUSSIAN_RUN, "model": {"family": "gaussian-mean-nd"}, "x0": [0.0, 0.0],
+                 "mean_function": {"polynomial": [0.0, 1.0]}, "methods": [{"name": "crb"}]},
+         "mean_function.polynomial: only available for scalar parameters"),
+        ("run", {**GAUSSIAN_RUN, "model": {"family": "gaussian-mean-nd"},
+                 "x0": {"grid": {"start": 0.0, "stop": 1.0, "count": 2}},
+                 "methods": [{"name": "crb"}]},
+         "x0.grid: only available for scalar parameters"),
+        ("run", {**GAUSSIAN_RUN, "methods": {"name": "crb"}}, "methods: expected a list"),
+        ("run", None, "cannot read config"),
+        ("run", "", "config "),
+        ("run", {**GAUSSIAN_RUN, "methods": []}, "methods: at least one method"),
+        ("reduce", {**GAUSSIAN_RUN, "x0": {"grid": {"start": 0.0, "stop": 1.0, "count": 2}},
+                    "radii": [1.0]}, "x0: reduce requires a single parameter vector"),
+    ], ids=["builtin-and-polynomial", "polynomial-of-two-parameters",
+            "grid-of-two-parameters", "methods-as-a-mapping", "unreadable-config",
+            "empty-config", "run-without-methods", "reduce-on-a-grid"])
+    def test_rejected_config_exits_2_with_one_line(self, tmp_path, capsys, command, doc,
+                                                   where):
+        # doc: the config, its text, or None for no file at all
+        path = tmp_path / "cfg.yaml"
+        if isinstance(doc, str):
+            path.write_text(doc, encoding="utf-8")
+        elif doc is not None:
+            path = write_config(tmp_path, doc)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {where}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GAUSSIAN_RUN)
         assert main(["run", "--config", cfg, "--seed", "-1"]) == 2

@@ -329,14 +329,14 @@ class TestBatchedSearchesEqualAlone:
 
     def test_each_configuration_is_computed_once_per_grid_point(self, monkeypatch):
         model, gamma, grid, options, kwargs = _scan_case("gaussian-mean-ten-points")
-        kernel_stacks, computed = bounds_module._kernel_stacks, {}
+        kernel_rows, computed = bounds_module._kernel_rows, {}
 
-        def tracked_stacks(evaluator, g, stack, *args):
+        def tracked_rows(evaluator, g, stack, *args):
             computed.setdefault(float(evaluator.x0[0]), []).extend(
                 np.asarray(points, dtype=float).tobytes() for points in stack)
-            return kernel_stacks(evaluator, g, stack, *args)
+            return kernel_rows(evaluator, g, stack, *args)
 
-        monkeypatch.setattr(bounds_module, "_kernel_stacks", tracked_stacks)
+        monkeypatch.setattr(bounds_module, "_kernel_rows", tracked_rows)
         report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7)
         assert list(computed) == [x[0] for x in grid]
         for keys, d in zip(computed.values(), report.diagnostics):
@@ -413,8 +413,10 @@ class TestBatchedSearchErrors:
             er, gamma, grid[i], MethodSpec("barankin_approx", options), seed=i), len(grid))
         # the failing matrix solved alone: its message names no index into a
         # stack, which the shared stack (point 0's configurations first)
-        # would give another value
+        # would give another value, and names x0 and the test points instead
         assert expected[0] is DataError and " in system " not in expected[1]
+        assert expected[1].startswith("non-finite right-hand side entry at index (0,) at "
+                                      "x0=[-1.5] with test points [[")
         with pytest.raises(Exception) as caught:
             vb.semicontinuity_scan(er, gamma, grid, options=options)
         assert (type(caught.value), str(caught.value)) == expected

@@ -15,7 +15,7 @@ import varbounds as vb
 from varbounds import calculus as calculus_module
 from varbounds import kernel as kernel_module
 from varbounds import models as models_module
-from varbounds.bounds import _System, _clamped, _kernel_stacks, _quadratic_bound, _solve_stacks
+from varbounds.bounds import _System, _clamped, _kernel_rows, _quadratic_bound, _solve_rows
 from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
     multi_indices_leq, reciprocal_series
 from varbounds.cli import main as cli_main
@@ -1035,10 +1035,9 @@ def _oracle_cases():
 
 def _searched_projection(ev, gamma, points):
     """The search's projection of one configuration, clamped as a bound is:
-    `_kernel_stacks` and `_solve_stacks`; None where it is undefined."""
-    results, stacks = _kernel_stacks(ev, gamma, [points])
-    _solve_stacks([stacks], 1e-10)
-    return results[0] if results[0] is None else _clamped(*results[0])
+    `_kernel_rows` and `_solve_rows`; None where it is undefined."""
+    [result] = _solve_rows(_kernel_rows(ev, gamma, [points]), 1e-10)
+    return result if result is None else _clamped(*result)
 
 
 class TestDifferenceProjectionOracle:

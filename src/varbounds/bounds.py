@@ -16,8 +16,8 @@ from .calculus import FDConfig, MultiIndex, _leibniz_terms, _named, _number, _ve
     as_index, moment_table
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
-from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _make_evaluator, _result, _solve, \
-    difference_block, gram, gram_rhs
+from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _dot_matrix, _make_evaluator, _result, \
+    _solve, difference_block, gram, gram_rhs
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -624,10 +624,7 @@ def _expfam_system(model: ExponentialFamilyModel, gamma: MeanFunction, x0, indic
         sum(b * mu[r] * partials[q] for b, q, r in _leibniz_terms(p))
         for p in idxs
     ])
-    S = np.empty((len(idxs), len(idxs)))
-    for i, p in enumerate(idxs):
-        for j, q in enumerate(idxs):
-            S[i, j] = mu[tuple(map(operator.add, p, q))]
+    S = _dot_matrix(idxs, lambda p, q: mu[tuple(map(operator.add, p, q))])
     extra = {"moment_fd_fallback": True} if model.closed_moments is None else {}
     g0 = partials[zero]
     return _System(S, n_vec, extra, g0 * g0)

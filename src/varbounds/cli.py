@@ -369,24 +369,32 @@ _parser = lru_cache(maxsize=1)(build_parser)  # built on the first main, not at 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "models":
-        print(list_models())
-        return 0
     try:
-        cfg = load_config(args.config)
-        flags = {("mc", "seed"): args.seed, ("output", "path"): args.output,
-                 ("output", "format"): args.format}
-        if any(value is not None for value in flags.values()):
-            # the config again with the flags' values, checked as the file's are
-            d = cfg.to_dict()
-            for (section, key), value in flags.items():
-                if value is not None:
-                    d[section] = {**d[section], key: value}
-            cfg = RunConfig.from_dict(d)
-        handler = {"run": _cmd_run, "scan": _cmd_scan, "reduce": _cmd_reduce,
-                   "validate": _cmd_validate}[args.command]
-        model = make_model(**cfg.model)
-        return handler(cfg, model, build_mean(cfg, model))
+        if args.command == "models":
+            print(list_models())
+            code = 0
+        else:
+            cfg = load_config(args.config)
+            flags = {("mc", "seed"): args.seed, ("output", "path"): args.output,
+                     ("output", "format"): args.format}
+            if any(value is not None for value in flags.values()):
+                # the config again with the flags' values, checked as the file's are
+                d = cfg.to_dict()
+                for (section, key), value in flags.items():
+                    if value is not None:
+                        d[section] = {**d[section], key: value}
+                cfg = RunConfig.from_dict(d)
+            handler = {"run": _cmd_run, "scan": _cmd_scan, "reduce": _cmd_reduce,
+                       "validate": _cmd_validate}[args.command]
+            model = make_model(**cfg.model)
+            code = handler(cfg, model, build_mean(cfg, model))
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:  # so that the exit flush cannot raise again
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: standard output closed before the output was written", file=sys.stderr)
+        return 3
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

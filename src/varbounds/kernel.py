@@ -14,10 +14,10 @@ draws from the reference parameter x0.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -351,14 +351,14 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
     until each of its rows ends 50 nats down: the last term of K(x, x) lies
     that far below its largest (x0's row is settled at construction;
     derivative stencils stay near x0 and use the current count).  Each
-    doubling recomputes the cached rows over the longer support, one log
-    density each, and forgets the dots.  The rule assumes terms that rise
-    and then fall; DataError names the first row that rises again after it
-    fell.  KernelEvaluationError when the count would pass
-    SUMMATION_MAX_TERMS, or a row overflows float64; a Barankin search
-    skips such a configuration as undefined.  ReferenceSupportError names a
-    support point where the reference density vanishes and a row's does
-    not; DataError a NaN or +inf log density.
+    doubling forgets the cached rows and dots; a row is recomputed over the
+    longer support, one log density, when it is next asked for.  The rule
+    assumes terms that rise and then fall; DataError names the first row
+    that rises again after it fell.  KernelEvaluationError when the count
+    would pass SUMMATION_MAX_TERMS, or a row overflows float64; a Barankin
+    search skips such a configuration as undefined.  ReferenceSupportError
+    names a support point where the reference density vanishes and a row's
+    does not; DataError a NaN or +inf log density.
     """
 
     _divisor = 1
@@ -429,15 +429,11 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
         return not self._unbounded or 0.0 < (top := row.max()) and row[-1] <= _TAIL * top
 
     def _grow(self, x: np.ndarray) -> None:
-        """Double the support points for the row of x and recompute the
-        cached rows over them.  A row that overflows on the longer support is
-        dropped, so that its point fails when it is next asked for."""
-        keys = list(self._cache)
+        """Double the support points for the row of x and forget the rows and
+        dots: `_ratios` recomputes a row over the longer support when it is
+        next asked for, and raises there if it fails."""
         self._sum_over(2 * len(self.samples), x)
         self._cache, self._dots = {}, {}
-        for key in keys:
-            with contextlib.suppress(KernelEvaluationError):
-                self._ratios(np.frombuffer(key))
 
     def diagnostics(self, gamma=None, points=None, pinv_tol: float = 1e-10) -> dict:
         """The route and the number of terms summed so far."""
@@ -539,18 +535,9 @@ def deriv_inner_products(model: ExponentialFamilyModel, x0,
     finite differences of the closed-form kernel otherwise.
     """
     idxs = [as_index(p, dim=model.param_dim) for p in indices]
-    L = len(idxs)
-    out = np.empty((L, L))
     if model.closed_moments is not None:
-        mu, nu = _exact_tables(model, x0, idxs)
-        for i in range(L):
-            for j in range(i, L):
-                out[i, j] = out[j, i] = _exact_deriv_inner(mu, nu, idxs[i], idxs[j])
-    else:
-        for i in range(L):
-            for j in range(i, L):
-                out[i, j] = out[j, i] = _fd_deriv_inner(model, x0, idxs[i], idxs[j], cfg)
-    return out
+        return _dot_matrix(idxs, partial(_exact_deriv_inner, *_exact_tables(model, x0, idxs)))
+    return _dot_matrix(idxs, lambda p1, p2: _fd_deriv_inner(model, x0, p1, p2, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +735,10 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
     if not isinstance(evaluator, ExpfamKernelEvaluator):
         raise ValueError("derivative basis functions require the closed-form evaluator")
     if model.closed_moments is not None:
-        _, nu = _exact_tables(model, x0, idxs)
-        D = np.array([[_exact_point_deriv(model, nu, p, a) for p in idxs] for a in P])
+        entry = partial(_exact_point_deriv, model, _exact_tables(model, x0, idxs)[1])
     else:
-        D = np.array([[derivative_kernel_function(evaluator, p, a, cfg) for p in idxs] for a in P])
+        entry = partial(derivative_kernel_function, evaluator, cfg=cfg)
+    D = np.array([[entry(p, a) for p in idxs] for a in P])
     cross = D[1:] - d[:, None] * D[:1]
     G = np.empty((len(basis), len(basis)))
     G[np.ix_(points, points)] = block
@@ -847,31 +834,27 @@ def suffstat_kernel_check(model: Model, statistic: SufficientStatistic, x0,
         raise ValueError("closed-form comparison needs two exponential-family models")
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    pairs: list[ProbePairResult] = []
     if mode == "closed_form":
-        for x1, x2 in probe_pairs:
-            vy = kernel_expfam(model, x0, x1, x2)
-            vz = kernel_expfam(induced, x0, x1, x2)
-            diff = abs(vy - vz)
-            pairs.append(ProbePairResult(
-                x1=np.atleast_1d(np.asarray(x1, dtype=float)),
-                x2=np.atleast_1d(np.asarray(x2, dtype=float)),
-                value_original=vy, value_induced=vz, abs_difference=diff,
-                combined_se=None, within_tolerance=diff <= tolerance))
-        return SuffStatReport(mode=mode, tolerance=tolerance, pairs=pairs)
+        def values(x1, x2):  # (original, induced, combined standard error)
+            return kernel_expfam(model, x0, x1, x2), kernel_expfam(induced, x0, x1, x2), None
+    else:
+        ev_y = MonteCarloKernelEvaluator(model, x0, n, seed)
+        ev_z = MonteCarloKernelEvaluator(induced, x0, n, seed)
 
-    ev_y = MonteCarloKernelEvaluator(model, x0, n, seed)
-    ev_z = MonteCarloKernelEvaluator(induced, x0, n, seed)
+        def values(x1, x2):
+            ry, rz = ev_y.evaluate_with_se(x1, x2), ev_z.evaluate_with_se(x1, x2)
+            return ry.value, rz.value, math.hypot(ry.stderr, rz.stderr)
+    pairs: list[ProbePairResult] = []
     for x1, x2 in probe_pairs:
-        ry = ev_y.evaluate_with_se(x1, x2)
-        rz = ev_z.evaluate_with_se(x1, x2)
-        diff = abs(ry.value - rz.value)
-        se = math.hypot(ry.stderr, rz.stderr)
+        vy, vz, se = values(x1, x2)
+        diff = abs(vy - vz)
         pairs.append(ProbePairResult(
             x1=np.atleast_1d(np.asarray(x1, dtype=float)),
             x2=np.atleast_1d(np.asarray(x2, dtype=float)),
-            value_original=ry.value, value_induced=rz.value, abs_difference=diff,
-            combined_se=se, within_tolerance=diff <= se_multiplier * se))
+            value_original=vy, value_induced=vz, abs_difference=diff, combined_se=se,
+            within_tolerance=diff <= (tolerance if se is None else se_multiplier * se)))
+    if mode == "closed_form":
+        return SuffStatReport(mode=mode, tolerance=tolerance, pairs=pairs)
 
     # pointwise factorization check: the likelihood ratio must be a function
     # of the statistic alone, so both models give the same ratio per draw

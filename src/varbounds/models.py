@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, _named, _number, \
     as_index, moment, moment_table, partial_derivative, reciprocal_series
-from .errors import DataError, NaturalSpaceError, ReferenceSupportError
+from .errors import ConfigurationError, DataError, NaturalSpaceError, ReferenceSupportError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -90,7 +90,8 @@ def as_param(model, x) -> np.ndarray:
     """x as a float vector of the model's parameter dimension."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.param_dim,):
-        raise ValueError(f"parameter shape {x.shape} does not match param_dim={model.param_dim}")
+        raise ConfigurationError(
+            f"parameter shape {x.shape} does not match param_dim={model.param_dim}")
     return x
 
 
@@ -101,7 +102,8 @@ def _as_obs_batch(model, y) -> np.ndarray:
     elif y.ndim == 1:
         y = y.reshape(1, -1)
     if y.shape[-1] != model.obs_dim:
-        raise ValueError(f"observation shape {y.shape} does not match obs_dim={model.obs_dim}")
+        raise ConfigurationError(
+            f"observation shape {y.shape} does not match obs_dim={model.obs_dim}")
     return y
 
 

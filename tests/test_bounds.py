@@ -1115,6 +1115,14 @@ def _suffstat_check(mode):
     return lambda: vb.suffstat_kernel_check(iid, stat, [0.0], [([0.1], [0.2])], mode=mode)
 
 
+def _jumping_model() -> vb.GenericModel:
+    """gaussian-mean as a plain GenericModel whose log density jumps by 800
+    past x = 1, so a Monte Carlo kernel entry there overflows."""
+    return vb.GenericModel(
+        "jump", 1, 1, lambda Y, x: vb.models.log_density_batch(_G, Y, x) + 800.0 * (x[0] > 1),
+        _G.sampler)
+
+
 #: (library call, exception, message) of input guards no other test reaches
 INPUT_GUARDS = {
     "expfam-crb-on-a-generic-model": (
@@ -1130,6 +1138,23 @@ INPUT_GUARDS = {
     "declared-support-with-two-observations": (
         lambda: vb.crb(_two_observation_model(), _ID, [0.0]), ValueError,
         "an exact sum needs one integer observation"),
+    "parameter-of-the-wrong-length": (
+        lambda: vb.crb(_G, _ID, [0.0, 1.0]), ConfigurationError,
+        r"parameter shape \(2,\) does not match param_dim=1"),
+    "observation-of-the-wrong-dimension": (
+        lambda: vb.log_density(_G, [[0.0, 1.0]], [0.0]), ConfigurationError,
+        r"observation shape \(1, 2\) does not match obs_dim=1"),
+    "unknown-bound-method": (
+        lambda: vb.BoundResult(1.0, "nope"), ValueError, "unknown method 'nope'"),
+    "negative-bound-value": (
+        lambda: vb.BoundResult(-1.0, "crb"), ValueError,
+        "bound value must be nonnegative, got -1.0"),
+    "closed-form-evaluator-on-a-generic-model": (
+        lambda: vb.ExpfamKernelEvaluator(vb.as_generic(vb.poisson()), [0.0]), TypeError,
+        "closed-form kernel evaluation needs an ExponentialFamilyModel"),
+    "non-finite-monte-carlo-kernel": (
+        lambda: vb.hcrb(_jumping_model(), _ID, [0.0], TestPointSet([[1.5]]), mc_samples=1000),
+        KernelEvaluationError, "kernel produced non-finite values"),
 }
 
 

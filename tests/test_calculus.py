@@ -49,6 +49,9 @@ class TestMultiIndex:
         with pytest.raises(ConfigurationError, match="bhattacharyya.indices"):
             method_options("bhattacharyya", {"indices": [[entry]]}, 1)
 
+    def test_as_index_takes_an_int_as_a_one_entry_index(self):
+        assert vb.calculus.as_index(2) == MultiIndex((2,)) == (2,)
+
     def test_plus_minus_dominates(self):
         p, q = MultiIndex((2, 1)), MultiIndex((1, 1))
         assert p.plus(q) == (3, 2)

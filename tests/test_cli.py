@@ -706,6 +706,20 @@ class TestModelsCommand:
         assert "poisson" in out
         assert "x < 0" in out
 
+    def test_closed_stdout_exits_3_with_one_error_line(self):
+        # the read end of the pipe is closed before the listing is written
+        src = str(Path(varbounds.__file__).resolve().parent.parent)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run([sys.executable, "-m", "varbounds", "models"], stdout=write,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write)
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
     def test_listing_function(self):
         text = list_models()
         assert "closed-form moments: yes" in text

@@ -178,6 +178,10 @@ class TestSemicontinuityScan:
         for x, v in zip(report.grid, report.values):
             assert abs(v - math.exp(x[0])) <= 5e-2
 
+    def test_empty_grid_gives_an_empty_report(self):
+        report = vb.semicontinuity_scan(vb.gaussian_mean(), vb.identity_mean(), [])
+        assert report.grid == report.values == report.diagnostics == ()
+
     def test_alternative_bound_method(self):
         g = vb.gaussian_mean()
         grid = [np.array([v]) for v in np.linspace(-1, 1, 3)]

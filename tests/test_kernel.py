@@ -141,6 +141,11 @@ class TestKernelMC:
         eig = np.linalg.eigvalsh(K)
         assert eig[0] >= -1e-9 * eig[-1]
 
+    def test_evaluate_is_the_value_of_evaluate_with_se(self):
+        ev = MonteCarloKernelEvaluator(vb.as_generic(vb.gaussian_mean()), [0.0],
+                                       mc_samples=1000, seed=2)
+        assert ev.evaluate([0.3], [0.5]) == ev.evaluate_with_se([0.3], [0.5]).value
+
     def test_accepts_expfam_models_directly(self):
         est = kernel_mc(vb.poisson(), [0.0], [0.3], [0.3], n=50_000, seed=5)
         oracle = kernel_expfam(vb.poisson(), [0.0], [0.3], [0.3])

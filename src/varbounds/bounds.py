@@ -46,9 +46,8 @@ class TestPointSet:
     __test__ = False  # not a pytest case despite the name
 
     points: tuple
-    provenance: str = "user"
 
-    def __init__(self, points: Sequence, provenance: str = "user"):
+    def __init__(self, points: Sequence):
         pts: list[np.ndarray] = []
         for p in points:
             pts.append(np.array(_named("points", _vector, p, len(pts[0]) if pts else None)))
@@ -56,10 +55,7 @@ class TestPointSet:
             for j in range(i + 1, len(pts)):
                 if np.max(np.abs(pts[i] - pts[j]), initial=0.0) < 1e-12:
                     raise ValueError(f"duplicate test points at positions {i} and {j}")
-        if provenance not in ("user", "grid", "random", "refinement"):
-            raise ValueError(f"unknown provenance {provenance!r}")
         object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -766,7 +762,7 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}; known: {tuple(METHODS)}")
+            raise ConfigurationError(f"unknown method {self.name!r}; known: {tuple(METHODS)}")
 
 
 def evaluate_bound(model: Model, gamma: MeanFunction, x0, spec: MethodSpec, *,

@@ -59,6 +59,8 @@ class MultiIndex(tuple):
 
     @classmethod
     def unit(cls, dim: int, axis: int) -> "MultiIndex":
+        if axis not in range(dim):
+            raise ValueError(f"axis {axis!r} is not in range({dim})")
         return cls(tuple(1 if k == axis else 0 for k in range(dim)))
 
 
@@ -144,12 +146,9 @@ class FDConfig:
     """Central-difference configuration: one spacing shared by every axis."""
 
     step: float
-    scheme: str = "central_2nd_order"
 
     def __post_init__(self):
         object.__setattr__(self, "step", _named("step", _number(float, 0, strict=True), self.step))
-        if self.scheme != "central_2nd_order":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 # Central stencils of second-order accuracy; offsets are in units of the step.
@@ -260,10 +259,9 @@ def moment(model, x, p, cfg: FDConfig | None = None) -> float:
     return partial_derivative(normalized_mgf, x, p, cfg)
 
 
-#: (id(model), point, cfg) -> (model, {q: moment}) of 64 points (a grid's,
-#: across its methods), least recently used first.  Holding the model keeps
-#: its id from being reused while the entry lives.
-_MOMENTS: dict[tuple, tuple] = {}
+#: (model, point, cfg) -> {q: moment} of 64 points (a grid's, across its
+#: methods), least recently used first.
+_MOMENTS: dict[tuple, dict] = {}
 
 
 def moment_table(model, x, cap, cfg: FDConfig | None = None) -> dict[MultiIndex, float]:
@@ -271,8 +269,8 @@ def moment_table(model, x, cap, cfg: FDConfig | None = None) -> dict[MultiIndex,
     once per model, point and cfg while `_MOMENTS` holds them."""
     cap = as_index(cap, dim=model.param_dim)
     x = np.asarray(x, dtype=float)
-    key = (id(model), x.shape, x.tobytes(), cfg)
-    _, known = _MOMENTS[key] = _MOMENTS.pop(key, None) or (model, {})
+    key = (model, x.shape, x.tobytes(), cfg)
+    known = _MOMENTS[key] = _MOMENTS.pop(key, {})
     if len(_MOMENTS) > 64:
         del _MOMENTS[next(iter(_MOMENTS))]
     for _, q, _ in _leibniz_terms(cap):

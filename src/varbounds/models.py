@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -49,7 +49,6 @@ class ExponentialFamilyModel:
     sampler: Callable[[np.ndarray, int, int], np.ndarray]
     closed_moments: Callable[[np.ndarray, MultiIndex], float] | None = None
     natural_space_desc: str = "all of R^N"
-    hyperparams: dict = field(default_factory=dict)
     support: tuple[int, int | None] | None = None
 
 
@@ -238,19 +237,9 @@ def _sigmoid(x: float) -> float:
 
 
 def gaussian_mean() -> ExponentialFamilyModel:
-    """Scalar Gaussian with known unit variance; natural parameter is the mean."""
-    return ExponentialFamilyModel(
-        name="gaussian-mean",
-        param_dim=1,
-        obs_dim=1,
-        phi=lambda y: np.asarray(y, dtype=float),
-        log_h=lambda y: -0.5 * np.asarray(y, dtype=float)[..., 0] ** 2 - 0.5 * _LOG_2PI,
-        log_lambda=lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
-        sampler=lambda x, seed, count: np.random.default_rng(seed).normal(
-            loc=float(x[0]), scale=1.0, size=(count, 1)),
-        closed_moments=lambda x, p: _gauss_raw_moment(float(x[0]), 1.0, p[0]),
-        natural_space_desc="all of R",
-    )
+    """Scalar Gaussian with known unit variance; natural parameter is the mean.
+    It is the one-observation gaussian-sum."""
+    return replace(gaussian_sum(1), name="gaussian-mean")
 
 
 def gaussian_mean_nd(dim: int = 2) -> ExponentialFamilyModel:
@@ -275,26 +264,22 @@ def gaussian_mean_nd(dim: int = 2) -> ExponentialFamilyModel:
             loc=x, scale=1.0, size=(count, dim)),
         closed_moments=closed,
         natural_space_desc=f"all of R^{dim}",
-        hyperparams={"dim": dim},
     )
 
 
 def gaussian_iid(n_obs: int = 3) -> ExponentialFamilyModel:
-    """n_obs i.i.d. unit-variance Gaussians sharing one mean; phi(y) = sum(y)."""
+    """n_obs i.i.d. unit-variance Gaussians sharing one mean; phi(y) = sum(y).
+    The sum is sufficient: A, the phi-moments and the kernel are gaussian-sum's."""
     n_obs = _named("n_obs", _number(int, 1), n_obs)
-    return ExponentialFamilyModel(
+    return replace(
+        gaussian_sum(n_obs),
         name="gaussian-iid",
-        param_dim=1,
         obs_dim=n_obs,
         phi=lambda y: np.sum(np.asarray(y, dtype=float), axis=-1, keepdims=True),
         log_h=lambda y: -0.5 * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
                         - 0.5 * n_obs * _LOG_2PI,
-        log_lambda=lambda x: 0.5 * n_obs * np.asarray(x, dtype=float)[..., 0] ** 2,
         sampler=lambda x, seed, count: np.random.default_rng(seed).normal(
             loc=float(x[0]), scale=1.0, size=(count, n_obs)),
-        closed_moments=lambda x, p: _gauss_raw_moment(n_obs * float(x[0]), float(n_obs), p[0]),
-        natural_space_desc="all of R",
-        hyperparams={"n_obs": n_obs},
     )
 
 
@@ -313,7 +298,6 @@ def gaussian_sum(n_obs: int = 3) -> ExponentialFamilyModel:
             loc=n_obs * float(x[0]), scale=math.sqrt(n_obs), size=(count, 1)),
         closed_moments=lambda x, p: _gauss_raw_moment(n_obs * float(x[0]), float(n_obs), p[0]),
         natural_space_desc="all of R",
-        hyperparams={"n_obs": n_obs},
     )
 
 
@@ -419,10 +403,10 @@ BUILTIN_FAMILIES: dict[str, tuple[Callable[..., ExponentialFamilyModel], dict]] 
 
 def make_model(family: str, **params) -> ExponentialFamilyModel:
     if family not in BUILTIN_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)}")
+        raise ConfigurationError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)}")
     factory, defaults = BUILTIN_FAMILIES[family]
     if unknown := set(params) - set(defaults):
-        raise ValueError(f"family {family!r} does not take parameters {sorted(unknown)}")
+        raise ConfigurationError(f"family {family!r} does not take parameters {sorted(unknown)}")
     return factory(**{**defaults, **params})
 
 
@@ -499,9 +483,10 @@ def expfam_mean(model: ExponentialFamilyModel, component: int = 0) -> MeanFuncti
 
     The derivative uses the Leibniz expansion of (d^e lambda / lambda); it is
     exact when the family has closed-form moments and falls back to finite
-    differences of the moments otherwise.
+    differences of the moments otherwise.  ConfigurationError naming
+    `component` unless it is in range(param_dim).
     """
-    e_c = MultiIndex.unit(model.param_dim, component)
+    e_c = _named("component", MultiIndex.unit, model.param_dim, component)
 
     def value(x):
         return moment(model, x, e_c)

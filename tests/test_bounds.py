@@ -1146,6 +1146,8 @@ INPUT_GUARDS = {
         r"observation shape \(1, 2\) does not match obs_dim=1"),
     "unknown-bound-method": (
         lambda: vb.BoundResult(1.0, "nope"), ValueError, "unknown method 'nope'"),
+    "unknown-method-spec": (
+        lambda: MethodSpec("nope"), ConfigurationError, "unknown method 'nope'"),
     "negative-bound-value": (
         lambda: vb.BoundResult(-1.0, "crb"), ValueError,
         "bound value must be nonnegative, got -1.0"),

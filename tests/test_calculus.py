@@ -38,6 +38,11 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex((1.5,))
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_unit_rejects_an_axis_outside_the_dimension(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} is not in range"):
+            MultiIndex.unit(2, axis)
+
     def test_compares_equal_to_plain_tuples(self):
         assert MultiIndex((1, 2)) == (1, 2)
 
@@ -173,10 +178,6 @@ class TestFDConfig:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             FDConfig(0.0)
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            FDConfig(1e-4, scheme="forward")
 
 
 class TestMoment:

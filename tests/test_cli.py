@@ -721,8 +721,22 @@ class TestModelsCommand:
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
     def test_listing_function(self):
-        text = list_models()
-        assert "closed-form moments: yes" in text
+        assert list_models() == "\n".join([
+            "built-in families:",
+            "  gaussian-mean      hyperparameters: none                     "
+            "natural space: all of R     closed-form moments: yes",
+            "  poisson            hyperparameters: none                     "
+            "natural space: all of R     closed-form moments: yes",
+            "  bernoulli          hyperparameters: none                     "
+            "natural space: all of R     closed-form moments: yes",
+            "  exponential-rate   hyperparameters: none                     "
+            "natural space: x < 0        closed-form moments: yes",
+            "  gaussian-mean-nd   hyperparameters: dim (default 2)          "
+            "natural space: all of R^2   closed-form moments: yes",
+            "  gaussian-iid       hyperparameters: n_obs (default 3)        "
+            "natural space: all of R     closed-form moments: yes",
+            "  gaussian-sum       hyperparameters: n_obs (default 3)        "
+            "natural space: all of R     closed-form moments: yes"])
 
 
 # ---------------------------------------------------------------------------

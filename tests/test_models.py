@@ -414,6 +414,13 @@ class TestMeanFunctions:
         assert gamma.derivative(x, MultiIndex((1,))) == pytest.approx(1.0, abs=1e-12)
         assert gamma.derivative(x, MultiIndex((2,))) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [vb.expfam_mean, vb.phi_estimator])
+    @pytest.mark.parametrize("component", [1, -1])
+    def test_component_outside_the_parameter_is_rejected(self, make, component):
+        # a component past the parameter once gave the zero index, gamma = 1
+        with pytest.raises(ConfigurationError, match=r"^component: axis"):
+            make(vb.poisson(), component)
+
     def test_mean_partial_fd_fallback(self):
         gamma = vb.MeanFunction(value=lambda x: float(x[0]) ** 3)
         assert mean_partial(gamma, [2.0], (1,)) == pytest.approx(12.0, rel=1e-6)
@@ -425,9 +432,49 @@ class TestModelRegistry:
         assert m.param_dim == 3
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown family 'gamma'"):
             vb.make_model("gamma")
 
     def test_unknown_hyperparameter_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"does not take parameters \['dim'\]"):
             vb.make_model("poisson", dim=2)
+
+    @pytest.mark.parametrize("family", models.BUILTIN_FAMILIES)
+    def test_models_are_hashable(self, family):
+        model = vb.make_model(family)
+        for view in (model, vb.as_generic(model), dataclasses.replace(model, name="copy")):
+            assert hash(view) == hash(dataclasses.replace(view))
+
+
+def _gauss_inputs():
+    rng = np.random.default_rng(5)
+    return rng.normal(scale=3.0, size=(40, 1)), rng.normal(scale=2.0, size=(6, 1))
+
+
+class TestGaussianFamilies:
+    """gaussian-mean and gaussian-iid are built from gaussian-sum."""
+
+    def test_gaussian_mean_is_the_one_observation_sum(self):
+        Y, X = _gauss_inputs()
+        mean, one = vb.gaussian_mean(), vb.gaussian_sum(1)
+        np.testing.assert_array_equal(mean.phi(Y), one.phi(Y))
+        np.testing.assert_array_equal(mean.log_h(Y), one.log_h(Y))
+        for x in X:
+            assert mean.log_lambda(x) == one.log_lambda(x)
+            np.testing.assert_array_equal(mean.sampler(x, 3, 20), one.sampler(x, 3, 20))
+            for p in range(9):
+                assert mean.closed_moments(x, (p,)) == one.closed_moments(x, (p,))
+
+    def test_gaussian_mean_fields(self):
+        g = vb.gaussian_mean()
+        assert (g.name, g.param_dim, g.obs_dim, g.natural_space_desc, g.support) == \
+            ("gaussian-mean", 1, 1, "all of R", None)
+
+    def test_gaussian_iid_shares_a_and_the_moments_of_the_sum(self):
+        _, X = _gauss_inputs()
+        iid, total = vb.gaussian_iid(3), vb.gaussian_sum(3)
+        assert (iid.name, iid.obs_dim, iid.natural_space_desc) == ("gaussian-iid", 3, "all of R")
+        for x in X:
+            assert iid.log_lambda(x) == total.log_lambda(x)
+            for p in range(9):
+                assert iid.closed_moments(x, (p,)) == total.closed_moments(x, (p,))

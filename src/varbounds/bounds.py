@@ -17,7 +17,7 @@ from .calculus import FDConfig, MultiIndex, _leibniz_terms, _named, _number, _ve
 from .errors import ConfigurationError, ConstraintRankError, DomainError, \
     KernelEvaluationError, NaturalSpaceError
 from .kernel import DerivBasis, DiffBasis, KernelEvaluator, _dot_matrix, _make_evaluator, _result, \
-    _solve, difference_block, gram, gram_rhs
+    _solve, gram, gram_rhs
 from .models import ExponentialFamilyModel, MeanFunction, Model, as_param, mean_partial
 
 #: Largest total order of a derivative multi-index.
@@ -208,27 +208,27 @@ def bhattacharyya(model: Model, gamma: MeanFunction, x0, indices, *,
 def _kernel_rows(evaluator: KernelEvaluator, gamma: MeanFunction,
                  configurations: Sequence) -> list:
     """Per configuration, what projecting the centered mean onto the kernel
-    differences R(., x) - R(., x0) at its rows x takes: the kernel over [x0,
-    *points] and the centered mean gamma(x) - gamma(x0) at the points, or
-    None where kernel or gamma is undefined (NaturalSpaceError,
-    KernelEvaluationError); an overflow on the way to that answer is not
-    warned about.  One `pairwise` per configuration, not one stacked kernel:
-    `perfbench/selfcheck.py`, a CI step, requires
+    differences R(., x) - R(., x0) at its rows x takes: their Gram matrix, one
+    centred `pairwise` over the points, and the centered mean gamma(x) -
+    gamma(x0) at the points, or None where kernel or gamma is undefined
+    (NaturalSpaceError, KernelEvaluationError); an overflow on the way to
+    that answer is not warned about.  One `pairwise` per configuration, not
+    one stacked kernel: `perfbench/selfcheck.py`, a CI step, requires
     `kernel.expfam_pairwise.calls >= bounds.objective_evals`.  The bounds
     without a search solve a whole grid of reference points at once
     instead, through `_evaluate_grid`."""
     evaluator.reserve(sum(map(len, configurations)) + len(configurations))
-    x0, first = evaluator.x0, evaluator.x0[None]
+    x0 = evaluator.x0
     g0 = None
     rows = []
     with np.errstate(over="ignore"):
         for points in configurations:
             points = np.asarray(points, dtype=float)
             try:
-                K = evaluator.pairwise(np.concatenate((first, points)))
+                V = evaluator.pairwise(points, centred=True)
                 if g0 is None:
                     g0 = float(gamma.value(x0))
-                rows.append((K, [float(gamma.value(x)) - g0 for x in points]))
+                rows.append((V, [float(gamma.value(x)) - g0 for x in points]))
             except (NaturalSpaceError, KernelEvaluationError):
                 rows.append(None)
     return rows
@@ -236,14 +236,14 @@ def _kernel_rows(evaluator: KernelEvaluator, gamma: MeanFunction,
 
 def _solve_rows(rows: Sequence, pinv_tol: float) -> list:
     """The `_solve` outcome of each row of `_kernel_rows`, in order (None for
-    None): per point count, the block formula and one `_solve` over its rows."""
+    None): one `_solve` over the rows of each point count."""
     outcomes = [None] * len(rows)
     counts: dict[int, list[int]] = {}  # point count -> positions of its rows
     for i, row in enumerate(rows):
         if row is not None:
             counts.setdefault(len(row[1]), []).append(i)
     for at in counts.values():
-        for i, outcome in zip(at, _solve(difference_block(np.array([rows[i][0] for i in at])),
+        for i, outcome in zip(at, _solve(np.array([rows[i][0] for i in at]),
                                          [rows[i][1] for i in at], pinv_tol)):
             outcomes[i] = outcome
     return outcomes

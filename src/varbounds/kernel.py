@@ -74,9 +74,26 @@ class ExpfamKernelEvaluator:
         """Nothing to report: the closed form is exact."""
         return {}
 
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        """Kernel matrix over rows of `points`, vectorized through log_lambda."""
+    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
+        """Kernel matrix over rows of `points`, exp of `_exponent`.  Centred,
+        the Gram matrix of the differences R(., x) - R(., x0) over them: expm1
+        of the family's `second_difference`, or, where it has none or that is
+        not finite, of the exponent, which then raises the error of a point or
+        pair sum without a kernel value."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
+        if not centred:
+            return np.exp(self._exponent(P))
+        if self.model.second_difference is not None:
+            with np.errstate(all="ignore"):
+                V = np.expm1(self.model.second_difference(self.x0, P - self.x0))
+            if math.isfinite(V.sum()):  # finite unless an entry is not or it overflows
+                return V
+        return np.expm1(self._exponent(np.concatenate((self.x0[None], P)))[1:, 1:])
+
+    def _exponent(self, P: np.ndarray) -> np.ndarray:
+        """log R over the rows of P through log_lambda; NaturalSpaceError names
+        the first point, then the first pair sum, where that is not finite,
+        KernelEvaluationError an exponent above `_EXP_MAX`."""
         lls = np.asarray(self.model.log_lambda(P), dtype=float)
         sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
         ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
@@ -89,7 +106,7 @@ class ExpfamKernelEvaluator:
         expo = ll_sums.reshape(len(P), len(P)) + self._ll0 - (lls[:, None] + lls[None, :])
         if not expo.max() <= _EXP_MAX:
             raise KernelEvaluationError("kernel value overflowed for a point pair")
-        return np.exp(expo)
+        return expo
 
 
 @dataclass(frozen=True)
@@ -192,13 +209,22 @@ class _RowKernelEvaluator:
         D = np.array([partial_derivative(self._ratios, self.x0, p, cfg) for p in idxs])
         return (D @ D.T) / self._divisor
 
-    def _kernel_matrix(self, P: np.ndarray) -> np.ndarray:
+    def _settle(self, P: np.ndarray) -> None:
+        """Make the observations cover the rows of P; a fixed set already does."""
+
+    def _kernel_matrix(self, points, centred: bool) -> np.ndarray:
+        """`pairwise`: the kernel over the rows of `points`, or, centred, the
+        `difference_block` of the kernel over [x0, *points]."""
+        P = np.atleast_2d(np.asarray(points, dtype=float))
+        if centred:
+            P = np.concatenate((self.x0[None], P))
         self.reserve(len(P))
+        self._settle(P)
         rows = [(p.tobytes(), self._ratios(p)) for p in P]
         K = _dot_matrix(rows, lambda a, b: self._dot(a, b) / self._divisor)
         if not np.all(np.isfinite(K)):
             raise KernelEvaluationError("kernel produced non-finite values")
-        return K
+        return difference_block(K) if centred else K
 
 
 class MonteCarloKernelEvaluator(_RowKernelEvaluator):
@@ -316,8 +342,8 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         heavy = dominance > max(0.01, 50.0 / n)
         return MCKernelEstimate(value=value, stderr=stderr, heavy_tail_warning=heavy)
 
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        return self._kernel_matrix(np.atleast_2d(np.asarray(points, dtype=float)))
+    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
+        return self._kernel_matrix(points, centred)
 
 
 #: Most terms the summation route sums, 2^17 = 131,072: a row then holds
@@ -439,13 +465,13 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
         """The route and the number of terms summed so far."""
         return {"route": "summation", "summation_terms": len(self.samples)}
 
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        self.reserve(len(P))
+    def _settle(self, P: np.ndarray) -> None:
         while (x := next((p for p in P if not self._settled(self._ratios(p))), None)) \
                 is not None:
             self._grow(x)
-        return self._kernel_matrix(P)
+
+    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
+        return self._kernel_matrix(points, centred)
 
 
 KernelEvaluator = ExpfamKernelEvaluator | MonteCarloKernelEvaluator | SummationKernelEvaluator
@@ -701,7 +727,11 @@ def difference_block(K: np.ndarray, d=None) -> np.ndarray:
     and difference basis functions at x_1, ..., x_m, from the kernel matrix K
     over [x0, x_1, ..., x_m] or a stack of them; d_i = 1 marks a difference
     R(., x_i) - R(., x0) and 0 a point R(., x_i), and d = None makes every
-    basis function a difference (x * 1.0 is x, so the values are the same)."""
+    basis function a difference (x * 1.0 is x, so the values are the same).
+    It loses about eps / |x_i - x0|^2 to cancellation, so the closed form
+    builds a basis of differences only without it (centred `pairwise`); it
+    serves bases that mix points and differences, and the row evaluators,
+    whose entries are dot products of rows."""
     Ki0, K0j, K00 = K[..., 1:, :1], K[..., :1, 1:], K[..., :1, :1]
     if d is None:
         return ((K[..., 1:, 1:] - Ki0) - K0j) + K00
@@ -713,8 +743,9 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
     """Gram matrix of inner products among basis functions, assembled from
     kernel values and kernel derivatives via the reproducing property.
 
-    Point and difference entries are the `difference_block` of one pairwise
-    kernel matrix over [x0, x_1, ..., x_m].  Derivative entries are the
+    A basis of differences only is one centred `pairwise` over its points.
+    Point and difference entries mixed are the `difference_block` of one
+    pairwise kernel matrix over [x0, x_1, ..., x_m].  Derivative entries are the
     evaluator's `deriv_gram` (finite-difference step `cfg`): in closed form
     `deriv_inner_products`, by Monte Carlo the mean of D^p rho * D^q rho over
     the draws, on a summed support the sum of D^p s * D^q s.  Mixed with
@@ -728,6 +759,8 @@ def gram(evaluator: KernelEvaluator, basis: Sequence, cfg: FDConfig | None = Non
         return evaluator.deriv_gram(idxs, cfg)
     P = np.array([x0] + [basis[i].x for i in points], dtype=float)
     d = np.array([float(isinstance(basis[i], DiffBasis)) for i in points])
+    if not deriv and d.size and d.all():
+        return evaluator.pairwise(P[1:], centred=True)
     block = difference_block(evaluator.pairwise(P), d)
     if not deriv:
         return block

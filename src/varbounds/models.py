@@ -38,6 +38,15 @@ class ExponentialFamilyModel:
     closed_moments, when present, maps (x, multi-index p) to E_x{phi^p(y)}.
     support, for a family whose observation is one integer, is its range
     (lo, hi), hi None when unbounded above; `as_generic` passes it on.
+
+    second_difference, when present, maps x0 (N,) and offsets D (m, N) to the
+    exactly symmetric (m, m) matrix A(x0 + d_i + d_j) - A(x0 + d_i) -
+    A(x0 + d_j) + A(x0), computed without that cancellation: the Gram matrix
+    of the differences R(., x0 + d_i) - R(., x0) is expm1 of it.  Where it is
+    absent, or not finite or too large to exponentiate, the closed-form kernel
+    takes expm1 of its log-partition exponent, which also raises the error of
+    a point outside the natural space.  A copy given another log_lambda must
+    reset it to None.
     """
 
     name: str
@@ -50,6 +59,7 @@ class ExponentialFamilyModel:
     closed_moments: Callable[[np.ndarray, MultiIndex], float] | None = None
     natural_space_desc: str = "all of R^N"
     support: tuple[int, int | None] | None = None
+    second_difference: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -264,6 +274,7 @@ def gaussian_mean_nd(dim: int = 2) -> ExponentialFamilyModel:
             loc=x, scale=1.0, size=(count, dim)),
         closed_moments=closed,
         natural_space_desc=f"all of R^{dim}",
+        second_difference=lambda x0, D: D @ D.T,
     )
 
 
@@ -298,6 +309,7 @@ def gaussian_sum(n_obs: int = 3) -> ExponentialFamilyModel:
             loc=n_obs * float(x[0]), scale=math.sqrt(n_obs), size=(count, 1)),
         closed_moments=lambda x, p: _gauss_raw_moment(n_obs * float(x[0]), float(n_obs), p[0]),
         natural_space_desc="all of R",
+        second_difference=lambda x0, D: n_obs * (D * D.T),
     )
 
 
@@ -336,11 +348,17 @@ def poisson() -> ExponentialFamilyModel:
         closed_moments=lambda x, p: _poisson_raw_moment(math.exp(float(x[0])), p[0]),
         natural_space_desc="all of R",
         support=(0, None),
+        second_difference=lambda x0, D: np.exp(x0[0]) * (np.expm1(D) * np.expm1(D.T)),
     )
 
 
 def bernoulli() -> ExponentialFamilyModel:
     """Bernoulli in {0,1}; natural parameter is the logit of the success probability."""
+
+    def second_difference(x0, D):
+        a = np.expm1(D) / (1.0 + np.exp(x0 + D))
+        return np.log1p(np.exp(x0[0]) * (a * a.T))
+
     return ExponentialFamilyModel(
         name="bernoulli",
         param_dim=1,
@@ -354,6 +372,7 @@ def bernoulli() -> ExponentialFamilyModel:
         closed_moments=lambda x, p: 1.0 if p[0] == 0 else _sigmoid(float(x[0])),
         natural_space_desc="all of R",
         support=(0, 1),
+        second_difference=second_difference,
     )
 
 
@@ -386,6 +405,7 @@ def exponential_rate() -> ExponentialFamilyModel:
             scale=1.0 / (-float(x[0])), size=(count, 1)),
         closed_moments=closed,
         natural_space_desc="x < 0",
+        second_difference=lambda x0, D: np.log1p(D * D.T / (x0[0] * (x0[0] + (D + D.T)))),
     )
 
 
@@ -447,17 +467,21 @@ def constant_mean(c: float) -> MeanFunction:
 
 
 def identity_mean(component: int = 0) -> MeanFunction:
-    """gamma(x) = x_component."""
+    """gamma(x) = x_component; ConfigurationError, naming `component` and the
+    parameter dimension, at an x without that component."""
+
+    def value(x):
+        x = np.atleast_1d(x)
+        if not -len(x) <= component < len(x):
+            raise ConfigurationError(f"component: {component} is outside a parameter "
+                                     f"of dimension {len(x)}")
+        return float(x[component])
 
     def deriv(x, p):
-        p = as_index(p)
-        if p.order == 0:
-            return float(np.atleast_1d(x)[component])
-        if p.order == 1 and p[component] == 1:
-            return 1.0
-        return 0.0
+        p, v = as_index(p), value(x)  # value checks the component
+        return v if p.order == 0 else float(p.order == 1 and p[component] == 1)
 
-    return MeanFunction(value=lambda x: float(np.atleast_1d(x)[component]), derivative=deriv)
+    return MeanFunction(value=value, derivative=deriv)
 
 
 def polynomial_mean(coeffs) -> MeanFunction:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -234,9 +235,9 @@ class TestMonteCarloRatioCache:
             assert len(self._cache) <= self._cache_cap
             return out
 
-        def tracked_pairwise(self, points):
+        def tracked_pairwise(self, points, **kwargs):
             rows[0] = max(rows[0], len(points))
-            return pairwise(self, points)
+            return pairwise(self, points, **kwargs)
 
         def tracked_reserve(self, n):
             step_rows[0] = max(step_rows[0], n)
@@ -250,9 +251,10 @@ class TestMonteCarloRatioCache:
                            vb.expfam_mean(p), [0.0],
                            vb.BarankinSearch(restarts=2, halvings=3, max_points=2, seed=1),
                            mc_samples=5_000)
-        # x0 and 2 points per configuration, one configuration per start and step
-        assert rows[0] == 3
-        assert step_rows[0] == 2 * rows[0]
+        # 2 points per configuration, and x0's row beside them, one
+        # configuration per start and step
+        assert rows[0] == 2
+        assert step_rows[0] == 2 * (rows[0] + 1)
         # the search evaluates far more points than the cache keeps
         assert max(sizes) == 2 * step_rows[0] + 1
 
@@ -398,8 +400,8 @@ class TestMonteCarloDotCache:
         sizes, computed = [], counted_dots(monkeypatch)
         pairwise = MonteCarloKernelEvaluator.pairwise
 
-        def tracked_pairwise(self, points):
-            out = pairwise(self, points)
+        def tracked_pairwise(self, points, **kwargs):
+            out = pairwise(self, points, **kwargs)
             cap = self._cache_cap
             sizes.append(len(self._dots))
             assert len(self._dots) <= cap * (cap + 1) // 2
@@ -965,12 +967,10 @@ class TestSuffStatCheck:
         assert report.factorization_gap <= 1e-12
 
 
-def parent_difference_projection(model, x0, points, gamma, pinv_tol=1e-10):
-    """The difference-basis projection as the one Gram path computed it
-    before it took the point array directly, written out step by step:
-    ExpfamKernelEvaluator.pairwise, the general block formula of `gram` with
-    every d_i = 1, `gram_rhs`, `make_gram_system`, `signed_sq_norm` and the
-    clamp of the bound diagnostics."""
+def parent_difference_gram(model, x0, points):
+    """The difference-basis Gram matrix as the four-term block formed it, from
+    ExpfamKernelEvaluator.pairwise over [x0, *points] and the general block
+    formula of `gram` with every d_i = 1."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     P = np.array([x0] + [np.asarray(p, dtype=float) for p in points], dtype=float)
     lls = np.asarray(model.log_lambda(P), dtype=float)
@@ -989,7 +989,16 @@ def parent_difference_projection(model, x0, points, gamma, pinv_tol=1e-10):
         raise KernelEvaluationError("kernel value overflowed for a point pair")
     d = np.ones(len(points))
     dcol = d[:, None]
-    G = ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
+    return ((K[1:, 1:] - K[1:, :1] * d) - dcol * K[:1, 1:]) + dcol * (d * K[0, 0])
+
+
+def parent_difference_projection(model, x0, points, gamma, pinv_tol=1e-10):
+    """The difference-basis projection as the one Gram path computed it
+    before the closed form took exact difference entries, written out step
+    by step: `parent_difference_gram`, `gram_rhs`, `make_gram_system`,
+    `signed_sq_norm` and the clamp of the bound diagnostics."""
+    G = parent_difference_gram(model, x0, points)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     g0 = float(gamma.value(x0))
     rhs = np.array([float(gamma.value(np.asarray(p, dtype=float))) - g0 for p in points])
     if float(np.abs(G - G.T).max()) > 1e-12 * max(1.0, float(np.abs(G).max())):
@@ -1045,9 +1054,22 @@ def _searched_projection(ev, gamma, points):
     return result if result is None else _clamped(*result)
 
 
+#: Largest relative move of a projection value from the parent sequence.
+#: The four-term block lost about eps / d^2 of each Gram entry to
+#: cancellation, and the solve amplifies that by up to the condition number:
+#: the largest move measured over these cases is 2.7e-10 (poisson-15,
+#: condition number 1.2e8).
+VALUE_MOVE = 1e-9
+
+
 class TestDifferenceProjectionOracle:
-    """The projection the Barankin search and hcrb compute is bit for bit the
-    parent sequence, value and diagnostics, and fails the same way."""
+    """The projection the Barankin search and hcrb compute is one sequence:
+    the search array, the tuple input, hcrb's system and hcrb agree bit for
+    bit, value and diagnostics.  It agrees with the parent sequence, whose
+    four-term block lost digits to cancellation, as far as that loss allows:
+    the same rank and diagnostics, the value within VALUE_MOVE, and the
+    smallest eigenvalue within Weyl's bound of the entry changes.  Where the
+    parent failed it fails the same way."""
 
     @pytest.mark.parametrize("name, model, x0, points",
                              [pytest.param(*c, id=c[0]) for c in _oracle_cases()])
@@ -1065,22 +1087,39 @@ class TestDifferenceProjectionOracle:
             if isinstance(exc, NaturalSpaceError):
                 assert np.array_equal(got.value.point, exc.point)
                 assert got.value.context == exc.context
+                assert got.value.overflow == exc.overflow
             return
         basis = [DiffBasis(p) for p in points]
-        single = _quadratic_bound("hcrb", _System(gram(ev, basis), gram_rhs(ev, basis, gamma)),
-                                  1e-10)
-        for value, diagnostics in (_searched_projection(ev, gamma, points),  # search array
-                                   _searched_projection(ev, gamma, tuple(points)),
-                                   (single.value, single.diagnostics)):  # hcrb's system
-            assert value.hex() == expected[0].hex()
-            assert _hex(diagnostics) == _hex(expected[1])
+        G = gram(ev, basis)
+        single = _quadratic_bound("hcrb", _System(G, gram_rhs(ev, basis, gamma)), 1e-10)
+        value, diagnostics = _searched_projection(ev, gamma, points)  # the search array
+        for other in (_searched_projection(ev, gamma, tuple(points)),
+                      (single.value, single.diagnostics)):  # hcrb's system
+            assert other[0].hex() == value.hex()
+            assert _hex(other[1]) == _hex(diagnostics)
         if name != "rank-deficient-repeated-point":  # a TestPointSet rejects duplicates
             res = vb.hcrb(model, gamma, x0, vb.TestPointSet(points))
-            assert _hex(res.diagnostics) == {**_hex(expected[1]), "n_test_points": len(points)}
-            assert res.value.hex() == expected[0].hex()
-        K = ev.pairwise(np.concatenate((np.atleast_2d(x0), points)))
-        assert np.array_equal(difference_block(K[None])[0],
-                              gram(ev, [DiffBasis(p) for p in points]))
+            assert _hex(res.diagnostics) == {**_hex(diagnostics), "n_test_points": len(points)}
+            assert res.value.hex() == value.hex()
+        assert np.array_equal(G, ev.pairwise(points, centred=True))
+
+        parent_value, parent_diagnostics = expected
+        assert value == pytest.approx(parent_value, rel=VALUE_MOVE, abs=0.0)
+        assert diagnostics.keys() == parent_diagnostics.keys()
+        assert diagnostics["gram_rank"] == parent_diagnostics["gram_rank"]
+        # Weyl: an eigenvalue moves by at most the spectral norm of the change,
+        # at most m times its largest entry, plus the rounding of eigh
+        P = parent_difference_gram(model, x0, points)
+        m, scale = len(points), float(np.abs(P).max())
+        moved = float(np.abs(G - P).max())
+        assert moved <= 1e-11 * scale
+        shift = m * (moved + 1e-15 * scale)
+        assert abs(diagnostics["min_eigenvalue"] - parent_diagnostics["min_eigenvalue"]) <= shift
+        if m == parent_diagnostics["gram_rank"]:  # else the smallest |eigenvalue| is rounding
+            # the largest |eigenvalue| is at least `scale`, the smallest that over the condition
+            parent_condition = parent_diagnostics["condition_number"]
+            assert diagnostics["condition_number"] == pytest.approx(
+                parent_condition, rel=2 * shift / scale * (1 + parent_condition))
 
     def test_cases_cover_the_edges(self):
         names = {c[0]: c for c in _oracle_cases()}
@@ -1094,6 +1133,119 @@ class TestDifferenceProjectionOracle:
         assert ranks["rank-deficient-bernoulli"][0] == 1
         assert ranks["rank-deficient-repeated-point"][0] == 2
         assert ranks["near-singular"][1] > 1e10
+
+
+# ---------------------------------------------------------------------------
+# Exact difference entries: the family hook and the centred kernel
+# ---------------------------------------------------------------------------
+
+def decimal_log_partition(model, x):
+    """A at a tuple of Decimals, for each built-in family."""
+    n = {"gaussian-iid": 3, "gaussian-sum": 3}.get(model.name, 1)
+    if model.name.startswith("gaussian"):
+        return n * sum(t * t for t in x) / 2
+    t = x[0]
+    return {"poisson": lambda: t.exp(), "bernoulli": lambda: (1 + t.exp()).ln(),
+            "exponential-rate": lambda: -(-t).ln()}[model.name]()
+
+
+#: Each built-in family with an x0 and offsets from 1e-6 to 0.5 in size, of
+#: both signs; gaussian-mean-nd's rows are parallel, so no dot product cancels
+HOOK_CASES = [(vb.make_model(name), x0) for name, x0 in (
+    ("gaussian-mean", [0.3]), ("gaussian-iid", [-0.7]), ("gaussian-sum", [1.2]),
+    ("poisson", [-0.2]), ("bernoulli", [0.4]), ("exponential-rate", [-2.0]),
+    ("gaussian-mean-nd", [0.3, -0.6]))]
+HOOK_OFFSETS = [1e-6, -1e-6, 3e-5, -1e-4, 1e-2, -3e-2, 0.5, -0.5]
+
+
+class TestExactDifferenceEntries:
+    """The closed form's difference Gram matrix is expm1 of the family's
+    exact second difference of A; the four-term block lost eps / d^2."""
+
+    @pytest.mark.parametrize("model, x0", HOOK_CASES, ids=[m.name for m, _ in HOOK_CASES])
+    def test_hook_matches_the_decimal_second_difference(self, model, x0):
+        D = np.array([[d, d / 3][:model.param_dim] for d in HOOK_OFFSETS])
+        V = model.second_difference(np.array(x0), D)
+        assert V.shape == (len(D), len(D)) and np.array_equal(V, V.T)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = [tuple(map(Decimal, x0))] + [tuple(Decimal(t) + Decimal(u) for t, u in zip(x0, d))
+                                             for d in D.tolist()]
+            A = [decimal_log_partition(model, x) for x in a]
+            for i, di in enumerate(D.tolist()):
+                for j, dj in enumerate(D.tolist()):
+                    pair = tuple(t + Decimal(u) + Decimal(v) for t, u, v in zip(a[0], di, dj))
+                    exact = decimal_log_partition(model, pair) - A[i + 1] - A[j + 1] + A[0]
+                    assert abs(Decimal(V[i, j]) - exact) <= Decimal("1e-14") * abs(exact)
+
+    @pytest.mark.parametrize("d", [1e-6, 1e-4])
+    def test_one_point_gaussian_hcrb_is_exact(self, d):
+        # m^2 / V with m = d and V = expm1(d^2); the block was off by 8.9e-5 at 1e-6
+        res = vb.hcrb(vb.gaussian_mean(), vb.identity_mean(), [0.0], vb.TestPointSet([[d]]))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            s = Decimal(d) ** 2
+            exact = s / (s.exp() - 1)
+        assert abs(Decimal(res.value) - exact) <= Decimal("1e-12")
+
+    def test_one_point_poisson_hcrb_is_exact_and_below_the_variance(self):
+        # the end point of a default search at x0 = 0, seed 3: the block gave
+        # 1.00000043, above the minimum variance e^x0 = 1
+        x = -1.28e-5
+        res = vb.hcrb(vb.poisson(), vb.expfam_mean(vb.poisson()), [0.0], vb.TestPointSet([[x]]))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            m = Decimal(x).exp() - 1  # gamma(x) - gamma(x0), and expm1(d) at x0 = 0
+            exact = m * m / ((m * m).exp() - 1)
+        assert abs(Decimal(res.value) - exact) <= Decimal("1e-11") * exact
+        assert res.value < 1.0
+
+    @pytest.mark.parametrize("model, x0, points", [
+        (vb.poisson(), [0.0], [[800.0]]),  # the point's log partition overflows
+        (vb.poisson(), [0.0], [[0.5], [400.0]]),  # a pair sum's overflows
+        (vb.exponential_rate(), [-1.0], [[-0.5], [0.5]]),  # a point outside x < 0
+        (vb.exponential_rate(), [-1.0], [[-0.2], [-0.3]]),  # a pair sum outside
+        (vb.gaussian_mean(), [0.0], [[30.0], [1.0]]),  # a kernel value overflows
+    ], ids=["point-overflow", "pair-overflow", "point-outside", "pair-outside", "kernel-overflow"])
+    def test_centred_errors_are_those_of_the_kernel(self, model, x0, points):
+        P = np.array(points)
+        with np.errstate(over="ignore"):  # as hcrb and the search call it
+            with pytest.raises((NaturalSpaceError, KernelEvaluationError)) as full:
+                ExpfamKernelEvaluator(model, x0).pairwise(np.concatenate(([x0], P)))
+            for view in (model, dataclasses.replace(model, second_difference=None)):
+                with pytest.raises(type(full.value)) as centred:
+                    ExpfamKernelEvaluator(view, x0).pairwise(P, centred=True)
+                assert str(centred.value) == str(full.value)
+                for key in ("point", "context", "overflow"):
+                    assert np.array_equal(getattr(centred.value, key, None),
+                                          getattr(full.value, key, None))
+
+    @pytest.mark.parametrize("model, x0", HOOK_CASES, ids=[m.name for m, _ in HOOK_CASES])
+    def test_a_family_without_the_hook_takes_expm1_of_the_exponent(self, model, x0):
+        P = np.array(x0) + np.array([[0.3, 0.1], [-0.2, 0.4], [0.45, -0.25]])[:, :model.param_dim]
+        plain = ExpfamKernelEvaluator(dataclasses.replace(model, second_difference=None), x0)
+        V = plain.pairwise(P, centred=True)
+        assert np.allclose(V, ExpfamKernelEvaluator(model, x0).pairwise(P, centred=True),
+                           rtol=1e-12, atol=0.0)
+        # R(., x0) = 1, so the differences have the kernel R - 1
+        assert np.allclose(V, plain.pairwise(P) - 1.0, rtol=1e-12, atol=0.0)
+
+    def test_a_hook_value_that_is_not_finite_falls_back_to_the_exponent(self):
+        # expm1(750) / (1 + e^750) is inf / inf; the kernel value is about 2
+        with np.errstate(over="ignore"):
+            V = ExpfamKernelEvaluator(vb.bernoulli(), [0.0]).pairwise([[750.0]], centred=True)
+        assert V[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("support", [(0, None), None], ids=["summation", "monte-carlo"])
+    def test_row_evaluators_centre_by_the_block(self, support):
+        model = dataclasses.replace(vb.as_generic(vb.poisson()), support=support)
+        P = np.array([[0.4], [-0.3], [0.1 + 1e-5]])
+
+        def evaluator():
+            return kernel_module._make_evaluator(model, np.array([0.1]), 2_000, 3)
+
+        full = evaluator().pairwise(np.concatenate(([[0.1]], P)))
+        assert np.array_equal(evaluator().pairwise(P, centred=True), difference_block(full))
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,17 @@ class TestMeanFunctions:
         with pytest.raises(ConfigurationError, match=r"^component: axis"):
             make(vb.poisson(), component)
 
+    @pytest.mark.parametrize("bound", [
+        lambda gamma: vb.crb(vb.gaussian_mean(), gamma, [0.0]),
+        lambda gamma: vb.hcrb(vb.gaussian_mean(), gamma, [0.0], vb.TestPointSet([[0.5]])),
+        lambda gamma: vb.bhattacharyya(vb.gaussian_mean(), gamma, [0.0], [(2,)]),
+    ], ids=["crb", "hcrb", "bhattacharyya"])
+    def test_identity_component_outside_the_parameter_is_a_configuration_error(self, bound):
+        # it raised a raw IndexError from inside the bound
+        with pytest.raises(ConfigurationError,
+                           match=r"^component: 1 is outside a parameter of dimension 1$"):
+            bound(vb.identity_mean(1))
+
     def test_mean_partial_fd_fallback(self):
         gamma = vb.MeanFunction(value=lambda x: float(x[0]) ** 3)
         assert mean_partial(gamma, [2.0], (1,)) == pytest.approx(12.0, rel=1e-6)

@@ -78,15 +78,17 @@ class ExpfamKernelEvaluator:
         """Kernel matrix over rows of `points`, exp of `_exponent`.  Centred,
         the Gram matrix of the differences R(., x) - R(., x0) over them: expm1
         of the family's `second_difference`, or, where it has none or that is
-        not finite, of the exponent, which then raises the error of a point or
-        pair sum without a kernel value."""
+        not finite or leaves a diagonal entry (a squared norm) not positive, of
+        the exponent, which then raises the error of a point or pair sum
+        without a kernel value."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         if not centred:
             return np.exp(self._exponent(P))
         if self.model.second_difference is not None:
             with np.errstate(all="ignore"):
                 V = np.expm1(self.model.second_difference(self.x0, P - self.x0))
-            if math.isfinite(V.sum()):  # finite unless an entry is not or it overflows
+            # the sum is finite unless an entry is not; a squared norm is positive
+            if math.isfinite(V.sum()) and min(V.diagonal().tolist()) > 0:
                 return V
         return np.expm1(self._exponent(np.concatenate((self.x0[None], P)))[1:, 1:])
 
@@ -212,8 +214,8 @@ class _RowKernelEvaluator:
     def _settle(self, P: np.ndarray) -> None:
         """Make the observations cover the rows of P; a fixed set already does."""
 
-    def _kernel_matrix(self, points, centred: bool) -> np.ndarray:
-        """`pairwise`: the kernel over the rows of `points`, or, centred, the
+    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
+        """The kernel over the rows of `points`, or, centred, the
         `difference_block` of the kernel over [x0, *points]."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         if centred:
@@ -342,8 +344,8 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
         heavy = dominance > max(0.01, 50.0 / n)
         return MCKernelEstimate(value=value, stderr=stderr, heavy_tail_warning=heavy)
 
-    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
-        return self._kernel_matrix(points, centred)
+    # bound here too, so that perfbench's tracer can time this route's calls
+    pairwise = _RowKernelEvaluator.pairwise
 
 
 #: Most terms the summation route sums, 2^17 = 131,072: a row then holds
@@ -469,9 +471,6 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
         while (x := next((p for p in P if not self._settled(self._ratios(p))), None)) \
                 is not None:
             self._grow(x)
-
-    def pairwise(self, points: np.ndarray, centred: bool = False) -> np.ndarray:
-        return self._kernel_matrix(points, centred)
 
 
 KernelEvaluator = ExpfamKernelEvaluator | MonteCarloKernelEvaluator | SummationKernelEvaluator

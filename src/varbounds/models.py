@@ -43,10 +43,11 @@ class ExponentialFamilyModel:
     exactly symmetric (m, m) matrix A(x0 + d_i + d_j) - A(x0 + d_i) -
     A(x0 + d_j) + A(x0), computed without that cancellation: the Gram matrix
     of the differences R(., x0 + d_i) - R(., x0) is expm1 of it.  Where it is
-    absent, or not finite or too large to exponentiate, the closed-form kernel
-    takes expm1 of its log-partition exponent, which also raises the error of
-    a point outside the natural space.  A copy given another log_lambda must
-    reset it to None.
+    absent, or not finite or too large to exponentiate, or its expm1 has a
+    diagonal entry that is not positive, the closed-form kernel takes expm1
+    of its log-partition exponent, which also raises the error of a point
+    outside the natural space or on its boundary.  A copy given another
+    log_lambda must reset it to None.
     """
 
     name: str

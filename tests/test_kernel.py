@@ -1205,8 +1205,11 @@ class TestExactDifferenceEntries:
         (vb.poisson(), [0.0], [[0.5], [400.0]]),  # a pair sum's overflows
         (vb.exponential_rate(), [-1.0], [[-0.5], [0.5]]),  # a point outside x < 0
         (vb.exponential_rate(), [-1.0], [[-0.2], [-0.3]]),  # a pair sum outside
+        # on the boundary: the hook's entries are expm1(log1p(-1)) = -1, finite
+        (vb.exponential_rate(), [-1.0], [[0.0]]),
         (vb.gaussian_mean(), [0.0], [[30.0], [1.0]]),  # a kernel value overflows
-    ], ids=["point-overflow", "pair-overflow", "point-outside", "pair-outside", "kernel-overflow"])
+    ], ids=["point-overflow", "pair-overflow", "point-outside", "pair-outside",
+            "point-on-boundary", "kernel-overflow"])
     def test_centred_errors_are_those_of_the_kernel(self, model, x0, points):
         P = np.array(points)
         with np.errstate(over="ignore"):  # as hcrb and the search call it
@@ -1231,10 +1234,27 @@ class TestExactDifferenceEntries:
         assert np.allclose(V, plain.pairwise(P) - 1.0, rtol=1e-12, atol=0.0)
 
     def test_a_hook_value_that_is_not_finite_falls_back_to_the_exponent(self):
-        # expm1(750) / (1 + e^750) is inf / inf; the kernel value is about 2
+        # e^800 overflows, so the hook is inf * 0; the exponent path gives 0
+        model = vb.bernoulli()
+        with np.errstate(all="ignore"):
+            assert np.isnan(model.second_difference(np.array([800.0]), np.array([[-1.0]])))
+            V = ExpfamKernelEvaluator(model, [800.0]).pairwise([[799.0]], centred=True)
+            plain = dataclasses.replace(model, second_difference=None)
+            assert np.array_equal(V, ExpfamKernelEvaluator(plain, [800.0]).pairwise(
+                [[799.0]], centred=True))
+
+    @pytest.mark.parametrize("x0, x, exact", [
+        (0.0, 750.0, 1.0),  # the hook is inf / inf; the kernel value is about 2
+        # e^(x0+d) overflows while expm1(d) does not, so the hook's diagonal
+        # entry is 0, which the squared norm of a distinct point cannot be
+        (1.0, 710.0, math.exp(-1.0)),
+    ])
+    def test_a_large_bernoulli_offset_falls_back_to_the_exponent(self, x0, x, exact):
         with np.errstate(over="ignore"):
-            V = ExpfamKernelEvaluator(vb.bernoulli(), [0.0]).pairwise([[750.0]], centred=True)
-        assert V[0, 0] == pytest.approx(1.0, rel=1e-12)
+            V = ExpfamKernelEvaluator(vb.bernoulli(), [x0]).pairwise([[x]], centred=True)
+            res = vb.hcrb(vb.bernoulli(), vb.identity_mean(), [x0], vb.TestPointSet([[x]]))
+        assert V[0, 0] == pytest.approx(exact, rel=1e-12)
+        assert res.value == pytest.approx((x - x0) ** 2 / exact, rel=1e-12)
 
     @pytest.mark.parametrize("support", [(0, None), None], ids=["summation", "monte-carlo"])
     def test_row_evaluators_centre_by_the_block(self, support):

@@ -82,8 +82,7 @@ def _quadratic_bounds(method: str, systems: Sequence[_System], pinv_tol) -> list
     """The BoundResult of each system, or the exception it raises alone; the
     systems of a grid share one `_solve`."""
     outcomes = []
-    solved = _solve([s.matrix for s in systems], [s.rhs for s in systems], pinv_tol)
-    for (_, _, extra, offset), solution in zip(systems, solved):
+    for (_, _, extra, offset), solution in zip(systems, _solve(systems, pinv_tol)):
         try:
             value, diagnostics = _clamped(_result(solution)[0] - offset, *solution[1:])
             outcomes.append(BoundResult(value, method, {**diagnostics, **extra}))
@@ -232,21 +231,6 @@ def _kernel_rows(evaluator: KernelEvaluator, gamma: MeanFunction,
             except (NaturalSpaceError, KernelEvaluationError):
                 rows.append(None)
     return rows
-
-
-def _solve_rows(rows: Sequence, pinv_tol: float) -> list:
-    """The `_solve` outcome of each row of `_kernel_rows`, in order (None for
-    None): one `_solve` over the rows of each point count."""
-    outcomes = [None] * len(rows)
-    counts: dict[int, list[int]] = {}  # point count -> positions of its rows
-    for i, row in enumerate(rows):
-        if row is not None:
-            counts.setdefault(len(row[1]), []).append(i)
-    for at in counts.values():
-        for i, outcome in zip(at, _solve(np.array([rows[i][0] for i in at]),
-                                         [rows[i][1] for i in at], pinv_tol)):
-            outcomes[i] = outcome
-    return outcomes
 
 
 def hcrb(model: Model, gamma: MeanFunction, x0, tps: TestPointSet, *,
@@ -402,7 +386,7 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
     search)` of `problems` in order, bit for bit, or the error the serial
     loop raises where it raises it, and then ends.  Up to `_WINDOW`
     closed-form searches (Monte Carlo: one) climb side by side, the rows of
-    each step solved together in `_solve_rows`; a search whose solve failed
+    each step solved together in one `_solve`; a search whose solve failed
     raises that configuration's own error, and after a failure no further
     search starts."""
     window = _WINDOW if isinstance(model, ExponentialFamilyModel) else 1
@@ -438,8 +422,7 @@ def _lockstep(model: Model, gamma: MeanFunction, problems: Iterable,
         if not running:
             return
         stepping, running = running, {}
-        outcomes = iter(_solve_rows([row for _, rows in stepping.values() for row in rows],
-                                    pinv_tol))
+        outcomes = iter(_solve([row for _, rows in stepping.values() for row in rows], pinv_tol))
         for i, (search, rows) in stepping.items():
             advance(i, search, [next(outcomes) for _ in rows])
 
@@ -523,7 +506,7 @@ def _search(model: Model, gamma: MeanFunction, x0, cfg: BarankinSearch,
         return current, levels, pts
 
     gamma = _remembering_values(gamma)
-    # `_solve_rows` outcome of each configuration computed (None: undefined)
+    # `_solve` outcome of each configuration computed (None: undefined)
     seen: dict[bytes, tuple | None] = {}
     evaluations = revisits = gram_stacks = 0
     climbs = [climb(pts) for pts in starts]

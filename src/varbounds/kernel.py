@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import FDConfig, MultiIndex, _leibniz_terms, _log_partition, _named, _number, \
     as_index, moment_table, partial_derivative, reciprocal_series, MAX_FD_ORDER
-from .errors import DataError, KernelEvaluationError, ReferenceSupportError
+from .errors import ConfigurationError, DataError, KernelEvaluationError, ReferenceSupportError
 from .models import ExponentialFamilyModel, GenericModel, MeanFunction, Model, \
     _family_log_density, as_param, log_density_batch, mean_partial, sample
 
@@ -96,9 +96,10 @@ class ExpfamKernelEvaluator:
         """log R over the rows of P through log_lambda; NaturalSpaceError names
         the first point, then the first pair sum, where that is not finite,
         KernelEvaluationError an exponent above `_EXP_MAX`."""
-        lls = np.asarray(self.model.log_lambda(P), dtype=float)
         sums = (P[:, None, :] + P[None, :, :] - self.x0).reshape(-1, P.shape[1])
-        ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is re-raised through _log_partition
+            lls = np.asarray(self.model.log_lambda(P), dtype=float)
+            ll_sums = np.asarray(self.model.log_lambda(sums), dtype=float)
         # one test of every entry: the sum is finite unless one is not or it overflows
         if not math.isfinite(lls.sum() + ll_sums.sum()):
             if not np.isfinite(lls).all():
@@ -325,7 +326,7 @@ class MonteCarloKernelEvaluator(_RowKernelEvaluator):
                    for part in (slice(None, half), slice(half, None))]
         rhs = gram_rhs(self, [DiffBasis(p) for p in points], gamma)
         low, high = (max(_result(outcome)[0], 0.0) for outcome in
-                     _solve(difference_block(np.array(kernels)), [rhs, rhs], pinv_tol))
+                     _solve([(difference_block(K), rhs) for K in kernels], pinv_tol))
         return {"mc_samples": self.mc_samples, "mc_effective_sample_size": ess,
                 "mc_standard_error": abs(low - high) / 2.0}
 
@@ -394,8 +395,9 @@ class SummationKernelEvaluator(_RowKernelEvaluator):
     def __init__(self, model: GenericModel, x0):
         lo, hi = model.support or (0, -1)
         if model.obs_dim != 1 or hi is not None and hi < lo:
-            raise ValueError(f"model {model.name!r}: an exact sum needs one integer "
-                             f"observation with a declared support (lo, hi), lo <= hi")
+            raise ConfigurationError(f"support {model.support} of model {model.name!r}: an exact "
+                                     f"sum needs one integer observation and a declared support "
+                                     f"(lo, hi), lo <= hi")
         super().__init__(model, as_param(model, x0))
         self._unbounded = hi is None
         self._sum_over(_FIRST_TERMS if self._unbounded else hi - lo + 1, self.x0)
@@ -539,9 +541,10 @@ def _fd_deriv_inner(model, x0, p1: MultiIndex, p2: MultiIndex,
     """Mixed kernel derivative in both slots by one tensor stencil over the
     stacked (x1, x2) variables.  Total order is capped at MAX_FD_ORDER."""
     if p1.order + p2.order > MAX_FD_ORDER:
-        raise ValueError(
-            f"combined derivative order {p1.order + p2.order} exceeds the "
-            f"finite-difference cap {MAX_FD_ORDER}; supply closed-form moments")
+        raise ConfigurationError(
+            f"indices {tuple(p1)} and {tuple(p2)}: combined derivative order "
+            f"{p1.order + p2.order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
+            f"supply closed-form moments")
     N = model.param_dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     stacked = np.concatenate([x0, x0])
@@ -610,8 +613,9 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
     row per rhs entry and is symmetric within 1e-12 * max(1, max|G|);
     DataError names the first non-finite entry of G or rhs (and its matrix
     in a stack); ConfigurationError unless 0 <= pinv_tol < 1.  rank counts the
-    |eigenvalue| > pinv_tol * max|eigenvalue| (0 for G = 0), condition_number
-    is max / min |eigenvalue| (inf at 0), min_eigenvalue the smallest signed."""
+    kept eigenpairs, those with |eigenvalue| > pinv_tol * max|eigenvalue| (0
+    for G = 0), condition_number is the largest over the smallest kept
+    |eigenvalue| (inf at rank 0), min_eigenvalue the smallest signed one."""
     pinv_tol = _named("pinv_tol", _TOLERANCE, pinv_tol)
     G = np.asarray(G, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -646,10 +650,10 @@ def make_gram_system(G: np.ndarray, rhs: np.ndarray, pinv_tol: float = 1e-10) ->
         w, vt, ascending = np.empty((B, 0)), np.empty((B, 0, 0)), [[0.0]] * B
     ranks, conditions = [], []
     for row in ascending:
-        s = [abs(x) for x in row]
-        smax, smin = max(s), min(s)
-        ranks.append(len([x for x in s if x > pinv_tol * smax]))
-        conditions.append(smax / smin if smin > 0 else math.inf)
+        s = sorted(map(abs, row), reverse=True)
+        rank = len([x for x in s if x > pinv_tol * s[0]])
+        ranks.append(rank)
+        conditions.append(s[0] / s[rank - 1] if rank else math.inf)
     if stacked:
         return GramSystem(G, rhs, w, vt, pinv_tol, {
             "rank": ranks, "min_eigenvalue": [row[0] for row in ascending],
@@ -689,28 +693,37 @@ def projected_sq_norm(system: GramSystem):
     return max(value, 0.0)
 
 
-def _solve(G, rhs, pinv_tol) -> list:
-    """The unclamped (value, rank, condition number, smallest eigenvalue) of
-    each matrix of the stack G with its row of rhs, or the exception that
-    matrix raises when solved alone: one `make_gram_system` and one
-    `signed_sq_norm` for the stack, and one per matrix only when the stack
-    fails.  An overflow to an infinite value is not warned about."""
+def _solve(systems: Sequence, pinv_tol) -> list:
+    """The one solver of every Gram system.  Each entry of `systems` is a
+    (matrix, rhs, ...) sequence, or None for an undefined configuration; its
+    outcome is None, the exception the system raises when solved alone, or
+    the unclamped (value, rank, condition number, smallest eigenvalue) of
+    rhs' matrix^+ rhs.  The systems of one size share one `make_gram_system`
+    and one `signed_sq_norm`; only a size whose stack fails is solved system
+    by system.  An overflow to an infinite value is not warned about."""
     def solved(G, rhs):
         system = make_gram_system(G, rhs, pinv_tol)
         d = system.diagnostics
         return signed_sq_norm(system), d["rank"], d["condition_number"], d["min_eigenvalue"]
 
+    outcomes = [None] * len(systems)
+    sizes: dict[int, list[int]] = {}  # rhs length -> positions of its systems
+    for i, system in enumerate(systems):
+        if system is not None:
+            sizes.setdefault(len(system[1]), []).append(i)
     with np.errstate(over="ignore"):
-        try:
-            return list(zip(*solved(G, rhs)))
-        except Exception:  # alone, a failing matrix raises its own error
-            outcomes = []
-            for g, r in zip(G, rhs):
-                try:
-                    outcomes.append(solved(g, r))
-                except Exception as exc:
-                    outcomes.append(exc)
-            return outcomes
+        for at in sizes.values():
+            try:
+                for i, outcome in zip(at, zip(*solved([systems[i][0] for i in at],
+                                                       [systems[i][1] for i in at]))):
+                    outcomes[i] = outcome
+            except Exception:  # alone, a failing system raises its own error
+                for i in at:
+                    try:
+                        outcomes[i] = solved(*systems[i][:2])
+                    except Exception as exc:
+                        outcomes[i] = exc
+    return outcomes
 
 
 def _result(outcome):
@@ -726,14 +739,13 @@ def difference_block(K: np.ndarray, d=None) -> np.ndarray:
     and difference basis functions at x_1, ..., x_m, from the kernel matrix K
     over [x0, x_1, ..., x_m] or a stack of them; d_i = 1 marks a difference
     R(., x_i) - R(., x0) and 0 a point R(., x_i), and d = None makes every
-    basis function a difference (x * 1.0 is x, so the values are the same).
+    basis function a difference.
     It loses about eps / |x_i - x0|^2 to cancellation, so the closed form
     builds a basis of differences only without it (centred `pairwise`); it
     serves bases that mix points and differences, and the row evaluators,
     whose entries are dot products of rows."""
     Ki0, K0j, K00 = K[..., 1:, :1], K[..., :1, 1:], K[..., :1, :1]
-    if d is None:
-        return ((K[..., 1:, 1:] - Ki0) - K0j) + K00
+    d = np.ones(K.shape[-1] - 1) if d is None else d
     dcol = d[:, None]
     return ((K[..., 1:, 1:] - Ki0 * d) - dcol * K0j) + dcol * (d * K00)
 
@@ -861,9 +873,9 @@ def suffstat_kernel_check(model: Model, statistic: SufficientStatistic, x0,
     if mode == "auto":
         mode = "closed_form" if both_expfam else "mc"
     if mode not in ("closed_form", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ConfigurationError(f"mode: unknown mode {mode!r}")
     if mode == "closed_form" and not both_expfam:
-        raise ValueError("closed-form comparison needs two exponential-family models")
+        raise ConfigurationError("mode: closed-form comparison needs two exponential-family models")
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if mode == "closed_form":

@@ -235,7 +235,7 @@ class TestBhattacharyya:
     def test_combined_order_above_the_finite_difference_cap_is_rejected(self):
         # without closed moments, <r^(3), r^(3)> would need an order-6 stencil
         fd = replace(vb.poisson(), closed_moments=None)
-        with pytest.raises(ValueError, match="combined derivative order 6 exceeds the "
+        with pytest.raises(ConfigurationError, match="combined derivative order 6 exceeds the "
                                              "finite-difference cap 4"):
             vb.bhattacharyya(fd, vb.expfam_mean(fd), [0.0], [(1,), (3,)])
 
@@ -1057,7 +1057,7 @@ class TestLockstepSearch:
         configurations = [np.array([[-0.3]]), np.array([[-3e-5]]), np.array([[-0.5]])]
 
         def projections(configurations):
-            return bounds_module._solve_rows(
+            return bounds_module._solve(
                 bounds_module._kernel_rows(evaluator, gamma, configurations), 1e-10)
 
         results = projections(configurations)
@@ -1087,13 +1087,13 @@ class TestLockstepSearch:
         g, gamma = vb.gaussian_mean(), vb.identity_mean()
         problems = [([0.0], BarankinSearch(restarts=2, halvings=4, max_points=2, seed=5)),
                     ([0.4], BarankinSearch(restarts=2, halvings=4, max_points=3, seed=6))]
-        solve_rows, counts = bounds_module._solve_rows, []
+        solve, counts = bounds_module._solve, []
 
         def tracked_rows(rows, pinv_tol):
             counts.append({len(row[1]) for row in rows if row is not None})
-            return solve_rows(rows, pinv_tol)
+            return solve(rows, pinv_tol)
 
-        monkeypatch.setattr(bounds_module, "_solve_rows", tracked_rows)
+        monkeypatch.setattr(bounds_module, "_solve", tracked_rows)
         together = list(bounds_module._lockstep(g, gamma, problems))
         assert {2, 3} in counts
         for res, (x0, search) in zip(together, problems):
@@ -1131,12 +1131,13 @@ INPUT_GUARDS = {
     "more-constraints-than-parameters": (
         lambda: vb.constrained_crb(_G, _ID, [0.0], [[1.0], [2.0]]), ConstraintRankError,
         r"more constraints \(2\) than parameters \(1\)"),
-    "unknown-suffstat-mode": (_suffstat_check("exact"), ValueError, "unknown mode 'exact'"),
+    "unknown-suffstat-mode": (_suffstat_check("exact"), ConfigurationError,
+                              "unknown mode 'exact'"),
     "closed-form-suffstat-on-a-generic-model": (
-        _suffstat_check("closed_form"), ValueError,
+        _suffstat_check("closed_form"), ConfigurationError,
         "closed-form comparison needs two exponential-family models"),
     "declared-support-with-two-observations": (
-        lambda: vb.crb(_two_observation_model(), _ID, [0.0]), ValueError,
+        lambda: vb.crb(_two_observation_model(), _ID, [0.0]), ConfigurationError,
         "an exact sum needs one integer observation"),
     "parameter-of-the-wrong-length": (
         lambda: vb.crb(_G, _ID, [0.0, 1.0]), ConfigurationError,
@@ -1550,16 +1551,16 @@ class TestGridEqualsAlone:
         solves = []
         solve = vb_kernel._solve
 
-        def counted(G, *args):
-            solves.append(np.shape(G))
-            return solve(G, *args)
+        def counted(systems, *args):
+            solves.append(len(systems))
+            return solve(systems, *args)
 
         with monkeypatch.context() as m:
             # the grid's binding: a Monte Carlo hcrb's split halves solve in kernel
             m.setattr(bounds_module, "_solve", counted)
             got = bounds_module._evaluate_grid(model, gamma, grid, MethodSpec(name, options),
                                                seeds, mc_samples)
-        assert len(solves) == 1 and solves[0][0] == 5  # one solve of all five points
+        assert len(solves) == 1 and solves[0] == 5  # one solve of all five points
         checked = method_options(name, options, model.param_dim)
         for x, seed, res in zip(grid, seeds, got):
             alone = evaluate_bound(model, gamma, x, MethodSpec(name, options),

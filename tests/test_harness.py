@@ -363,15 +363,15 @@ class TestBatchedSearchesEqualAlone:
             finally:
                 running.pop()
 
-        def counted_solve(G, rhs, pinv_tol):
+        def counted_stack(G, rhs, pinv_tol):
             solves.append(("solve", len(rhs)))
-            return solve(G, rhs, pinv_tol)
+            return stack(G, rhs, pinv_tol)
 
-        solve = vb.kernel._solve
+        stack = vb.kernel.make_gram_system
         monkeypatch.setattr(bounds_module, "_search", counted_search)
-        # the searches solve in bounds, the Monte Carlo halves in kernel
-        for module in (bounds_module, vb.kernel):
-            monkeypatch.setattr(module, "_solve", counted_solve)
+        # one `_solve` covers the stacks of several sizes: each stack is one
+        # `make_gram_system`, of the searches and of the Monte Carlo halves
+        monkeypatch.setattr(vb.kernel, "make_gram_system", counted_stack)
         report = vb.semicontinuity_scan(model, gamma, grid, options=options, seed=7, **kwargs)
         assert max(n for kind, n in solves if kind == "peak") == min(window, len(grid))
         stacked = sum(d["gram_stacks"] for d in report.diagnostics)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from unittest import mock
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import varbounds as vb
 from varbounds import calculus as calculus_module
 from varbounds import kernel as kernel_module
 from varbounds import models as models_module
-from varbounds.bounds import _System, _clamped, _kernel_rows, _quadratic_bound, _solve_rows
+from varbounds.bounds import _System, _clamped, _kernel_rows, _quadratic_bound
 from varbounds.calculus import MultiIndex, moment, moment_table, multi_binomial, \
     multi_indices_leq, reciprocal_series
 from varbounds.cli import main as cli_main
@@ -732,8 +733,17 @@ class TestGramSystemDiagnostics:
     def test_diagnostics_fields(self):
         sys = make_gram_system(np.diag([2.0, 1e-14]), np.array([1.0, 0.0]), 1e-10)
         assert sys.diagnostics["rank"] == 1
-        assert sys.diagnostics["condition_number"] > 1e10
+        assert sys.diagnostics["condition_number"] == 1.0  # over the kept eigenpair
         assert sys.diagnostics["min_eigenvalue"] == pytest.approx(1e-14, abs=1e-15)
+
+    def test_condition_number_of_a_rank_deficient_gram_is_over_the_kept_eigenpairs(self):
+        # over all eigenpairs the dropped eigenvalue, rounding noise, made
+        # these read 3.6e15 and 4.6e15
+        sys = make_gram_system(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones(2), 1e-10)
+        assert sys.diagnostics["rank"] == 1
+        assert sys.diagnostics["condition_number"] <= 1e10
+        res = vb.bhattacharyya(vb.bernoulli(), vb.identity_mean(), [0.3], [(1,), (2,), (3,)])
+        assert res.diagnostics["condition_number"] <= 1e10
 
     @pytest.mark.parametrize("G, rhs, match", [
         ([[math.nan]], [1.0], r"Gram matrix entry at index \(0, 0\)"),
@@ -752,6 +762,17 @@ class TestGramSystemDiagnostics:
         with pytest.raises(KernelEvaluationError, match="overflow"):
             ev.pairwise(np.array([[0.0], [30.0]]))
         assert math.isfinite(ev.pairwise(np.array([[0.0], [26.6]])).max())
+
+    def test_overflowing_log_partition_is_a_natural_space_error(self):
+        # Poisson's e^x overflows at x = 800, inside the natural space; under
+        # error::RuntimeWarning the overflow used to raise a RuntimeWarning
+        ev = ExpfamKernelEvaluator(vb.poisson(), [0.0])
+        P = np.array([[0.0], [800.0]])
+        for call in (lambda: ev.pairwise(P), lambda: ev.pairwise(P, centred=True),
+                     lambda: gram(ev, [DiffBasis(np.array([800.0]))])):
+            with pytest.raises(NaturalSpaceError) as info:
+                call()
+            assert info.value.overflow and np.asarray(info.value.point).tolist() == [800.0]
 
     def test_scalar_kernel_overflow_raises_like_pairwise(self):
         # the scalar path backs the finite-difference kernel derivatives; it
@@ -927,6 +948,63 @@ class TestStackedGramSystem:
         assert projected_sq_norm(make_gram_system(G[0], rhs[0])) == 0.0
 
 
+def _solver_case(kind: str, m: int, seed: int):
+    """A (matrix, rhs) of size m, rank deficient at random, or one that fails
+    alone: a NaN right-hand side, an asymmetric matrix, or an rhs one longer
+    than the matrix."""
+    rng = np.random.default_rng(seed)
+    m = max(m, {"nan": 1, "asymmetric": 2}.get(kind, 0))
+    A = rng.normal(size=(m, m)) * 10.0 ** rng.integers(-3, 3)
+    A[:, rng.integers(0, m + 1):] = 0.0
+    G, rhs = A @ A.T, rng.normal(size=m + (kind == "mismatched"))
+    G = (G + G.T) / 2
+    if kind == "nan":
+        rhs[0] = math.nan
+    elif kind == "asymmetric":
+        G[0, -1] += 1.0
+    return G, rhs
+
+
+class TestSolveContract:
+    """`kernel._solve` takes any batch of systems: each outcome is that of the
+    system solved alone, and a batch that does not fail is one stack per size."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["ok", "ok", "none", "nan", "asymmetric",
+                                               "mismatched"]),
+                              st.integers(0, 4), st.integers(0, 2 ** 32 - 1)), max_size=10)
+           .flatmap(st.permutations))
+    def test_each_outcome_is_the_system_alone(self, cases):
+        systems = [None if kind == "none" else _solver_case(kind, m, seed)
+                   for kind, m, seed in cases]
+        stacks = []
+
+        def counted(G, *args):
+            stacks.append(len(G))
+            return make_gram_system(G, *args)
+
+        with mock.patch.object(kernel_module, "make_gram_system", counted):
+            outcomes = kernel_module._solve(systems, 1e-10)
+        assert len(outcomes) == len(systems)
+        for system, outcome in zip(systems, outcomes):
+            if system is None:
+                assert outcome is None
+                continue
+            try:
+                one = make_gram_system(*system, 1e-10)
+            except Exception as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                continue
+            d = one.diagnostics
+            value, rank, condition, smallest = outcome
+            assert [value.hex(), rank, condition.hex(), smallest.hex()] == \
+                [signed_sq_norm(one).hex(), d["rank"], d["condition_number"].hex(),
+                 d["min_eigenvalue"].hex()]
+        if all(kind in ("ok", "none") for kind, _, _ in cases):
+            sizes = Counter(len(s[1]) for s in systems if s is not None)
+            assert sorted(stacks) == sorted(sizes.values())
+
+
 class TestSuffStatCheck:
     @staticmethod
     def _setup():
@@ -1049,8 +1127,8 @@ def _oracle_cases():
 
 def _searched_projection(ev, gamma, points):
     """The search's projection of one configuration, clamped as a bound is:
-    `_kernel_rows` and `_solve_rows`; None where it is undefined."""
-    [result] = _solve_rows(_kernel_rows(ev, gamma, [points]), 1e-10)
+    `_kernel_rows` and `_solve`; None where it is undefined."""
+    [result] = kernel_module._solve(_kernel_rows(ev, gamma, [points]), 1e-10)
     return result if result is None else _clamped(*result)
 
 

@@ -54,7 +54,8 @@ class TestPointSet:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.max(np.abs(pts[i] - pts[j]), initial=0.0) < 1e-12:
-                    raise ValueError(f"duplicate test points at positions {i} and {j}")
+                    raise ConfigurationError(
+                        f"points: duplicate test points at positions {i} and {j}")
         object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self) -> int:

@@ -189,13 +189,15 @@ def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x0, p,
     differences, accurate to O(step^2) per differentiated axis.
 
     f may return a float or a float array (differentiated entrywise).  Total
-    order is capped at MAX_FD_ORDER.  Non-finite values of f on the stencil
-    raise StencilError naming the failing point.
+    order is capped at MAX_FD_ORDER (ConfigurationError above it).  Non-finite
+    values of f on the stencil raise StencilError naming the failing point.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     p = as_index(p, dim=x0.size)
     if p.order > MAX_FD_ORDER:
-        raise ValueError(f"derivative order {p.order} exceeds cap {MAX_FD_ORDER}")
+        raise ConfigurationError(
+            f"derivative order {p.order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
+            "supply closed-form moments or derivatives")
 
     if p.order == 0:
         return _finite(f(x0), x0)

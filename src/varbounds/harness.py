@@ -71,8 +71,7 @@ def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
     """Sample mean and unbiased variance of the estimator over n draws at x0,
     with jackknife standard errors."""
     n = _named("n", _number(int, MIN_DRAWS), n)
-    Y = sample(model, x0, seed, n)
-    g = np.asarray(est.map(Y), dtype=float)
+    g = np.asarray(est.map(sample(model, x0, seed, n)), dtype=float)
     if g.shape != (n,):
         raise DataError(f"estimator map returned shape {g.shape}, expected ({n},)")
     if not np.all(np.isfinite(g)):
@@ -86,10 +85,15 @@ def estimator_variance_mc(model: Model, est: EstimatorSpec, x0,
     variance = ss / (n - 1)
     se_mean = math.sqrt(variance / n)
 
-    # leave-one-out variances in closed form, then the jackknife spread
-    loo_ss = ss - dev ** 2 * (n / (n - 1))
-    loo_var = loo_ss / (n - 2)
-    se_variance = math.sqrt((n - 1) / n * float(np.sum((loo_var - loo_var.mean()) ** 2)))
+    # leave-one-out variances in closed form, then the jackknife spread, all
+    # in dev's memory: (ss - dev**2 * n/(n-1)) / (n-2), centred and squared
+    np.square(dev, out=dev)
+    dev *= n / (n - 1)
+    np.subtract(ss, dev, out=dev)
+    dev /= n - 2
+    dev -= dev.mean()
+    np.square(dev, out=dev)
+    se_variance = math.sqrt((n - 1) / n * float(np.sum(dev)))
     return EstimatorMoments(mean=m, variance=variance, se_mean=se_mean,
                             se_variance=se_variance, n=n, seed=seed)
 

@@ -1123,8 +1123,24 @@ def _jumping_model() -> vb.GenericModel:
         _G.sampler)
 
 
+#: poisson with finite-difference moments, capped at order MAX_FD_ORDER = 4
+_FD_POISSON = replace(vb.poisson(), closed_moments=None)
+
 #: (library call, exception, message) of input guards no other test reaches
 INPUT_GUARDS = {
+    "duplicate-test-points": (
+        lambda: TestPointSet([[0.5], [0.5]]), ConfigurationError,
+        "points: duplicate test points at positions 0 and 1"),
+    # <r^(1), r^(4)> needs the fifth moment
+    "bhattacharyya-moment-above-the-finite-difference-cap": (
+        lambda: vb.bhattacharyya(_FD_POISSON, vb.expfam_mean(_FD_POISSON), [0.0],
+                                 [(1,), (4,)]), ConfigurationError,
+        "derivative order 5 exceeds the finite-difference cap 4; supply closed-form moments"),
+    # the moment Gram over indices up to (3,) needs moments of order 5 and 6
+    "expfam-bound-moment-above-the-finite-difference-cap": (
+        lambda: vb.expfam_bound(_FD_POISSON, vb.expfam_mean(_FD_POISSON), [0.0],
+                                [(0,), (1,), (2,), (3,)]), ConfigurationError,
+        "derivative order 5 exceeds the finite-difference cap 4; supply closed-form moments"),
     "expfam-crb-on-a-generic-model": (
         lambda: vb.expfam_crb(vb.as_generic(vb.poisson()), _ID, [0.0]), TypeError,
         "expfam_crb requires an ExponentialFamilyModel"),

@@ -129,7 +129,8 @@ class TestPartialDerivative:
         assert abs(val - 24.0) < 1e-3
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="derivative order 5 exceeds the "
+                                                     "finite-difference cap 4"):
             partial_derivative(lambda x: x[0], [0.0], (5,))
 
     def test_stencil_error_reports_point(self):

@@ -1,6 +1,7 @@
 """Monte Carlo estimator validation, scans, and the shrinking-region experiment."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,15 @@ import varbounds as vb
 import varbounds.bounds as bounds_module
 from varbounds.bounds import BarankinSearch, MethodSpec
 from varbounds.errors import ConfigurationError, DataError, NaturalSpaceError
-from varbounds.harness import estimator_variance_mc, write_csv
+from varbounds.harness import MIN_DRAWS, estimator_variance_mc, write_csv
+
+
+#: (model, estimator, x0) of the in-place jackknife checks
+ESTIMATORS = {
+    "gaussian": (vb.gaussian_mean(), vb.phi_estimator(vb.gaussian_mean()), [0.3]),
+    "poisson": (vb.poisson(), vb.phi_estimator(vb.poisson()), [1.2]),
+    "constant": (vb.gaussian_mean(), vb.constant_estimator(2.0), [0.0]),
+}
 
 
 class TestEstimatorVarianceMC:
@@ -67,6 +76,33 @@ class TestEstimatorVarianceMC:
         with pytest.raises(DataError, match=r"estimator map returned shape \(1000, 1\), "
                                             r"expected \(1000,\)"):
             estimator_variance_mc(vb.gaussian_mean(), column, [0.0], n=1000, seed=0)
+
+    @pytest.mark.parametrize("n", [100, 1001, 100_000])
+    @pytest.mark.parametrize("model, est, x0", ESTIMATORS.values(), ids=ESTIMATORS)
+    def test_in_place_jackknife_keeps_every_bit(self, model, est, x0, n):
+        # the out-of-place expressions the jackknife is computed in place of
+        g = np.asarray(est.map(vb.sample(model, x0, 5, n)), dtype=float)
+        m = float(g[0]) if g.min() == g.max() else float(g.mean())
+        dev = g - m
+        ss = float(dev @ dev)
+        variance = ss / (n - 1)
+        loo_var = (ss - dev ** 2 * (n / (n - 1))) / (n - 2)
+        se_variance = math.sqrt((n - 1) / n * float(np.sum((loo_var - loo_var.mean()) ** 2)))
+        out = estimator_variance_mc(model, est, x0, n=n, seed=5)
+        assert [out.mean.hex(), out.variance.hex(), out.se_mean.hex(), out.se_variance.hex()] \
+            == [m.hex(), variance.hex(), math.sqrt(variance / n).hex(), se_variance.hex()]
+
+    @pytest.mark.parametrize("model, est, x0", ESTIMATORS.values(), ids=ESTIMATORS)
+    def test_working_set_is_the_draws_and_one_work_vector(self, model, est, x0):
+        n = 200_000
+        estimator_variance_mc(model, est, x0, n=MIN_DRAWS, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            estimator_variance_mc(model, est, x0, n=n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * np.dtype(float).itemsize
 
     def test_declared_mean_matches_mc_mean(self):
         # the declared mean of the sufficient-statistic estimator is checked
